@@ -60,7 +60,6 @@ from .normalize import (
     to_gcnf,
 )
 from .parsing import (
-    Backpointer,
     CompositionKey,
     CompositionStats,
     CompositionTable,

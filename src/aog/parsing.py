@@ -1,12 +1,27 @@
 """Exact parsing.
 
-build_table runs the bottom-up dynamic program over composition sizes:
-a chart entry is keyed by (size, Or-node, parameter, terminal-instance
-set), seeded from single instances and combined pairwise through the
-And-rules of a normal-form grammar.  Viterbi mode keeps the best
-derivation score per entry, marginal mode sums them.  enumerate_parses
-is a deliberately naive top-down enumerator over general grammars that
-serves as an independent reference.
+build_table runs the bottom-up dynamic program over composition sizes,
+seeded from single instances and combined pairwise through the And-rules
+of a normal-form grammar.  Viterbi and marginal mode share that one loop
+and differ only in how a new derivation score folds into a chart cell:
+viterbi keeps the larger, marginal log-adds (semiring parsing, Goodman
+1999).  enumerate_parses is a deliberately naive top-down enumerator over
+general grammars that serves as an independent reference.
+
+Chart layout.  Cells are plain floats (log scores):
+scores[size][or_node][(param, mask)], where bit i of mask stands for
+instance i of the sample.  A viterbi table also records, in the flat dict
+backs keyed by (size, or_node, param, mask), how each cell got its score:
+
+- (or rule, instance id) at size 1, an Or-rule over a terminal instance;
+- (and rule, left key, right key, or rule) above, an Or-rule over an
+  And-rule applied to the two child cells with those keys.
+
+Marginal tables leave backs empty.  Tie rule: when two derivations of a
+viterbi cell score the same, the smaller backpointer wins, compared as
+(or rule, instance id) at size 1 and above as (and rule, (size, node,
+param_order_key(param), mask) of the left child, the same of the right
+child, or rule).
 """
 
 from __future__ import annotations
@@ -14,8 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .domains import param_order_key
 from .errors import BudgetExceeded, DepthExceeded, MissingEntry, NotInNormalForm
@@ -43,30 +58,10 @@ class CompositionKey:
     terminals: frozenset[str]
 
 
-def _key_order(key: CompositionKey):
-    return (key.size, key.or_node, param_order_key(key.param), sorted(key.terminals))
+class RootEntry(NamedTuple):
+    """A root cell's score as root_entries reports it."""
 
-
-@dataclass(frozen=True, slots=True)
-class Backpointer:
-    """How an entry was last improved: an Or-rule over either a terminal
-    instance (size 1) or an And-rule applied to two smaller entries.
-
-    left and right are internal chart keys (size, or_node, param, bitmask
-    of instance indices); resolve them through CompositionTable.public_key.
-    """
-
-    or_rule: int
-    and_rule: int | None = None
-    left: tuple | None = None
-    right: tuple | None = None
-    instance: str | None = None
-
-
-@dataclass(slots=True)
-class Entry:
     score: float
-    back: Backpointer | None  # absent in marginal tables
 
 
 @dataclass
@@ -104,58 +99,39 @@ class CompositionStats:
 
 @dataclass
 class CompositionTable:
+    """A filled chart; the layout is described in the module docstring."""
+
     grammar: Grammar
     sample: DataSample
     mode: str
-    # strata[size][or_node] maps (param, instance bitmask) to entries; the
-    # bit for instance i of the sample is 1 << i
-    strata: list[dict[str, dict[tuple, Entry]]]
+    scores: list[dict[str, dict[tuple, float]]]
+    backs: dict[tuple, tuple]
     stats: CompositionStats
 
-    def _mask(self, terminals: frozenset[str]) -> int:
+    def _chart_key(self, key: CompositionKey) -> tuple:
+        """The (size, or_node, param, mask) of an existing cell."""
         mask = 0
-        order = {inst.instance_id: i for i, inst in enumerate(self.sample.instances)}
-        for instance_id in terminals:
-            bit = order.get(instance_id)
-            if bit is None:
-                raise MissingEntry(f"instance {instance_id!r} is not in the sample")
-            mask |= 1 << bit
-        return mask
+        for i, inst in enumerate(self.sample.instances):
+            if inst.instance_id in key.terminals:
+                mask |= 1 << i
+        if 0 <= key.size < len(self.scores) and mask.bit_count() == len(key.terminals):
+            if (key.param, mask) in self.scores[key.size].get(key.or_node, {}):
+                return key.size, key.or_node, key.param, mask
+        raise MissingEntry(f"no chart entry for {key}")
 
-    def public_key(self, ikey: tuple) -> CompositionKey:
-        """Expand an internal (size, or_node, param, mask) key."""
-        size, or_node, param, mask = ikey
-        ids = self.sample.ids
-        names = frozenset(
-            inst.instance_id
-            for i, inst in enumerate(self.sample.instances)
-            if mask & (1 << i)
-        )
-        assert names <= ids
-        return CompositionKey(size, or_node, param, names)
+    def lookup(self, key: CompositionKey) -> float:
+        """The score of a cell; MissingEntry when the chart has none."""
+        size, or_node, param, mask = self._chart_key(key)
+        return self.scores[size][or_node][(param, mask)]
 
-    def lookup(self, key: CompositionKey) -> Entry:
-        if not 0 <= key.size < len(self.strata):
-            raise MissingEntry(f"no chart entry for {key}")
-        ikey = (key.param, self._mask(key.terminals))
-        entry = self.strata[key.size].get(key.or_node, {}).get(ikey)
-        if entry is None:
-            raise MissingEntry(f"no chart entry for {key}")
-        return entry
-
-    def entries(self) -> Iterator[tuple[CompositionKey, Entry]]:
-        for size, stratum in enumerate(self.strata):
-            for or_node, bucket in stratum.items():
-                for (param, mask), entry in bucket.items():
-                    yield self.public_key((size, or_node, param, mask)), entry
-
-    def root_entries(self) -> list[tuple[CompositionKey, Entry]]:
+    def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
         n = len(self.sample)
-        out = []
-        if n < len(self.strata):
-            for (param, mask), entry in self.strata[n].get(self.grammar.start, {}).items():
-                out.append((self.public_key((n, self.grammar.start, param, mask)), entry))
-        return sorted(out, key=lambda kv: _key_order(kv[0]))
+        start = self.grammar.start
+        out = [
+            (CompositionKey(n, start, param, self.sample.ids), RootEntry(score))
+            for (param, _), score in self.scores[n].get(start, {}).items()
+        ]
+        return sorted(out, key=lambda kv: param_order_key(kv[0].param))
 
 
 @dataclass
@@ -185,6 +161,7 @@ def build_table(
             raise ValueError(f"sample uses unknown terminal {inst.terminal!r}")
     budget = budget or ParserBudget()
     started = time.monotonic()
+    deadline = None if budget.max_seconds is None else started + budget.max_seconds
 
     # child node -> [(rule index, log prob, head)]
     or_by_child: dict[str, list[tuple[int, float, str]]] = {}
@@ -202,53 +179,52 @@ def build_table(
         and_index.setdefault((rule.children[0], rule.children[1]), []).append(entry)
 
     n = len(x)
-    strata: list[dict[str, dict[tuple, Entry]]] = [{} for _ in range(n + 1)]
+    scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
+    backs: dict[tuple, tuple] = {}
     entry_count = 0
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
-    def back_order(back: Backpointer):
-        if back.instance is not None:
-            return (0, back.or_rule, back.instance)
-        ls, ln, lp, lm = back.left
-        rs, rn, rp, rm = back.right
+    def back_order(back: tuple) -> tuple:
+        if len(back) == 2:
+            return back
+        and_idx, (ls, ln, lp, lm), (rs, rn, rp, rm), or_idx = back
         return (
-            1,
-            back.and_rule,
+            and_idx,
             (ls, ln, param_order_key(lp), lm),
             (rs, rn, param_order_key(rp), rm),
-            back.or_rule,
+            or_idx,
         )
 
+    def add(size: int, head: str, param: Any, mask: int, score: float, back: tuple) -> None:
+        # the one place a chart cell is created or updated
+        nonlocal entry_count
+        cells = scores[size].setdefault(head, {})
+        ikey = (param, mask)
+        cur = cells.get(ikey)
+        if cur is None:
+            entry_count += 1
+            if entry_count > max_entries:
+                raise BudgetExceeded(f"chart exceeded {max_entries} entries")
+            cells[ikey] = score
+            if viterbi:
+                backs[size, head, param, mask] = back
+        elif not viterbi:
+            cells[ikey] = log_add(cur, score)
+        elif score > cur or (
+            score == cur and back_order(back) < back_order(backs[size, head, param, mask])
+        ):
+            cells[ikey] = score
+            backs[size, head, param, mask] = back
+
     for index, inst in enumerate(x.instances):
-        bit = 1 << index
         for or_idx, logp, head in or_by_child.get(inst.terminal, ()):
-            bucket = strata[1].setdefault(head, {})
-            ikey = (inst.param, bit)
-            cur = bucket.get(ikey)
-            if cur is None:
-                entry_count += 1
-                back = Backpointer(or_rule=or_idx, instance=inst.instance_id) if viterbi else None
-                bucket[ikey] = Entry(logp, back)
-            elif viterbi:
-                back = Backpointer(or_rule=or_idx, instance=inst.instance_id)
-                if logp > cur.score or (
-                    logp == cur.score and back_order(back) < back_order(cur.back)
-                ):
-                    cur.score = logp
-                    cur.back = back
-            else:
-                cur.score = log_add(cur.score, logp)
-    if entry_count > max_entries:
-        raise BudgetExceeded(f"chart exceeded {max_entries} entries")
+            add(1, head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
 
     for i in range(2, n + 1):
-        if budget.max_seconds is not None and time.monotonic() - started > budget.max_seconds:
-            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
-        stratum_i = strata[i]
         for j in range(1, i):
-            left_nodes = strata[j]
-            right_nodes = strata[i - j]
+            left_nodes = scores[j]
+            right_nodes = scores[i - j]
             if not left_nodes or not right_nodes:
                 continue
             for (left_child, right_child), rules in and_index.items():
@@ -256,63 +232,38 @@ def build_table(
                 rights = right_nodes.get(right_child)
                 if not lefts or not rights:
                     continue
-                for (lparam, lmask), lentry in lefts.items():
-                    lscore = lentry.score
-                    for (rparam, rmask), rentry in rights.items():
+                for (lparam, lmask), lscore in lefts.items():
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+                    lkey = (j, left_child, lparam, lmask)
+                    for (rparam, rmask), rscore in rights.items():
                         if lmask & rmask:
                             continue
-                        pair_score = lscore + rentry.score
+                        pair_score = lscore + rscore
                         umask = lmask | rmask
                         for and_idx, head, rel, fn in rules:
                             if not rel(lparam, rparam):
                                 continue
                             parent_param = fn(lparam, rparam)
+                            rkey = (i - j, right_child, rparam, rmask)
                             for or_idx, logp, or_head in or_by_child.get(head, ()):
-                                bucket = stratum_i.setdefault(or_head, {})
-                                ikey = (parent_param, umask)
-                                cur = bucket.get(ikey)
-                                score = logp + pair_score
-                                if cur is None:
-                                    entry_count += 1
-                                    if entry_count > max_entries:
-                                        raise BudgetExceeded(
-                                            f"chart exceeded {max_entries} entries"
-                                        )
-                                    back = (
-                                        Backpointer(
-                                            or_rule=or_idx,
-                                            and_rule=and_idx,
-                                            left=(j, left_child, lparam, lmask),
-                                            right=(i - j, right_child, rparam, rmask),
-                                        )
-                                        if viterbi
-                                        else None
-                                    )
-                                    bucket[ikey] = Entry(score, back)
-                                elif viterbi:
-                                    if score >= cur.score:
-                                        back = Backpointer(
-                                            or_rule=or_idx,
-                                            and_rule=and_idx,
-                                            left=(j, left_child, lparam, lmask),
-                                            right=(i - j, right_child, rparam, rmask),
-                                        )
-                                        if score > cur.score or back_order(back) < back_order(
-                                            cur.back
-                                        ):
-                                            cur.score = score
-                                            cur.back = back
-                                else:
-                                    cur.score = log_add(cur.score, score)
+                                add(
+                                    i,
+                                    or_head,
+                                    parent_param,
+                                    umask,
+                                    logp + pair_score,
+                                    (and_idx, lkey, rkey, or_idx),
+                                )
 
     per_size_comps = []
     per_size_entries = []
-    for stratum in strata:
+    for stratum in scores:
         comps = set()
         count = 0
-        for bucket in stratum.values():
-            count += len(bucket)
-            for _, mask in bucket:
+        for cells in stratum.values():
+            count += len(cells)
+            for _, mask in cells:
                 comps.add(mask)
         per_size_comps.append(len(comps))
         per_size_entries.append(count)
@@ -322,31 +273,38 @@ def build_table(
         per_size_entries=per_size_entries,
         elapsed_seconds=time.monotonic() - started,
     )
-    return CompositionTable(g, x, mode, strata, stats)
+    return CompositionTable(g, x, mode, scores, backs, stats)
 
 
 def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
-    """Reconstruct the derivation recorded at a chart entry (viterbi tables)."""
+    """Reconstruct the derivation recorded at a chart entry (viterbi tables).
+
+    Iterative, so the depth of the tree is not bounded by the recursion
+    limit: chart keys are listed parents first, then built in reverse.
+    """
     if table.mode != "viterbi":
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
-
-    def build(ikey: tuple) -> TreeNode:
-        size, or_node, param, mask = ikey
-        entry = table.strata[size][or_node][(param, mask)]
-        back = entry.back
-        or_rule = g.or_rules[back.or_rule]
-        if back.instance is not None:
-            inst = table.sample.by_id[back.instance]
-            leaf = TreeNode(inst.terminal, inst.param, instance=back.instance)
-            return TreeNode(or_rule.head, param, (leaf,))
-        and_rule = g.and_rules[back.and_rule]
-        subtree = TreeNode(and_rule.head, param, (build(back.left), build(back.right)))
-        return TreeNode(or_rule.head, param, (subtree,))
-
-    root_entry = table.lookup(root)  # raises MissingEntry for unknown keys
-    iroot = (root.size, root.or_node, root.param, table._mask(root.terminals))
-    return ParseTree(build(iroot), root_entry.score)
+    top = table._chart_key(root)  # raises MissingEntry for unknown keys
+    order = [top]
+    for key in order:  # grows while it is walked
+        back = table.backs[key]
+        if len(back) == 4:
+            order += back[1:3]  # left and right child keys
+    built: dict[tuple, TreeNode] = {}
+    for key in reversed(order):
+        param = key[2]
+        back = table.backs[key]
+        if len(back) == 2:
+            or_idx, instance = back
+            inst = table.sample.by_id[instance]
+            child = TreeNode(inst.terminal, inst.param, instance=instance)
+        else:
+            and_idx, left, right, or_idx = back
+            children = (built.pop(left), built.pop(right))
+            child = TreeNode(g.and_rules[and_idx].head, param, children)
+        built[key] = TreeNode(g.or_rules[or_idx].head, param, (child,))
+    return ParseTree(built[top], table.lookup(root))
 
 
 def parse(
@@ -365,12 +323,8 @@ def parse(
         for _, entry in roots:
             score = log_add(score, entry.score)
         return ParseResult(mode, score, None, table.stats)
-    best_key, best_entry = roots[0]
-    for key, entry in roots[1:]:
-        if entry.score > best_entry.score:
-            best_key, best_entry = key, entry
-    tree = backtrack(table, best_key)
-    return ParseResult(mode, best_entry.score, tree, table.stats)
+    best_key, best = max(roots, key=lambda kv: kv[1].score)
+    return ParseResult(mode, best.score, backtrack(table, best_key), table.stats)
 
 
 # -------------------------------------------------------------------- reference

@@ -19,6 +19,7 @@ from aog import (
     Spn,
     SumNode,
     grid_domain,
+    interval_domain,
     null_domain,
     string_span_domain,
 )
@@ -41,18 +42,28 @@ def normalized(rng: random.Random, count: int) -> list[float]:
 
 
 def random_aog(
-    rng: random.Random, max_nodes: int = 12, allow_or_chains: bool = False
+    rng: random.Random,
+    max_nodes: int = 12,
+    allow_or_chains: bool = False,
+    kind: str | None = None,
 ) -> Grammar:
-    """Random valid acyclic grammar over a random domain.
+    """Random valid acyclic grammar over a domain of the given kind.
 
     Nodes are created bottom-up so every child already exists, which keeps
     the grammar acyclic and every nonterminal productive.  By default Or
     nodes only choose among terminals and And nodes; with allow_or_chains
     they may also point at other Or nodes, producing unit chains that the
-    normal form merges.
+    normal form merges.  kind is "string", "grid", "null" or "interval";
+    when omitted, one of the first three is drawn from rng.
     """
-    kind = rng.choice(("string", "grid", "null"))
-    domain = {"string": string_span_domain, "grid": grid_domain, "null": null_domain}[kind]()
+    if kind is None:
+        kind = rng.choice(("string", "grid", "null"))
+    domain = {
+        "string": string_span_domain,
+        "grid": grid_domain,
+        "null": null_domain,
+        "interval": interval_domain,
+    }[kind]()
     n_terminals = rng.randint(1, 3)
     terminals = [f"t{i}" for i in range(n_terminals)]
     pool: list[str] = list(terminals)
@@ -87,6 +98,9 @@ def random_aog(
                 function = FunctionRef(
                     "anchor", {"anchor": [rng.randint(-1, 1), rng.randint(-1, 1)]}
                 )
+            elif kind == "interval":
+                relation = RelationRef(rng.choice(("meets", "equals")))
+                function = FunctionRef("hull")
             else:
                 relation = RelationRef("true")
                 function = FunctionRef("null")

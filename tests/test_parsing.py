@@ -1,10 +1,17 @@
 """Chart parser against the brute-force enumeration reference."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
+import aog
 from aog import (
     BudgetExceeded,
     CompositionKey,
@@ -122,6 +129,51 @@ def test_budget_entries_enforced():
         parse(gcnf, x, budget=ParserBudget(max_entries=3))
 
 
+def test_budget_seconds_bound_a_single_stratum():
+    # at a×1000 one stratum of X -> X X takes seconds, so a deadline checked
+    # only between strata would overshoot a 0.05 s budget many times over
+    g = scfg_to_aog(AMBIGUOUS)
+    gcnf, _ = to_gcnf(g)
+    x = string_sample(["a"] * 1000)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        parse(gcnf, x, budget=ParserBudget(max_seconds=0.05))
+    assert time.monotonic() - started < 0.5
+
+
+def test_backtrack_does_not_recurse_per_tree_level():
+    # a left-branching tree over 60 tokens is about 120 levels deep; rebuilt
+    # under a recursion limit of 50 it must equal the tree parse returns
+    code = textwrap.dedent(
+        """
+        import sys
+        from aog import backtrack, build_table, parse, parse_scfg, scfg_to_aog
+        from aog import string_sample, to_gcnf
+
+        g = scfg_to_aog(parse_scfg("S -> S A [0.5]\\nS -> a [0.5]\\nA -> a [1.0]"))
+        gcnf, _ = to_gcnf(g)
+        x = string_sample(["a"] * 60)
+        expected = parse(gcnf, x).tree
+        table = build_table(gcnf, x)
+        root = max(table.root_entries(), key=lambda kv: kv[1].score)[0]
+        sys.setrecursionlimit(50)
+        tree = backtrack(table, root)
+        sys.setrecursionlimit(1000)
+        assert tree == expected
+        """
+    )
+    src = str(Path(aog.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_backtrack_requires_viterbi_table():
     g = scfg_to_aog(AMBIGUOUS)
     gcnf, _ = to_gcnf(g)
@@ -182,10 +234,9 @@ def test_viterbi_ties_break_deterministically():
         assert t1.root.children[0].node == t2.root.children[0].node
 
 
-@pytest.mark.parametrize("trial", range(60))
-def test_random_grammars_match_enumeration(trial):
-    rng = random.Random(1000 + trial)
-    g = random_aog(rng)
+def assert_matches_enumeration(g, trial):
+    """Viterbi, marginal and the projected tree of a small sample drawn from
+    g agree with enumerate_parses."""
     assert validate_grammar(g).ok
     gcnf, node_map = to_gcnf(g)
     from aog import sample as draw
@@ -209,6 +260,17 @@ def test_random_grammars_match_enumeration(trial):
     projected = project_parse(viterbi.tree, node_map, g)
     assert projected.log_prob == pytest.approx(best, rel=1e-9, abs=1e-9)
     assert tree_sample(g, projected).ids == x.ids
+
+
+@pytest.mark.parametrize("trial", range(60))
+def test_random_grammars_match_enumeration(trial):
+    assert_matches_enumeration(random_aog(random.Random(1000 + trial)), trial)
+
+
+@pytest.mark.parametrize("trial", range(30))
+def test_random_interval_grammars_match_enumeration(trial):
+    # chained meets and equals relations, combined by hull
+    assert_matches_enumeration(random_aog(random.Random(1000 + trial), kind="interval"), trial)
 
 
 @pytest.mark.parametrize("trial", range(30))
