@@ -29,7 +29,8 @@ from .errors import (
     InvalidSpn,
     UnsupportedGrammar,
 )
-from .grammar import Grammar, ParseTree, TreeNode, sample as draw_sample, validate_grammar
+from .grammar import DataSample, Grammar, ParseTree, TreeNode, validate_grammar
+from .grammar import sample as draw_sample
 from .logic_export import emit_fol, emit_slp
 from .normalize import gcnf_violations, project_parse, to_gcnf
 from .parsing import NEG_INF, ParserBudget, parse
@@ -75,9 +76,14 @@ def _issues(report) -> list[dict]:
 def tree_to_dot(tree: ParseTree) -> str:
     lines = ["digraph parse {", "  node [shape=box];"]
     counter = 0
-
-    def visit(node: TreeNode) -> str:
-        nonlocal counter
+    # (node, parent name) to write; a node's own name in its place links
+    # it to the parent once its subtree is written
+    todo: list[tuple[TreeNode | str, str | None]] = [(tree.root, None)]
+    while todo:
+        node, parent = todo.pop()
+        if isinstance(node, str):
+            lines.append(f"  {parent} -> {node};")
+            continue
         name = f"n{counter}"
         counter += 1
         label = node.node
@@ -86,11 +92,9 @@ def tree_to_dot(tree: ParseTree) -> str:
         if node.instance is not None:
             label += f"\\n@{node.instance}"
         lines.append(f'  {name} [label="{label}"];')
-        for child in node.children:
-            lines.append(f"  {name} -> {visit(child)};")
-        return name
-
-    visit(tree.root)
+        if parent is not None:
+            todo.append((name, parent))
+        todo.extend((child, name) for child in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -106,6 +110,30 @@ def _grammar_audit(g: Grammar) -> dict:
     }
 
 
+def _with_grammar(cmd):
+    """Run cmd(args, grammar, sample) once args.grammar loads and validates.
+
+    args.sample is loaded too when the command takes one.  A malformed or
+    unreadable file exits 3, checked for both files before validation; an
+    invalid grammar exits 2.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
+            x = load_sample(args.sample, g.domain) if "sample" in args else None
+        except (FormatError, OSError) as exc:
+            _emit({"error": str(exc)})
+            return 3
+        report = validate_grammar(g)
+        if not report.ok:
+            _emit({"error": "invalid grammar", "issues": _issues(report)})
+            return 2
+        return cmd(args, g, x)
+
+    return run
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
@@ -117,17 +145,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
-def cmd_parse(args: argparse.Namespace) -> int:
-    try:
-        g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
-        x = load_sample(args.sample, g.domain)
-    except (FormatError, OSError) as exc:
-        _emit({"error": str(exc)})
-        return 3
-    report = validate_grammar(g)
-    if not report.ok:
-        _emit({"error": "invalid grammar", "issues": _issues(report)})
-        return 2
+@_with_grammar
+def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     unknown = sorted({i.terminal for i in x.instances} - set(g.terminals))
     if unknown:
         _emit({"error": f"sample uses unknown terminals {unknown}"})
@@ -175,16 +194,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0 if found else 1
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    try:
-        g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
-    except (FormatError, OSError) as exc:
-        _emit({"error": str(exc)})
-        return 3
-    report = validate_grammar(g)
-    if not report.ok:
-        _emit({"error": "invalid grammar", "issues": _issues(report)})
-        return 2
+@_with_grammar
+def cmd_sample(args: argparse.Namespace, g: Grammar, _: None) -> int:
     for i in range(args.count):
         seed = args.seed + i
         try:
@@ -202,16 +213,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_normalize(args: argparse.Namespace) -> int:
-    try:
-        g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
-    except (FormatError, OSError) as exc:
-        _emit({"error": str(exc)})
-        return 3
-    report = validate_grammar(g)
-    if not report.ok:
-        _emit({"error": "invalid grammar", "issues": _issues(report)})
-        return 2
+@_with_grammar
+def cmd_normalize(args: argparse.Namespace, g: Grammar, _: None) -> int:
     try:
         gcnf, node_map = to_gcnf(g)
     except AogError as exc:
@@ -272,16 +275,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_emit(args: argparse.Namespace) -> int:
-    try:
-        g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
-    except (FormatError, OSError) as exc:
-        _emit({"error": str(exc)})
-        return 3
-    report = validate_grammar(g)
-    if not report.ok:
-        _emit({"error": "invalid grammar", "issues": _issues(report)})
-        return 2
+@_with_grammar
+def cmd_emit(args: argparse.Namespace, g: Grammar, _: None) -> int:
     doc = emit_fol(g) if args.dialect == "fol" else emit_slp(g)
     if args.output:
         Path(args.output).write_text(doc.text)

@@ -192,12 +192,17 @@ def _read_offsets(config: dict, arity: int) -> list[tuple[int, int]]:
     _no_config(config, "offset")
     if not isinstance(offsets, list) or len(offsets) != arity - 1:
         raise ConfigError(f"offset needs {arity - 1} offsets for arity {arity}")
-    out = []
-    for entry in offsets:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ConfigError(f"offset entries must be [dx, dy], got {entry!r}")
-        out.append((int(entry[0]), int(entry[1])))
-    return out
+    return [_config_pair(entry, "offset entries") for entry in offsets]
+
+
+def _config_pair(raw: Any, what: str) -> tuple[int, int]:
+    if (
+        not isinstance(raw, (list, tuple))
+        or len(raw) != 2
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
+    ):
+        raise ConfigError(f"{what} must be [dx, dy], got {raw!r}")
+    return (raw[0], raw[1])
 
 
 def grid_domain() -> DomainBinding:
@@ -224,9 +229,7 @@ def grid_domain() -> DomainBinding:
     def anchor(config: dict, arity: int) -> Function:
         raw = config.pop("anchor", [0, 0])
         _no_config(config, "anchor")
-        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-            raise ConfigError(f"anchor must be [dx, dy], got {raw!r}")
-        ax, ay = int(raw[0]), int(raw[1])
+        ax, ay = _config_pair(raw, "anchor")
 
         def fn(*points):
             base = points[0]
@@ -238,9 +241,9 @@ def grid_domain() -> DomainBinding:
         if rel.key != "offset" or fn.key != "anchor":
             raise DomainError(f"cannot realize children for {rel.key!r}/{fn.key!r}")
         offsets = _read_offsets(dict(rel.config), arity)
-        raw = dict(fn.config).get("anchor", [0, 0])
+        ax, ay = _config_pair(dict(fn.config).get("anchor", [0, 0]), "anchor")
         px, py = _check_pair(parent, "grid point")
-        first = (px - int(raw[0]), py - int(raw[1]))
+        first = (px - ax, py - ay)
         return (first,) + tuple((first[0] + dx, first[1] + dy) for dx, dy in offsets)
 
     return DomainBinding(
@@ -490,13 +493,15 @@ _BUILDERS: dict[str, Callable[..., DomainBinding]] = {
 
 def domain_from_config(name: str, config: dict | None = None) -> DomainBinding:
     """Rebuild a domain binding from its serialized {name, config} form."""
+    if config is not None and not isinstance(config, dict):
+        raise ConfigError(f"domain {name!r} config must be an object, got {config!r}")
     config = dict(config or {})
     if name == "tuple":
         base_name = config.pop("base", None)
         base_config = config.pop("base_config", {})
         if config:
             raise ConfigError(f"unknown tuple domain config keys: {sorted(config)}")
-        if base_name is None:
+        if not isinstance(base_name, str):
             raise ConfigError("tuple domain config needs a base domain name")
         return tuple_domain(domain_from_config(base_name, base_config))
     builder = _BUILDERS.get(name)

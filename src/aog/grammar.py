@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .domains import DomainBinding, FunctionRef, RelationRef
 from .errors import AogError, DepthExceeded, DomainError, InvalidTree
@@ -59,10 +59,6 @@ class Grammar:
     and_rules: tuple[AndRule, ...]
     or_rules: tuple[OrRule, ...]
 
-    @cached_property
-    def nonterminals(self) -> frozenset[str]:
-        return self.and_nodes | self.or_nodes
-
     def kind(self, node: str) -> NodeKind:
         if node in self.terminals:
             return NodeKind.TERMINAL
@@ -86,6 +82,49 @@ class Grammar:
         for idx, rule in enumerate(self.or_rules):
             grouped.setdefault(rule.head, []).append((idx, rule))
         return {head: tuple(rules) for head, rules in grouped.items()}
+
+
+def postorder(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> list[str]:
+    """Every node reachable from roots, once each, children before parents.
+
+    A depth-first walk without recursion: roots in the given order, each
+    node's children in the order `children(node)` gives them, so nodes come
+    out in the order a memoized recursive walk would finish them.  A cycle
+    raises ValueError whose args are its path, from the node met again
+    through to that node repeated.
+    """
+    finished: dict[str, bool] = {}  # False while the node is on the current path
+    order: list[str] = []
+    for root in roots:
+        if root in finished:
+            continue
+        finished[root] = False
+        path, todo = [root], [iter(children(root))]
+        while todo:
+            for child in todo[-1]:
+                if child not in finished:
+                    finished[child] = False
+                    path.append(child)
+                    todo.append(iter(children(child)))
+                    break
+                if not finished[child]:
+                    raise ValueError(*path[path.index(child) :], child)
+            else:
+                todo.pop()
+                order.append(path.pop())
+                finished[order[-1]] = True
+    return order
+
+
+def fresh_name(base: str, taken: set[str]) -> str:
+    """The first of base, base2, base3, ... not in taken, which it joins."""
+    name = base
+    bump = 2
+    while name in taken:
+        name = f"{base}{bump}"
+        bump += 1
+    taken.add(name)
+    return name
 
 
 @dataclass(frozen=True)
@@ -128,9 +167,15 @@ class TreeNode:
     instance: str | None = None  # set on terminal leaves only
 
     def walk(self) -> Iterator["TreeNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """Every node of the subtree in pre-order: a node before its
+        children, children left to right.  Iterative, so the depth of the
+        tree is not bounded by the recursion limit; reversed, the list
+        has every node after its children."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(reversed(node.children))
 
 
 @dataclass
@@ -245,79 +290,76 @@ def sample(
     """
     rng = random.Random(seed)
     log_prob = 0.0
-
-    def expand(node: str, depth: int) -> TreeNode:
-        nonlocal log_prob
+    root = TreeNode(g.start, None)
+    todo = [(root, 0)]
+    while todo:  # pre-order: Or-nodes draw from rng in derivation order
+        tree, depth = todo.pop()
         if depth > max_depth:
-            raise DepthExceeded(f"sampling exceeded depth {max_depth} at node {node!r}")
-        kind = g.kind(node)
-        if kind is NodeKind.TERMINAL:
-            return TreeNode(node, None)
+            raise DepthExceeded(f"sampling exceeded depth {max_depth} at node {tree.node!r}")
+        kind = g.kind(tree.node)
         if kind is NodeKind.AND:
-            rule = g.and_rule_of[node]
-            children = tuple(expand(child, depth + 1) for child in rule.children)
-            return TreeNode(node, None, children)
-        rules = g.or_rules_of.get(node, ())
-        if not rules:
-            raise ValueError(f"Or-node {node!r} has no rules")
-        pick = rng.random()
-        acc = 0.0
-        chosen = rules[-1][1]
-        for _, rule in rules:
-            acc += rule.prob
-            if pick < acc:
-                chosen = rule
-                break
-        log_prob += math.log(chosen.prob)
-        return TreeNode(node, None, (expand(chosen.child, depth + 1),))
-
-    root = expand(g.start, 0)
+            rule = g.and_rule_of[tree.node]
+            tree.children = tuple(TreeNode(child, None) for child in rule.children)
+        elif kind is NodeKind.OR:
+            rules = g.or_rules_of.get(tree.node, ())
+            if not rules:
+                raise ValueError(f"Or-node {tree.node!r} has no rules")
+            pick = rng.random()
+            acc = 0.0
+            chosen = rules[-1][1]
+            for _, rule in rules:
+                acc += rule.prob
+                if pick < acc:
+                    chosen = rule
+                    break
+            log_prob += math.log(chosen.prob)
+            tree.children = (TreeNode(chosen.child, None),)
+        todo.extend((child, depth + 1) for child in reversed(tree.children))
 
     if g.domain.strategy == "leaf_order":
         if g.domain.leaf_param is None:
             raise DomainError(f"domain {g.domain.name!r} has no leaf parameterization")
+        # pre-order taking children right to left; reversed, it has children
+        # before parents and numbers the leaves left to right
+        order, todo = [], [root]
+        while todo:
+            tree = todo.pop()
+            order.append(tree)
+            todo.extend(tree.children)
         counter = 0
-
-        def fill_up(tree: TreeNode) -> Any:
-            nonlocal counter
+        for tree in reversed(order):
             kind = g.kind(tree.node)
             if kind is NodeKind.TERMINAL:
                 tree.param = g.domain.leaf_param(counter)
                 counter += 1
             elif kind is NodeKind.OR:
-                tree.param = fill_up(tree.children[0])
+                tree.param = tree.children[0].param
             else:
-                params = tuple(fill_up(child) for child in tree.children)
+                params = tuple(child.param for child in tree.children)
                 rule = g.and_rule_of[tree.node]
                 if not g.domain.relation(rule.relation, len(params))(*params):
                     raise DomainError(
                         f"sampled children of {tree.node!r} violate {rule.relation.key!r}"
                     )
                 tree.param = g.domain.function(rule.function, len(params))(*params)
-            return tree.param
-
-        fill_up(root)
     else:
         if root_param is None:
             if g.domain.root_default is None:
                 raise DomainError(f"domain {g.domain.name!r} has no default root parameter")
             root_param = g.domain.root_default()
-
-        def fill_down(tree: TreeNode, param: Any) -> None:
-            tree.param = param
+        root.param = root_param
+        for tree in root.walk():  # a parent's parameter is set before its children's
             kind = g.kind(tree.node)
             if kind is NodeKind.OR:
-                fill_down(tree.children[0], param)
+                tree.children[0].param = tree.param
             elif kind is NodeKind.AND:
                 rule = g.and_rule_of[tree.node]
                 assert g.domain.realize_children is not None
                 child_params = g.domain.realize_children(
-                    rule.relation, rule.function, param, len(rule.children)
+                    rule.relation, rule.function, tree.param, len(rule.children)
                 )
                 for child, child_param in zip(tree.children, child_params):
-                    fill_down(child, child_param)
-
-        fill_down(root, root_param)
+                    child.param = child_param
 
     instances = []
     for leaf in (n for n in root.walk() if g.kind(n.node) is NodeKind.TERMINAL):
@@ -346,7 +388,28 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
         if key not in or_rule_prob or rule.prob > or_rule_prob[key]:
             or_rule_prob[key] = rule.prob
 
-    def check(node: TreeNode) -> float:
+    values: list[float] = []  # log probabilities of the subtrees checked so far
+    todo: list = [tree.root]  # nodes to check, then (node, rule or log prob) to finish
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):  # every child of the node is checked
+            node, rule = node
+            if not isinstance(rule, AndRule):
+                values.append(rule + values.pop())
+                continue
+            first = len(values) - len(node.children)
+            total = sum(values[first:])
+            del values[first:]
+            params = tuple(child.param for child in node.children)
+            if not g.domain.relation(rule.relation, len(params))(*params):
+                raise InvalidTree(f"children of {node.node!r} violate {rule.relation.key!r}")
+            expected = g.domain.function(rule.function, len(params))(*params)
+            if node.param != expected:
+                raise InvalidTree(
+                    f"{node.node!r} parameter {node.param!r} differs from computed {expected!r}"
+                )
+            values.append(total)
+            continue
         try:
             kind = g.kind(node.node)
         except KeyError:
@@ -357,32 +420,25 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             if node.instance is None or node.instance in seen_instances:
                 raise InvalidTree(f"terminal {node.node!r} lacks a fresh instance id")
             seen_instances.add(node.instance)
-            return 0.0
-        if kind is NodeKind.AND:
+            values.append(0.0)
+        elif kind is NodeKind.AND:
             rule = g.and_rule_of.get(node.node)
             if rule is None or tuple(c.node for c in node.children) != rule.children:
                 raise InvalidTree(f"And-node {node.node!r} children do not match its rule")
-            total = sum(check(child) for child in node.children)
-            params = tuple(child.param for child in node.children)
-            if not g.domain.relation(rule.relation, len(params))(*params):
-                raise InvalidTree(f"children of {node.node!r} violate {rule.relation.key!r}")
-            expected = g.domain.function(rule.function, len(params))(*params)
-            if node.param != expected:
-                raise InvalidTree(
-                    f"{node.node!r} parameter {node.param!r} differs from computed {expected!r}"
-                )
-            return total
-        if len(node.children) != 1:
-            raise InvalidTree(f"Or-node {node.node!r} must have exactly one child")
-        child = node.children[0]
-        prob = or_rule_prob.get((node.node, child.node))
-        if prob is None:
-            raise InvalidTree(f"no Or-rule {node.node!r} -> {child.node!r}")
-        if child.param != node.param:
-            raise InvalidTree(f"Or-node {node.node!r} parameter differs from its child")
-        return math.log(prob) + check(child)
-
-    return check(tree.root)
+            todo.append((node, rule))
+            todo.extend(reversed(node.children))
+        else:
+            if len(node.children) != 1:
+                raise InvalidTree(f"Or-node {node.node!r} must have exactly one child")
+            child = node.children[0]
+            prob = or_rule_prob.get((node.node, child.node))
+            if prob is None:
+                raise InvalidTree(f"no Or-rule {node.node!r} -> {child.node!r}")
+            if child.param != node.param:
+                raise InvalidTree(f"Or-node {node.node!r} parameter differs from its child")
+            todo.append((node, math.log(prob)))
+            todo.append(child)
+    return values[0]
 
 
 def tree_sample(g: Grammar, tree: ParseTree) -> DataSample:

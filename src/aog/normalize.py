@@ -28,6 +28,8 @@ from .grammar import (
     OrRule,
     ParseTree,
     TreeNode,
+    fresh_name,
+    postorder,
     tree_probability,
     validate_grammar,
 )
@@ -124,29 +126,6 @@ class NodeMap:
         )
 
 
-def _toposort_or(unit_edges: dict[str, list[str]]) -> list[str]:
-    """Or-nodes ordered so every unit child precedes its heads."""
-    state: dict[str, int] = {}
-    order: list[str] = []
-
-    def visit(node: str, trail: list[str]) -> None:
-        mark = state.get(node)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = trail[trail.index(node) :] + [node]
-            raise UnitCycleError("Or-rule cycle: " + " -> ".join(cycle))
-        state[node] = 1
-        for child in unit_edges.get(node, ()):
-            visit(child, trail + [node])
-        state[node] = 2
-        order.append(node)
-
-    for node in sorted(unit_edges):
-        visit(node, [])
-    return order
-
-
 def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
     """Convert a valid grammar to normal form; probabilities are preserved
     per derivation, with parallel Or-chains merged by probability summation."""
@@ -163,18 +142,9 @@ def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
     node_map = NodeMap(original_start=g.start)
     existing = terminals | and_nodes | or_nodes
 
-    def fresh(base: str) -> str:
-        name = base
-        bump = 2
-        while name in existing:
-            name = f"{base}{bump}"
-            bump += 1
-        existing.add(name)
-        return name
-
     # start wrapper: the parser's root entries live at an Or-node
     if start in and_nodes:
-        wrapper = fresh(f"{start}#start")
+        wrapper = fresh_name(f"{start}#start", existing)
         or_nodes.add(wrapper)
         or_rules.append(OrRule(wrapper, start, 1.0))
         node_map.start_node = wrapper
@@ -186,7 +156,10 @@ def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
         if rule.child in or_nodes:
             unit_edges.setdefault(rule.head, []).append(rule.child)
     if unit_edges:
-        order = _toposort_or(unit_edges)
+        try:  # Or-nodes ordered so every unit child precedes its heads
+            order = postorder(sorted(unit_edges), lambda node: unit_edges.get(node, ()))
+        except ValueError as exc:
+            raise UnitCycleError("Or-rule cycle: " + " -> ".join(exc.args)) from None
         rank = {node: i for i, node in enumerate(order)}
         # child -> (prob, chains) per head, children before heads
         expanded: dict[str, dict[str, tuple[float, list[UnitChain]]]] = {}
@@ -228,14 +201,14 @@ def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
         for rule in wide:
             arity = len(rule.children)
             true_rel = RelationRef("true", {})
-            prev = fresh(f"{rule.head}#bin1")
+            prev = fresh_name(f"{rule.head}#bin1", existing)
             and_nodes.add(prev)
             node_map.bin_nodes[prev] = rule.head
             and_rules.append(
                 AndRule(prev, rule.children[:2], true_rel, FunctionRef("pack", {}))
             )
             for i in range(2, arity - 1):
-                node = fresh(f"{rule.head}#bin{i}")
+                node = fresh_name(f"{rule.head}#bin{i}", existing)
                 and_nodes.add(node)
                 node_map.bin_nodes[node] = rule.head
                 and_rules.append(
@@ -269,7 +242,7 @@ def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
                 continue
             alt = alt_of.get(child)
             if alt is None:
-                alt = fresh(f"{child}#alt")
+                alt = fresh_name(f"{child}#alt", existing)
                 alt_of[child] = alt
                 or_nodes.add(alt)
                 or_rules.append(OrRule(alt, child, 1.0))
@@ -309,37 +282,6 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
         if name not in known:
             raise MapMismatch(f"tree node {name!r} is not in the original grammar")
 
-    def transform(node: TreeNode) -> TreeNode:
-        if node.node in node_map.alt_nodes:
-            return transform(node.children[0])
-        check_known(node.node)
-        kind = original.kind(node.node)
-        if kind is NodeKind.TERMINAL:
-            return TreeNode(node.node, node.param, instance=node.instance)
-        if kind is NodeKind.AND:
-            parts = flatten(node)
-            return TreeNode(node.node, node.param, tuple(transform(p) for p in parts))
-        child = node.children[0]
-        edge = (node.node, child.node)
-        chains = node_map.unit_chains.get(edge)
-        if chains is None:
-            if edge not in original_edges:
-                raise MapMismatch(f"no original Or-rule or recorded chain for {edge}")
-            return TreeNode(node.node, node.param, (transform(child),))
-        best = max(chains, key=lambda c: (c.prob, c.nodes))
-        result = transform(child)
-        for inner in reversed(best.nodes[1:-1]):
-            check_known(inner)
-            result = TreeNode(inner, node.param, (result,))
-        return TreeNode(node.node, node.param, (result,))
-
-    def flatten(and_tree: TreeNode) -> list[TreeNode]:
-        left, right = and_tree.children
-        inner = left.children[0] if left.node in node_map.alt_nodes else None
-        if inner is not None and inner.node in node_map.bin_nodes:
-            return flatten(inner) + [right]
-        return [left, right]
-
     root = tree.root
     if node_map.start_node is not None:
         if root.node != node_map.start_node:
@@ -347,7 +289,54 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
                 f"tree root {root.node!r} is not the recorded start wrapper"
             )
         root = root.children[0]
-    projected = transform(root)
+    built: list[TreeNode] = []  # projected subtrees, left to right
+    todo: list = [root]  # nodes to project, then (node, child count, chain) to assemble
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):  # the node's projected children end `built`
+            node, count, chain = node
+            first = len(built) - count
+            children = tuple(built[first:])
+            del built[first:]
+            for inner in chain:
+                check_known(inner)
+                children = (TreeNode(inner, node.param, children),)
+            built.append(TreeNode(node.node, node.param, children))
+            continue
+        while node.node in node_map.alt_nodes:
+            node = node.children[0]
+        check_known(node.node)
+        kind = original.kind(node.node)
+        if kind is NodeKind.TERMINAL:
+            built.append(TreeNode(node.node, node.param, instance=node.instance))
+        elif kind is NodeKind.AND:
+            # a binarization chain hangs off the left child: collect the
+            # wide rule's children right to left, so the leftmost pops first
+            parts, pair = [], node
+            while True:
+                left, right = pair.children
+                parts.append(right)
+                inner = left.children[0] if left.node in node_map.alt_nodes else None
+                if inner is None or inner.node not in node_map.bin_nodes:
+                    break
+                pair = inner
+            parts.append(left)
+            todo.append((node, len(parts), ()))
+            todo.extend(parts)
+        else:
+            child = node.children[0]
+            edge = (node.node, child.node)
+            chains = node_map.unit_chains.get(edge)
+            if chains is None:
+                if edge not in original_edges:
+                    raise MapMismatch(f"no original Or-rule or recorded chain for {edge}")
+                chain = ()
+            else:
+                best = max(chains, key=lambda c: (c.prob, c.nodes))
+                chain = reversed(best.nodes[1:-1])
+            todo.append((node, 1, chain))
+            todo.append(child)
+    projected = built[0]
     if projected.node != original.start:
         raise MapMismatch(f"projected root {projected.node!r} is not the original start")
     out = ParseTree(projected, 0.0)

@@ -31,6 +31,7 @@ from .grammar import (
     Grammar,
     OrRule,
     TerminalInstance,
+    postorder,
 )
 
 _EPS = "#eps"
@@ -169,26 +170,25 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
             prev = node
         and_children[head] = [prev, children[-1]]
 
-    eps_mass: dict[str, float] = {_EPS: 1.0}
+    def inputs(node: str) -> list[str]:
+        return and_children.get(node) or [child for child, _ in or_edges.get(node, ())]
 
-    def p_eps(node: str) -> float:
-        cached = eps_mass.get(node)
-        if cached is not None:
-            return cached
-        kind = kinds[node]
+    # probability that each node derives nothing, children first
+    eps_mass: dict[str, float] = {_EPS: 1.0}
+    for node in postorder(kinds, inputs):
+        kind = kinds.get(node)  # the silent leaf has no kind
         if kind == "terminal":
-            out = 0.0
+            eps_mass[node] = 0.0
         elif kind == "and":
             out = 1.0
             for child in and_children[node]:
-                out *= p_eps(child)
-        else:
-            out = sum(p * p_eps(child) for child, p in or_edges[node])
-        eps_mass[node] = out
-        return out
+                out *= eps_mass[child]
+            eps_mass[node] = out
+        elif kind == "or":
+            eps_mass[node] = sum(p * eps_mass[child] for child, p in or_edges[node])
 
     def live(node: str) -> bool:
-        return node != _EPS and p_eps(node) < 1.0
+        return node != _EPS and eps_mass[node] < 1.0
 
     if not live("S"):
         raise UnsupportedGrammar("no clause marker can ever be produced")
@@ -209,7 +209,8 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
             for child, p in or_edges[node]:
                 if child == _EPS or not live(child):
                     continue
-                or_rules.append(OrRule(node, child, p * (1 - p_eps(child)) / (1 - p_eps(node))))
+                prob = p * (1 - eps_mass[child]) / (1 - eps_mass[node])
+                or_rules.append(OrRule(node, child, prob))
             continue
         children = and_children[node]
         if len(children) == 1:
@@ -217,7 +218,7 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
             or_rules.append(OrRule(node, children[0], 1.0))
             continue
         left, right = children
-        eps_left, eps_right = p_eps(left), p_eps(right)
+        eps_left, eps_right = eps_mass[left], eps_mass[right]
         if eps_left == 0.0 and eps_right == 0.0:
             and_nodes.add(node)
             and_rules.append(AndRule(node, (left, right), true_rel, null_fn))

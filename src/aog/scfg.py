@@ -27,6 +27,7 @@ from .grammar import (
     PROB_TOL,
     TerminalInstance,
     ValidationReport,
+    fresh_name,
 )
 
 NEG_INF = float("-inf")
@@ -140,16 +141,6 @@ def and_or_form(g: Scfg) -> Scfg:
     if is_and_or_form(g):
         return g
     taken = set(g.heads) | set(g.terminals)
-
-    def fresh(base: str) -> str:
-        name = base
-        bump = 2
-        while name in taken:
-            name = f"{base}{bump}"
-            bump += 1
-        taken.add(name)
-        return name
-
     out: list[ScfgRule] = []
     for head, rules in g.rules_of.items():
         if len(rules) == 1 and len(rules[0].body) >= 2:
@@ -162,7 +153,7 @@ def and_or_form(g: Scfg) -> Scfg:
             if len(rule.body) == 1:
                 out.append(rule)
             else:
-                name = fresh(f"{head}.{idx}")
+                name = fresh_name(f"{head}.{idx}", taken)
                 out.append(ScfgRule(head, (name,), rule.prob))
                 out.append(ScfgRule(name, rule.body, 1.0))
     return Scfg(g.start, tuple(out))

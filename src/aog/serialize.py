@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .domains import DomainBinding, FunctionRef, RelationRef, domain_from_config
-from .errors import DomainError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .grammar import (
     AndRule,
     DataSample,
@@ -22,7 +22,6 @@ from .grammar import (
     OrRule,
     ParseTree,
     TerminalInstance,
-    TreeNode,
     validate_grammar,
 )
 from .normalize import NodeMap
@@ -109,7 +108,7 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
         domain = domain_from_config(
             _string(dom_raw["name"], "domain.name"), _config(dom_raw.get("config"), "domain")
         )
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         raise FormatError(str(exc)) from None
 
     kinds = {"terminal": set(), "and": set(), "or": set()}
@@ -287,12 +286,14 @@ def load_node_map(path: str | Path) -> NodeMap:
 
 
 def tree_to_json_dict(tree: ParseTree, domain: DomainBinding) -> dict:
-    def node(t: TreeNode) -> dict:
-        out: dict[str, Any] = {"node": t.node, "param": domain.encode_param(t.param)}
+    nodes = list(tree.root.walk())
+    params = [domain.encode_param(t.param) for t in nodes]  # encoded in pre-order
+    built: list[dict] = []
+    for t, param in zip(reversed(nodes), reversed(params)):  # children before parents
+        out: dict[str, Any] = {"node": t.node, "param": param}
         if t.instance is not None:
             out["instance"] = t.instance
         if t.children:
-            out["children"] = [node(c) for c in t.children]
-        return out
-
-    return {"log_prob": tree.log_prob, "root": node(tree.root)}
+            out["children"] = [built.pop() for _ in t.children]
+        built.append(out)
+    return {"log_prob": tree.log_prob, "root": built.pop()}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .domains import FunctionRef, RelationRef, null_domain
 from .errors import FormatError, InvalidSpn
@@ -24,6 +24,8 @@ from .grammar import (
     OrRule,
     TerminalInstance,
     ValidationReport,
+    fresh_name,
+    postorder,
 )
 
 
@@ -123,32 +125,30 @@ def format_spn_listing(s: Spn) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _children(node: SpnNode) -> tuple[str, ...]:
+    return () if isinstance(node, IndicatorNode) else node.children
+
+
 def spn_scopes(s: Spn) -> dict[str, frozenset[int]]:
     """Variable scope of every node; raises InvalidSpn on cycles or misses."""
-    scopes: dict[str, frozenset[int]] = {}
-    visiting: set[str] = set()
 
-    def scope(name: str) -> frozenset[int]:
-        if name in scopes:
-            return scopes[name]
-        if name in visiting:
-            raise InvalidSpn(f"cycle through node {name!r}")
+    def children(name: str) -> tuple[str, ...]:
         node = s.nodes.get(name)
         if node is None:
             raise InvalidSpn(f"undefined node {name!r}")
-        visiting.add(name)
-        if isinstance(node, IndicatorNode):
-            result = frozenset((node.var,))
-        else:
-            parts = [scope(child) for child in node.children]
-            result = frozenset().union(*parts) if parts else frozenset()
-        visiting.discard(name)
-        scopes[name] = result
-        return result
+        return _children(node)
 
-    scope(s.root)
-    for name in s.nodes:
-        scope(name)
+    try:
+        order = postorder([s.root, *s.nodes], children)
+    except ValueError as exc:
+        raise InvalidSpn(f"cycle through node {exc.args[0]!r}") from None
+    scopes: dict[str, frozenset[int]] = {}
+    for name in order:
+        node = s.nodes[name]
+        if isinstance(node, IndicatorNode):
+            scopes[name] = frozenset((node.var,))
+        else:
+            scopes[name] = frozenset().union(*(scopes[child] for child in node.children))
     return scopes
 
 
@@ -187,51 +187,38 @@ def validate_spn(s: Spn) -> ValidationReport:
     return report
 
 
-def evaluate(s: Spn, assignment: Mapping[int, int]) -> float:
-    """Value of the network on a complete assignment (linear scale)."""
-    memo: dict[str, float] = {}
-
-    def value(name: str) -> float:
-        if name in memo:
-            return memo[name]
+def _network_value(s: Spn, indicator: Callable[[IndicatorNode], float]) -> float:
+    """Value of the network bottom-up, each indicator leaf valued by `indicator`."""
+    values: dict[str, float] = {}
+    for name in postorder([s.root], lambda name: _children(s.nodes[name])):
         node = s.nodes[name]
         if isinstance(node, IndicatorNode):
-            bit = assignment.get(node.var)
-            if bit is None:
-                raise ValueError(f"assignment misses variable {node.var}")
-            out = 1.0 if bool(bit) == node.positive else 0.0
+            out = indicator(node)
         elif isinstance(node, SumNode):
-            out = sum(w * value(c) for c, w in zip(node.children, node.weights))
+            out = sum(w * values[c] for c, w in zip(node.children, node.weights))
         else:
             out = 1.0
             for child in node.children:
-                out *= value(child)
-        memo[name] = out
-        return out
+                out *= values[child]
+        values[name] = out
+    return values[s.root]
 
-    return value(s.root)
+
+def evaluate(s: Spn, assignment: Mapping[int, int]) -> float:
+    """Value of the network on a complete assignment (linear scale)."""
+
+    def indicator(node: IndicatorNode) -> float:
+        bit = assignment.get(node.var)
+        if bit is None:
+            raise ValueError(f"assignment misses variable {node.var}")
+        return 1.0 if bool(bit) == node.positive else 0.0
+
+    return _network_value(s, indicator)
 
 
 def partition(s: Spn) -> float:
     """Network mass: every indicator clamped to 1."""
-    memo: dict[str, float] = {}
-
-    def value(name: str) -> float:
-        if name in memo:
-            return memo[name]
-        node = s.nodes[name]
-        if isinstance(node, IndicatorNode):
-            out = 1.0
-        elif isinstance(node, SumNode):
-            out = sum(w * value(c) for c, w in zip(node.children, node.weights))
-        else:
-            out = 1.0
-            for child in node.children:
-                out *= value(child)
-        memo[name] = out
-        return out
-
-    return value(s.root)
+    return _network_value(s, lambda node: 1.0)
 
 
 @dataclass
@@ -251,52 +238,30 @@ def spn_to_aog(s: Spn) -> SpnAog:
     if not scopes[s.root]:
         raise InvalidSpn("root scope is empty")
 
-    masses: dict[str, float] = {}
-
-    def mass(name: str) -> float:
-        if name in masses:
-            return masses[name]
-        node = s.nodes[name]
-        if isinstance(node, IndicatorNode):
-            out = 1.0
-        elif isinstance(node, SumNode):
-            out = sum(w * mass(c) for c, w in zip(node.children, node.weights))
-        else:
-            out = 1.0
-            for child in node.children:
-                out *= mass(child)
-        masses[name] = out
-        return out
-
-    mass(s.root)
-
     taken = set(s.nodes)
     literals: dict[tuple[int, int], str] = {}
     for var in sorted(scopes[s.root]):
-        for bit, tag in ((1, f"x{var}"), (0, f"x{var}_neg")):
-            name = tag
-            bump = 2
-            while name in taken:
-                name = f"{tag}{bump}"
-                bump += 1
-            taken.add(name)
-            literals[(var, bit)] = name
+        literals[(var, 1)] = fresh_name(f"x{var}", taken)
+        literals[(var, 0)] = fresh_name(f"x{var}_neg", taken)
 
-    # node -> grammar node it compiles to, contracting single-child products
+    # each node's mass, and the grammar node it compiles to, contracting
+    # single-child products
+    masses: dict[str, float] = {}
     mapped: dict[str, str] = {}
-
-    def target(name: str) -> str:
-        if name in mapped:
-            return mapped[name]
+    for name in postorder([s.root, *s.nodes], lambda name: _children(s.nodes[name])):
         node = s.nodes[name]
         if isinstance(node, IndicatorNode):
-            out = literals[(node.var, 1 if node.positive else 0)]
-        elif isinstance(node, ProductNode) and len(node.children) == 1:
-            out = target(node.children[0])
+            masses[name] = 1.0
+            mapped[name] = literals[(node.var, 1 if node.positive else 0)]
+        elif isinstance(node, SumNode):
+            masses[name] = sum(w * masses[c] for c, w in zip(node.children, node.weights))
+            mapped[name] = name
         else:
-            out = name
-        mapped[name] = out
-        return out
+            out = 1.0
+            for child in node.children:
+                out *= masses[child]
+            masses[name] = out
+            mapped[name] = mapped[node.children[0]] if len(node.children) == 1 else name
 
     and_nodes: set[str] = set()
     or_nodes: set[str] = set()
@@ -305,14 +270,14 @@ def spn_to_aog(s: Spn) -> SpnAog:
     terminals = frozenset(literals.values())
 
     for name, node in s.nodes.items():
-        if target(name) != name:
+        if mapped[name] != name:
             continue
         if isinstance(node, SumNode):
             or_nodes.add(name)
             merged: dict[str, float] = {}
             for child, weight in zip(node.children, node.weights):
-                prob = weight * mass(child) / mass(name)
-                child_node = target(child)
+                prob = weight * masses[child] / masses[name]
+                child_node = mapped[child]
                 merged[child_node] = merged.get(child_node, 0.0) + prob
             for child_node, prob in merged.items():
                 or_rules.append(OrRule(name, child_node, prob))
@@ -321,19 +286,15 @@ def spn_to_aog(s: Spn) -> SpnAog:
             and_rules.append(
                 AndRule(
                     name,
-                    tuple(target(c) for c in node.children),
+                    tuple(mapped[c] for c in node.children),
                     RelationRef("true"),
                     FunctionRef("null"),
                 )
             )
 
-    start = target(s.root)
+    start = mapped[s.root]
     if start in terminals:
-        wrapper = "S"
-        bump = 2
-        while wrapper in taken or wrapper in terminals:
-            wrapper = f"S{bump}"
-            bump += 1
+        wrapper = fresh_name("S", taken)  # taken holds the literal names too
         or_nodes.add(wrapper)
         or_rules.append(OrRule(wrapper, start, 1.0))
         start = wrapper

@@ -66,6 +66,55 @@ def test_validate_missing_file(capsys, tmp_path):
     assert code == 3
 
 
+def edited_grammar_file(tmp_path, grammar_file, edit) -> str:
+    payload = json.loads(open(grammar_file).read())
+    edit(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        {"name": "bogus"},
+        {"name": "null", "config": {"x": 1}},
+        {"name": "tuple", "config": {}},
+        {"name": "tuple", "config": {"base": "null", "base_config": [1]}},
+    ],
+    ids=["unknown-name", "stray-config", "tuple-without-base", "non-object-base-config"],
+)
+def test_malformed_domain_exits_3(capsys, tmp_path, grammar_file, domain):
+    path = edited_grammar_file(tmp_path, grammar_file, lambda g: g.update(domain=domain))
+    code, out = run(capsys, ["validate", path])
+    assert code == 3
+    report = json.loads(out)
+    assert report["valid"] is False and report["error"]
+    # every command that loads a grammar rejects it the same way
+    code, out = run(capsys, ["emit", "fol", path])
+    assert code == 3 and json.loads(out)["error"] == report["error"]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("relation", {"offsets": [["a", 0]]}),
+        ("relation", {"offsets": [[None, 0]]}),
+        ("relation", {"offsets": [[1.5, 0]]}),
+        ("function", {"anchor": ["x", 0]}),
+    ],
+    ids=["string-offset", "null-offset", "float-offset", "string-anchor"],
+)
+def test_non_integer_grid_config_is_a_binding_issue(capsys, tmp_path, grammar_file, field, value):
+    def edit(payload):
+        vpair = next(r for r in payload["and_rules"] if r["head"] == "vpair")
+        vpair[field]["config"] = value
+
+    code, out = run(capsys, ["validate", edited_grammar_file(tmp_path, grammar_file, edit)])
+    assert code == 2
+    assert [i["code"] for i in json.loads(out)["issues"]] == ["and-binding"]
+
+
 def test_validate_renormalize_rescues_scaled_probs(capsys, tmp_path, grammar_file):
     payload = json.loads(open(grammar_file).read())
     for rule in payload["or_rules"]:
@@ -131,6 +180,18 @@ def test_parse_unknown_terminal_exits_2(capsys, tmp_path, grammar_file, line_dra
     xpath.write_text('{"instances": [{"id": "z", "terminal": "blot", "param": [0, 0]}]}')
     code, out = run(capsys, ["parse", grammar_file, str(xpath)])
     assert code == 2
+
+
+def test_parse_malformed_sample_exits_3_before_validation(capsys, tmp_path, grammar_file):
+    # file errors come first: a broken sample exits 3 even beside an invalid grammar
+    invalid = edited_grammar_file(
+        tmp_path, grammar_file, lambda g: g["or_rules"][0].update(prob=0.01)
+    )
+    xpath = tmp_path / "x.json"
+    xpath.write_text("{not json")
+    code, out = run(capsys, ["parse", invalid, str(xpath)])
+    assert code == 3
+    assert "issues" not in json.loads(out)
 
 
 def test_parse_writes_dot(capsys, tmp_path, grammar_file, line_drawing):

@@ -53,6 +53,18 @@ def test_grid_offset_config_must_match_arity():
         dom.relation(RelationRef("offset", {"offsets": [[1, 0]]}), 3)
 
 
+@pytest.mark.parametrize("bad", [["a", 0], [None, 0], [1.5, 0], [0, True]])
+def test_grid_config_entries_must_be_ints(bad):
+    dom = grid_domain()
+    with pytest.raises(ConfigError):
+        dom.relation(RelationRef("offset", {"offsets": [bad]}), 2)
+    with pytest.raises(ConfigError):
+        dom.function(FunctionRef("anchor", {"anchor": bad}), 2)
+    rel = RelationRef("offset", {"offsets": [[1, 0]]})
+    with pytest.raises(ConfigError):
+        dom.realize_children(rel, FunctionRef("anchor", {"anchor": bad}), (0, 0), 2)
+
+
 def test_grid_realize_children_inverts_anchor():
     dom = grid_domain()
     rel = RelationRef("offset", {"offsets": [[2, 0]]})
