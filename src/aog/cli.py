@@ -188,6 +188,7 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
             "total_compositions": stats.total_compositions,
             "c_max": stats.c_max,
             "worst_case_compositions": stats.worst_case_compositions,
+            "pair_tests": stats.pair_tests,
             "elapsed_seconds": stats.elapsed_seconds,
         }
     _emit(out)

@@ -11,6 +11,15 @@ Built-in domains: string spans, integer grid points, integer intervals,
 the trivial null domain, and a tuple domain that wraps any base domain
 (used by the normalizer to thread flattened child parameters through
 binarized rules).
+
+A relation may also declare, in the joins registry, an equality join key
+for its binary form: functions (left key, right key) whose values are
+equal wherever the relation holds, so the parser need only test pairs of
+equal keys.  "adjacent" and "meets" join the left end with the right
+start, "equals" the whole intervals, and grid "offset" the first point
+moved by its (dx, dy) with the second point; "true", "before", "during"
+and "apply_packed" declare none.  A key checks its parameter as the
+relation does, raising the same DomainError.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ Function = Callable[..., Any]
 # factory(config, arity) -> callable; arity is the rule's child count
 RelationFactory = Callable[[dict, int], Relation]
 FunctionFactory = Callable[[dict, int], Function]
+# factory(config) -> (left key, right key) of the relation's binary form
+Join = tuple[Callable[[Any], Any], Callable[[Any], Any]]
+JoinFactory = Callable[[dict], Join]
 
 
 @dataclass(frozen=True)
@@ -70,7 +82,7 @@ def param_order_key(value: Any):
 
 @dataclass(eq=False)
 class DomainBinding:
-    """A named domain: relation/function registries, codec, sampling hooks.
+    """A named domain: relation/function/join registries, codec, sampling hooks.
 
     strategy is either "leaf_order" (parameters are pinned at the leaves and
     folded upward, as with string spans) or "top_down" (a root parameter is
@@ -88,6 +100,8 @@ class DomainBinding:
     encode_param: Callable[[Any], Any]
     decode_param: Callable[[Any], Any]
     strategy: str
+    # relation key -> equality join key of its binary form, where declared
+    joins: dict[str, JoinFactory] = field(default_factory=dict)
     # leaf_order: leaf index -> parameter
     leaf_param: Callable[[int], Any] | None = None
     # top_down: default parameter for the sample root
@@ -112,6 +126,12 @@ class DomainBinding:
             raise DomainError(f"domain {self.name!r} has no function {ref.key!r}")
         return factory(dict(ref.config), arity)
 
+    def join(self, ref: RelationRef) -> Join | None:
+        """The (left key, right key) of a binary relation, or None when the
+        relation declares no join."""
+        factory = self.joins.get(ref.key)
+        return None if factory is None else factory(dict(ref.config))
+
 
 def _no_config(config: dict, where: str) -> None:
     if config:
@@ -119,13 +139,24 @@ def _no_config(config: dict, where: str) -> None:
 
 
 def _check_pair(value: Any, what: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, tuple)
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise DomainError(f"{what} must be a pair of ints, got {value!r}")
-    return value
+    # runs on every relation call and join key in the parser's combine loop
+    if isinstance(value, tuple) and len(value) == 2:
+        a, b = value
+        if isinstance(a, int) and isinstance(b, int):
+            if not isinstance(a, bool) and not isinstance(b, bool):
+                return value
+    raise DomainError(f"{what} must be a pair of ints, got {value!r}")
+
+
+def _end_start_join(name: str, what: str) -> JoinFactory:
+    """Join of a relation that needs the left child's end at the right
+    child's start."""
+
+    def factory(config: dict) -> Join:
+        _no_config(config, name)
+        return (lambda left: _check_pair(left, what)[1], lambda right: _check_pair(right, what)[0])
+
+    return factory
 
 
 # ---------------------------------------------------------------- string spans
@@ -171,6 +202,7 @@ def string_span_domain() -> DomainBinding:
         config={},
         relations={"adjacent": adjacent},
         functions={"concat": concat},
+        joins={"adjacent": _end_start_join("adjacent", "span")},
         encode_param=lambda p: list(_check_pair(p, "span")),
         decode_param=_span_decode,
         strategy="leaf_order",
@@ -226,6 +258,15 @@ def grid_domain() -> DomainBinding:
 
         return pred
 
+    def offset_join(config: dict) -> Join:
+        ((dx, dy),) = _read_offsets(config, 2)
+
+        def left_key(point):
+            x, y = _check_pair(point, "grid point")
+            return (x + dx, y + dy)
+
+        return left_key, lambda point: _check_pair(point, "grid point")
+
     def anchor(config: dict, arity: int) -> Function:
         raw = config.pop("anchor", [0, 0])
         _no_config(config, "anchor")
@@ -251,6 +292,7 @@ def grid_domain() -> DomainBinding:
         config={},
         relations={"offset": offset},
         functions={"anchor": anchor},
+        joins={"offset": offset_join},
         encode_param=lambda p: list(_check_pair(p, "grid point")),
         decode_param=_point_decode,
         strategy="top_down",
@@ -306,6 +348,14 @@ def interval_domain() -> DomainBinding:
 
         return pred
 
+    def equals_join(config: dict) -> Join:
+        _no_config(config, "equals")
+
+        def key(ival):
+            return _check_pair(ival, "interval")
+
+        return key, key
+
     def hull(config: dict, arity: int) -> Function:
         _no_config(config, "hull")
 
@@ -336,6 +386,7 @@ def interval_domain() -> DomainBinding:
             "during": during,
         },
         functions={"hull": hull},
+        joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
         encode_param=lambda p: list(_check_pair(p, "interval")),
         decode_param=_interval_decode,
         strategy="top_down",
@@ -463,8 +514,8 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
             return ParamTuple(tuple(decode(v) for v in raw["t"]))
         return base.decode_param(raw)
 
-    relations = dict(base.relations)
-    relations.update({"true": always, "apply_packed": apply_packed_rel})
+    own_relations = {"true": always, "apply_packed": apply_packed_rel}
+    relations = {**base.relations, **own_relations}
     functions = dict(base.functions)
     functions.update(
         {"pack": pack, "extend": extend, "project": project, "apply_packed": apply_packed_fn}
@@ -474,6 +525,7 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
         config={"base": base.name, "base_config": base.config},
         relations=relations,
         functions=functions,
+        joins={key: join for key, join in base.joins.items() if key not in own_relations},
         encode_param=encode,
         decode_param=decode,
         strategy=base.strategy,

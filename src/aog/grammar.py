@@ -16,10 +16,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .domains import DomainBinding, FunctionRef, RelationRef
 from .errors import AogError, DepthExceeded, DomainError, InvalidTree
+
+if TYPE_CHECKING:
+    from .parsing import CompiledGrammar
 
 PROB_TOL = 1e-9
 
@@ -82,6 +85,14 @@ class Grammar:
         for idx, rule in enumerate(self.or_rules):
             grouped.setdefault(rule.head, []).append((idx, rule))
         return {head: tuple(rules) for head, rules in grouped.items()}
+
+    @cached_property
+    def compiled(self) -> CompiledGrammar:
+        """The parser's compiled form of this normal-form grammar, built on
+        first use and shared by every parse; see parsing.compile_grammar."""
+        from .parsing import compile_grammar  # parsing imports this module
+
+        return compile_grammar(self)
 
 
 def postorder(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> list[str]:

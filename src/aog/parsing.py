@@ -22,6 +22,28 @@ viterbi cell score the same, the smaller backpointer wins, compared as
 (or rule, instance id) at size 1 and above as (and rule, (size, node,
 param_order_key(param), mask) of the left child, the same of the right
 child, or rule).
+
+Compiled form.  compile_grammar checks the normal form once and resolves
+what every parse of the grammar needs: Or-rules by child with their log
+probs, the And-rules grouped by (left child, right child) pair with their
+relation and function callables, and per pair an equality join key where
+the domain declares one (see domains.py).  Grammar.compiled caches it on
+the grammar instance, so a grammar parsed many times resolves each
+relation and function once.
+
+Combine step.  For a split of size i into j + (i - j), the step takes only
+the pairs whose left child has cells of size j and whose right child has
+cells of size i - j, in the order of the pairs' first use in and_rules.
+A keyed pair pairs each left cell with the right cells of the same key,
+from a bucket built once per (right size, pair) since lower strata are
+final; a keyless pair tries every right cell.  The relation is still
+called on each candidate, and a key never drops a pair the relation
+accepts, so the derivations are those of trying every pair.  A bucket
+keeps the chart's insertion order, so each cell receives its derivations
+in the same order as when every left x right pair is tried: viterbi ties
+(whose rule does not depend on order anyway) and the floating-point
+log_add sums of marginal cells stay bit-identical.  stats.pair_tests
+counts the candidates examined.
 """
 
 from __future__ import annotations
@@ -72,11 +94,12 @@ class ParserBudget:
 
 @dataclass
 class CompositionStats:
-    """Size of the chart, per composition size."""
+    """Size of the chart, per composition size, and the work of filling it."""
 
     sample_size: int
     per_size_compositions: list[int]  # distinct terminal-instance sets, index = size
     per_size_entries: list[int]  # chart entries, index = size
+    pair_tests: int  # candidate (left, right) cell pairs the combine loop examined
     elapsed_seconds: float
 
     @property
@@ -95,6 +118,53 @@ class CompositionStats:
     def worst_case_compositions(self) -> int:
         n = self.sample_size
         return math.comb(n, n // 2) if n else 0
+
+
+@dataclass(frozen=True)
+class CompiledGrammar:
+    """What build_table needs of a normal-form grammar, resolved once.
+
+    or_by_child maps a node to the Or-rules over it, each (rule index, log
+    prob, head).  pairs lists the child pairs of the And-rules in order of
+    first use in and_rules, each (left child, right child, join, rules):
+    join is the pair's (left key, right key) when all its rules share one
+    relation that declares a join, else None; rules are (And-rule index,
+    relation, function, Or-rules over the head) in and_rules order.
+    by_left and by_right map a node to the positions in pairs of the pairs
+    with that left or right child.
+    """
+
+    or_by_child: dict[str, list[tuple[int, float, str]]]
+    pairs: list[tuple[str, str, Any, tuple]]
+    by_left: dict[str, list[int]]
+    by_right: dict[str, list[int]]
+
+
+def compile_grammar(g: Grammar) -> CompiledGrammar:
+    """The compiled form of a normal-form grammar; Grammar.compiled caches it."""
+    violations = gcnf_violations(g)
+    if violations:
+        raise NotInNormalForm("; ".join(violations))
+    or_by_child: dict[str, list[tuple[int, float, str]]] = {}
+    for idx, rule in enumerate(g.or_rules):
+        or_by_child.setdefault(rule.child, []).append((idx, math.log(rule.prob), rule.head))
+    by_pair: dict[tuple[str, ...], list[tuple]] = {}
+    for idx, rule in enumerate(g.and_rules):
+        rel = g.domain.relation(rule.relation, 2)
+        fn = g.domain.function(rule.function, 2)
+        entry = (idx, rel, fn, or_by_child.get(rule.head, ()))
+        by_pair.setdefault(rule.children, []).append(entry)
+    pairs = []
+    by_left: dict[str, list[int]] = {}
+    by_right: dict[str, list[int]] = {}
+    for (left, right), rules in by_pair.items():
+        relation = g.and_rules[rules[0][0]].relation
+        shared = all(g.and_rules[rule[0]].relation == relation for rule in rules)
+        join = g.domain.join(relation) if shared else None
+        by_left.setdefault(left, []).append(len(pairs))
+        by_right.setdefault(right, []).append(len(pairs))
+        pairs.append((left, right, join, tuple(rules)))
+    return CompiledGrammar(or_by_child, pairs, by_left, by_right)
 
 
 @dataclass
@@ -151,9 +221,7 @@ def build_table(
     """Fill the composition chart bottom-up over sub-sample sizes."""
     if mode not in ("viterbi", "marginal"):
         raise ValueError(f"unknown parse mode {mode!r}")
-    violations = gcnf_violations(g)
-    if violations:
-        raise NotInNormalForm("; ".join(violations))
+    compiled = g.compiled  # NotInNormalForm, or a rule that does not resolve
     if len(x) == 0:
         raise ValueError("cannot parse an empty sample")
     for inst in x.instances:
@@ -162,21 +230,6 @@ def build_table(
     budget = budget or ParserBudget()
     started = time.monotonic()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
-
-    # child node -> [(rule index, log prob, head)]
-    or_by_child: dict[str, list[tuple[int, float, str]]] = {}
-    for idx, rule in enumerate(g.or_rules):
-        or_by_child.setdefault(rule.child, []).append((idx, math.log(rule.prob), rule.head))
-    # (left child, right child) -> [(rule index, head, relation, function)]
-    and_index: dict[tuple[str, str], list[tuple[int, str, Any, Any]]] = {}
-    for idx, rule in enumerate(g.and_rules):
-        entry = (
-            idx,
-            rule.head,
-            g.domain.relation(rule.relation, 2),
-            g.domain.function(rule.function, 2),
-        )
-        and_index.setdefault((rule.children[0], rule.children[1]), []).append(entry)
 
     n = len(x)
     scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
@@ -218,35 +271,53 @@ def build_table(
             backs[size, head, param, mask] = back
 
     for index, inst in enumerate(x.instances):
-        for or_idx, logp, head in or_by_child.get(inst.terminal, ()):
+        for or_idx, logp, head in compiled.or_by_child.get(inst.terminal, ()):
             add(1, head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
 
+    pair_tests = 0
+    # size -> positions of the child pairs whose left (right) child has
+    # cells of that size, listed once the stratum is final
+    with_left: list[set[int]] = [set() for _ in range(n + 1)]
+    with_right: list[set[int]] = [set() for _ in range(n + 1)]
+    # (size, pair position) -> right key -> the right cells of that key
+    buckets: dict[tuple[int, int], dict[Any, list]] = {}
     for i in range(2, n + 1):
+        for node in scores[i - 1]:
+            with_left[i - 1].update(compiled.by_left.get(node, ()))
+            with_right[i - 1].update(compiled.by_right.get(node, ()))
         for j in range(1, i):
             left_nodes = scores[j]
             right_nodes = scores[i - j]
-            if not left_nodes or not right_nodes:
-                continue
-            for (left_child, right_child), rules in and_index.items():
-                lefts = left_nodes.get(left_child)
-                rights = right_nodes.get(right_child)
-                if not lefts or not rights:
-                    continue
-                for (lparam, lmask), lscore in lefts.items():
+            for pos in sorted(with_left[j] & with_right[i - j]):
+                left_child, right_child, join, rules = compiled.pairs[pos]
+                rights = right_nodes[right_child]
+                if join is not None:
+                    join_left, join_right = join
+                    bucket = buckets.get((i - j, pos))
+                    if bucket is None:
+                        bucket = buckets[i - j, pos] = {}
+                        for cell in rights.items():
+                            bucket.setdefault(join_right(cell[0][0]), []).append(cell)
+                for (lparam, lmask), lscore in left_nodes[left_child].items():
                     if deadline is not None and time.monotonic() > deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+                    if join is None:
+                        candidates = rights.items()
+                    else:
+                        candidates = bucket.get(join_left(lparam), ())
+                    pair_tests += len(candidates)
                     lkey = (j, left_child, lparam, lmask)
-                    for (rparam, rmask), rscore in rights.items():
+                    for (rparam, rmask), rscore in candidates:
                         if lmask & rmask:
                             continue
                         pair_score = lscore + rscore
                         umask = lmask | rmask
-                        for and_idx, head, rel, fn in rules:
+                        for and_idx, rel, fn, or_rules in rules:
                             if not rel(lparam, rparam):
                                 continue
                             parent_param = fn(lparam, rparam)
                             rkey = (i - j, right_child, rparam, rmask)
-                            for or_idx, logp, or_head in or_by_child.get(head, ()):
+                            for or_idx, logp, or_head in or_rules:
                                 add(
                                     i,
                                     or_head,
@@ -271,6 +342,7 @@ def build_table(
         sample_size=n,
         per_size_compositions=per_size_comps,
         per_size_entries=per_size_entries,
+        pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,
     )
     return CompositionTable(g, x, mode, scores, backs, stats)

@@ -245,10 +245,10 @@ def spn_to_aog(s: Spn) -> SpnAog:
         literals[(var, 0)] = fresh_name(f"x{var}_neg", taken)
 
     # each node's mass, and the grammar node it compiles to, contracting
-    # single-child products
+    # single-child products; nodes the root does not reach are left out
     masses: dict[str, float] = {}
     mapped: dict[str, str] = {}
-    for name in postorder([s.root, *s.nodes], lambda name: _children(s.nodes[name])):
+    for name in postorder([s.root], lambda name: _children(s.nodes[name])):
         node = s.nodes[name]
         if isinstance(node, IndicatorNode):
             masses[name] = 1.0
@@ -270,7 +270,7 @@ def spn_to_aog(s: Spn) -> SpnAog:
     terminals = frozenset(literals.values())
 
     for name, node in s.nodes.items():
-        if mapped[name] != name:
+        if mapped.get(name) != name:
             continue
         if isinstance(node, SumNode):
             or_nodes.add(name)

@@ -1,5 +1,7 @@
 """Parameter domain relations, functions, codecs, and ordering."""
 
+import re
+
 import pytest
 
 from aog import (
@@ -163,3 +165,51 @@ def test_domain_from_config_roundtrips():
         domain_from_config("unknown")
     with pytest.raises(ConfigError):
         domain_from_config("grid", {"stray": 1})
+
+
+@pytest.mark.parametrize(
+    "make, key, config, good",
+    [
+        (string_span_domain, "adjacent", {}, (0, 1)),
+        (interval_domain, "meets", {}, (0, 1)),
+        (interval_domain, "equals", {}, (0, 1)),
+        (grid_domain, "offset", {"offsets": [[1, -1]]}, (0, 0)),
+        (lambda: tuple_domain(interval_domain()), "meets", {}, (0, 1)),
+    ],
+)
+def test_join_keys_agree_with_their_relation(make, key, config, good):
+    dom = make()
+    ref = RelationRef(key, config)
+    relation = dom.relation(ref, 2)
+    left_key, right_key = dom.join(ref)
+    # the relation holds only where the keys are equal: the parser tests
+    # only the pairs of equal keys
+    values = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if key == "offset" or a < b]
+    for left in values:
+        for right in values:
+            if relation(left, right):
+                assert left_key(left) == right_key(right)
+    # on a malformed parameter a key raises the relation's DomainError
+    for bad in ((0, 1, 2), "x", (0, True)):
+        with pytest.raises(DomainError) as expected:
+            relation(bad, good)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            left_key(bad)
+        with pytest.raises(DomainError) as expected:
+            relation(good, bad)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            right_key(bad)
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [
+        (null_domain, "true"),
+        (interval_domain, "before"),
+        (interval_domain, "during"),
+        (lambda: tuple_domain(string_span_domain()), "true"),
+        (lambda: tuple_domain(string_span_domain()), "apply_packed"),
+    ],
+)
+def test_relations_without_join_key(make, key):
+    assert make().join(RelationRef(key)) is None

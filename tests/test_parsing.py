@@ -1,5 +1,7 @@
 """Chart parser against the brute-force enumeration reference."""
 
+import collections
+import dataclasses
 import math
 import os
 import random
@@ -13,21 +15,29 @@ import pytest
 
 import aog
 from aog import (
+    AndRule,
     BudgetExceeded,
     CompositionKey,
     DataSample,
+    FunctionRef,
+    Grammar,
     MissingEntry,
     NotInNormalForm,
+    OrRule,
     ParserBudget,
+    RelationRef,
     TerminalInstance,
     backtrack,
     build_table,
+    cyk,
     enumerate_parses,
+    interval_domain,
     parse,
     parse_scfg,
     project_parse,
     scfg_to_aog,
     string_sample,
+    string_span_domain,
     to_gcnf,
     tree_probability,
     tree_sample,
@@ -39,6 +49,13 @@ AMBIGUOUS = parse_scfg(
     """
     X -> X X [0.4]
     X -> a [0.6]
+    """
+)
+LEFT_BRANCHING = parse_scfg(
+    """
+    S -> S A [0.5]
+    S -> a [0.5]
+    A -> a [1.0]
     """
 )
 
@@ -174,6 +191,87 @@ def test_backtrack_does_not_recurse_per_tree_level():
     assert done.returncode == 0, done.stderr
 
 
+def test_left_branching_a400_parses_within_budget():
+    # testing every left x right cell pair made this parse take 66 s, nearly
+    # all of it pairs that adjacent rejects
+    gcnf, _ = to_gcnf(scfg_to_aog(LEFT_BRANCHING))
+    tokens = ["a"] * 400
+    result = parse(gcnf, string_sample(tokens), budget=ParserBudget(max_seconds=20))
+    assert result.score == pytest.approx(cyk(LEFT_BRANCHING, tokens), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_all_spans_pair_tests_match_cyk(n):
+    # the join pairs a span only with the spans that start where it ends:
+    # one candidate per span and split point, as in cyk, where every
+    # left x right pair of a split would be about n**4 / 12
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    for mode in ("viterbi", "marginal"):
+        assert parse(gcnf, string_sample(["a"] * n), mode).stats.pair_tests == math.comb(n + 1, 3)
+
+
+def test_compiled_form_resolves_each_factory_once():
+    calls = collections.Counter()
+
+    def counted(kind, registry):
+        def wrap(key, factory):
+            def make(*args):
+                calls[kind, key] += 1
+                return factory(*args)
+
+            return make
+
+        return {key: wrap(key, factory) for key, factory in registry.items()}
+
+    domain = string_span_domain()
+    counting = dataclasses.replace(
+        domain,
+        relations=counted("relation", domain.relations),
+        functions=counted("function", domain.functions),
+        joins=counted("join", domain.joins),
+    )
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    g = dataclasses.replace(gcnf, domain=counting)
+    x = string_sample(["a"] * 5)
+    for mode in ("viterbi", "marginal"):
+        assert build_table(g, x, mode).root_entries()
+    assert calls == {("relation", "adjacent"): 1, ("function", "concat"): 1, ("join", "adjacent"): 1}
+
+
+@pytest.mark.parametrize(
+    "second, spans",
+    [
+        ("before", ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7))),
+        ("equals", ((0, 1), (0, 1), (1, 2), (1, 2))),
+    ],
+)
+def test_child_pair_under_two_relations_matches_enumeration(second, spans):
+    # the child pair (O, O) carries one And-rule under meets, which declares
+    # a join key, and one under a second relation
+    g = Grammar(
+        domain=interval_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset({"M", "B"}),
+        or_nodes=frozenset({"S", "O"}),
+        start="S",
+        and_rules=(
+            AndRule("M", ("O", "O"), RelationRef("meets"), FunctionRef("hull")),
+            AndRule("B", ("O", "O"), RelationRef(second), FunctionRef("hull")),
+        ),
+        or_rules=(
+            OrRule("S", "M", 0.5),
+            OrRule("S", "B", 0.5),
+            OrRule("O", "t", 0.5),
+            OrRule("O", "M", 0.3),
+            OrRule("O", "B", 0.2),
+        ),
+    )
+    assert validate_grammar(g).ok
+    gcnf, node_map = to_gcnf(g)
+    x = DataSample(tuple(TerminalInstance(f"i{k}", "t", span) for k, span in enumerate(spans)))
+    assert_sample_matches_enumeration(g, gcnf, node_map, x)
+
+
 def test_backtrack_requires_viterbi_table():
     g = scfg_to_aog(AMBIGUOUS)
     gcnf, _ = to_gcnf(g)
@@ -249,6 +347,12 @@ def assert_matches_enumeration(g, trial):
             break
     if x is None:
         pytest.skip("grammar only produced large samples")
+    assert_sample_matches_enumeration(g, gcnf, node_map, x)
+
+
+def assert_sample_matches_enumeration(g, gcnf, node_map, x):
+    """Viterbi, marginal and the projected tree of x under gcnf, the normal
+    form of g, agree with enumerate_parses on g; x must have a parse."""
     trees = enumerate_parses(g, x)
     assert trees, "a drawn sample must parse under its own grammar"
     best = max(lp for _, lp in trees)

@@ -25,6 +25,7 @@ from aog import (
     validate_grammar,
     validate_spn,
 )
+from aog.cli import main
 from helpers import NEG_INF, random_spn
 
 # mass 3; value 2 on (1,1), 1 on (0,0), 0 elsewhere
@@ -210,6 +211,36 @@ def test_literal_names_avoid_collisions():
     assert parse(gcnf, assignment_sample(conv, {0: 0}), "marginal").score == pytest.approx(
         math.log(0.5)
     )
+
+
+def test_unreachable_node_outside_root_scope_is_left_out(capsys, tmp_path):
+    # validate_spn accepts a node the root does not reach; its variable 5
+    # has no literal, and the converter once raised KeyError: (5, 1)
+    s = Spn(
+        {
+            "r": ProductNode(("i0", "i1")),
+            "i0": IndicatorNode(0, True),
+            "i1": IndicatorNode(1, False),
+            "u": IndicatorNode(5, True),
+        },
+        "r",
+    )
+    assert validate_spn(s).ok
+    conv = spn_to_aog(s)
+    assert validate_grammar(conv.grammar).ok
+    assert conv.partition == partition(s)
+    gcnf, _ = to_gcnf(conv.grammar)
+    for bits in itertools.product((0, 1), repeat=2):
+        assignment = dict(zip((0, 1), bits))
+        expected = evaluate(s, assignment) / conv.partition
+        score = parse(gcnf, assignment_sample(conv, assignment), "marginal").score
+        assert score == (math.log(expected) if expected else NEG_INF)
+    # a listing's root is its one unreferenced node, so a listing cannot
+    # hold such a node: `aog convert spn` rejects it as malformed
+    src = tmp_path / "net.spn"
+    src.write_text(format_spn_listing(s))
+    assert main(["convert", "spn", str(src), "-o", str(tmp_path / "g.json")]) == 2
+    assert "expected exactly one root, found ['r', 'u']" in capsys.readouterr().out
 
 
 def test_assignment_sample_rejects_foreign_variable():
