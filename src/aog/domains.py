@@ -20,6 +20,11 @@ start, "equals" the whole intervals, and grid "offset" the first point
 moved by its (dx, dy) with the second point; "true", "before", "during"
 and "apply_packed" declare none.  A key checks its parameter as the
 relation does, raising the same DomainError.
+
+_check_pair checks span, interval and grid values on every relation call
+and key.  A plain tuple of two plain ints passes a cheap exact-type test;
+other values (an IntEnum item, a named tuple) go on to the isinstance
+test, which alone decides what is accepted and with what message.
 """
 
 from __future__ import annotations
@@ -139,12 +144,15 @@ def _no_config(config: dict, where: str) -> None:
 
 
 def _check_pair(value: Any, what: str) -> tuple[int, int]:
-    # runs on every relation call and join key in the parser's combine loop
-    if isinstance(value, tuple) and len(value) == 2:
+    # runs on every relation call and join key in the parser's combine loop:
+    # exact types pass the cheap test, subclasses the isinstance one
+    if type(value) is tuple and len(value) == 2:
         a, b = value
-        if isinstance(a, int) and isinstance(b, int):
-            if not isinstance(a, bool) and not isinstance(b, bool):
-                return value
+        if type(a) is int and type(b) is int:
+            return value
+    if isinstance(value, tuple) and len(value) == 2:
+        if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+            return value
     raise DomainError(f"{what} must be a pair of ints, got {value!r}")
 
 
@@ -155,6 +163,24 @@ def _end_start_join(name: str, what: str) -> JoinFactory:
     def factory(config: dict) -> Join:
         _no_config(config, name)
         return (lambda left: _check_pair(left, what)[1], lambda right: _check_pair(right, what)[0])
+
+    return factory
+
+
+def _ends_meet(what: str) -> Callable[[Any, Any], bool]:
+    """Whether the left child ends where the right child starts."""
+    return lambda left, right: _check_pair(left, what)[1] == _check_pair(right, what)[0]
+
+
+def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
+    """A relation that holds when binary holds on every two consecutive
+    children; its binary form is binary itself."""
+
+    def factory(config: dict, arity: int) -> Relation:
+        _no_config(config, name)
+        if arity == 2:
+            return binary
+        return lambda *params: all(map(binary, params, params[1:]))
 
     return factory
 
@@ -178,17 +204,6 @@ def string_span_domain() -> DomainBinding:
     "concat" returns the covering span.  Leaf i is pinned to span (i, i+1).
     """
 
-    def adjacent(config: dict, arity: int) -> Relation:
-        _no_config(config, "adjacent")
-
-        def pred(*spans) -> bool:
-            for left, right in zip(spans, spans[1:]):
-                if _check_pair(left, "span")[1] != _check_pair(right, "span")[0]:
-                    return False
-            return True
-
-        return pred
-
     def concat(config: dict, arity: int) -> Function:
         _no_config(config, "concat")
 
@@ -200,7 +215,7 @@ def string_span_domain() -> DomainBinding:
     return DomainBinding(
         name="string_span",
         config={},
-        relations={"adjacent": adjacent},
+        relations={"adjacent": _chain("adjacent", _ends_meet("span"))},
         functions={"concat": concat},
         joins={"adjacent": _end_start_join("adjacent", "span")},
         encode_param=lambda p: list(_check_pair(p, "span")),
@@ -322,20 +337,7 @@ def interval_domain() -> DomainBinding:
     latest end.  Top-down sampling realizes "meets" by even splitting and
     "equals" by copying; other relations have no canonical split.
     """
-
-    def chain(test: Callable[[tuple, tuple], bool], name: str) -> RelationFactory:
-        def factory(config: dict, arity: int) -> Relation:
-            _no_config(config, name)
-
-            def pred(*ivals) -> bool:
-                for left, right in zip(ivals, ivals[1:]):
-                    if not test(_check_pair(left, "interval"), _check_pair(right, "interval")):
-                        return False
-                return True
-
-            return pred
-
-        return factory
+    iv = "interval"  # what _check_pair names in its errors
 
     def during(config: dict, arity: int) -> Relation:
         _no_config(config, "during")
@@ -380,9 +382,9 @@ def interval_domain() -> DomainBinding:
         name="interval",
         config={},
         relations={
-            "meets": chain(lambda l, r: l[1] == r[0], "meets"),
-            "before": chain(lambda l, r: l[1] < r[0], "before"),
-            "equals": chain(lambda l, r: l == r, "equals"),
+            "meets": _chain("meets", _ends_meet(iv)),
+            "before": _chain("before", lambda l, r: _check_pair(l, iv)[1] < _check_pair(r, iv)[0]),
+            "equals": _chain("equals", lambda l, r: _check_pair(l, iv) == _check_pair(r, iv)),
             "during": during,
         },
         functions={"hull": hull},

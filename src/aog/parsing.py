@@ -21,7 +21,9 @@ Marginal tables leave backs empty.  Tie rule: when two derivations of a
 viterbi cell score the same, the smaller backpointer wins, compared as
 (or rule, instance id) at size 1 and above as (and rule, (size, node,
 param_order_key(param), mask) of the left child, the same of the right
-child, or rule).
+child, or rule).  back_precedes compares field by field and builds
+param_order_keys only for differing params after tied fields; tuples
+compare lexicographically, so it picks the backpointer the keys pick.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: Or-rules by child with their log
@@ -34,16 +36,18 @@ relation and function once.
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
 cells of size i - j, in the order of the pairs' first use in and_rules.
-A keyed pair pairs each left cell with the right cells of the same key,
-from a bucket built once per (right size, pair) since lower strata are
-final; a keyless pair tries every right cell.  The relation is still
-called on each candidate, and a key never drops a pair the relation
-accepts, so the derivations are those of trying every pair.  A bucket
-keeps the chart's insertion order, so each cell receives its derivations
-in the same order as when every left x right pair is tried: viterbi ties
-(whose rule does not depend on order anyway) and the floating-point
-log_add sums of marginal cells stay bit-identical.  stats.pair_tests
-counts the candidates examined.
+A keyed pair pairs each left cell with the right cells of the same key.
+Lower strata are final, so each key is computed once per cell and pair:
+the right cells go into a bucket per key once per (right size, pair), and
+the left cells' keys are listed once per (left size, pair).  A keyless
+pair tries every right cell.  The relation is still called on each
+candidate, and a key never drops a pair the relation accepts, so the
+derivations are those of trying every pair.  Buckets and key lists keep
+the chart's insertion order, so each cell receives its derivations in the
+same order as when every left x right pair is tried: viterbi ties (whose
+rule does not depend on order anyway) and the floating-point log_add sums
+of marginal cells stay bit-identical.  stats.pair_tests counts the
+candidates examined.
 """
 
 from __future__ import annotations
@@ -212,6 +216,21 @@ class ParseResult:
     stats: CompositionStats
 
 
+def back_precedes(back: tuple, other: tuple) -> bool:
+    """Whether backpointer back wins an exact viterbi tie against other,
+    by the tie rule's order (module docstring), compared lazily."""
+    if len(back) == 2 or back[0] != other[0]:
+        return back < other  # size 1, or the And-rules differ
+    for (size, node, param, mask), (osize, onode, oparam, omask) in zip(back[1:3], other[1:3]):
+        if size != osize or node != onode:
+            return (size, node) < (osize, onode)
+        if param != oparam:
+            return param_order_key(param) < param_order_key(oparam)
+        if mask != omask:
+            return mask < omask
+    return back[3] < other[3]
+
+
 def build_table(
     g: Grammar,
     x: DataSample,
@@ -238,17 +257,6 @@ def build_table(
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
-    def back_order(back: tuple) -> tuple:
-        if len(back) == 2:
-            return back
-        and_idx, (ls, ln, lp, lm), (rs, rn, rp, rm), or_idx = back
-        return (
-            and_idx,
-            (ls, ln, param_order_key(lp), lm),
-            (rs, rn, param_order_key(rp), rm),
-            or_idx,
-        )
-
     def add(size: int, head: str, param: Any, mask: int, score: float, back: tuple) -> None:
         # the one place a chart cell is created or updated
         nonlocal entry_count
@@ -265,7 +273,7 @@ def build_table(
         elif not viterbi:
             cells[ikey] = log_add(cur, score)
         elif score > cur or (
-            score == cur and back_order(back) < back_order(backs[size, head, param, mask])
+            score == cur and back_precedes(back, backs[size, head, param, mask])
         ):
             cells[ikey] = score
             backs[size, head, param, mask] = back
@@ -279,8 +287,10 @@ def build_table(
     # cells of that size, listed once the stratum is final
     with_left: list[set[int]] = [set() for _ in range(n + 1)]
     with_right: list[set[int]] = [set() for _ in range(n + 1)]
-    # (size, pair position) -> right key -> the right cells of that key
+    # (size, pair position) -> key -> the right cells of that key, and the
+    # join keys of the left cells in chart order
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
+    left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
         for node in scores[i - 1]:
             with_left[i - 1].update(compiled.by_left.get(node, ()))
@@ -290,6 +300,7 @@ def build_table(
             right_nodes = scores[i - j]
             for pos in sorted(with_left[j] & with_right[i - j]):
                 left_child, right_child, join, rules = compiled.pairs[pos]
+                lefts = left_nodes[left_child]
                 rights = right_nodes[right_child]
                 if join is not None:
                     join_left, join_right = join
@@ -298,13 +309,17 @@ def build_table(
                         bucket = buckets[i - j, pos] = {}
                         for cell in rights.items():
                             bucket.setdefault(join_right(cell[0][0]), []).append(cell)
-                for (lparam, lmask), lscore in left_nodes[left_child].items():
+                    keys = left_keys.get((j, pos))
+                    if keys is None:
+                        keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
+                    next_key = iter(keys).__next__
+                for (lparam, lmask), lscore in lefts.items():
                     if deadline is not None and time.monotonic() > deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
                     if join is None:
                         candidates = rights.items()
                     else:
-                        candidates = bucket.get(join_left(lparam), ())
+                        candidates = bucket.get(next_key(), ())
                     pair_tests += len(candidates)
                     lkey = (j, left_child, lparam, lmask)
                     for (rparam, rmask), rscore in candidates:

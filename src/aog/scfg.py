@@ -206,7 +206,10 @@ def cyk(g: Scfg, tokens, mode: str = "viterbi") -> float:
     """Chart parse a binary-normal-form grammar directly; returns log prob.
 
     Rules must be A -> terminal or A -> B C with B, C nonterminals.
-    Serves as an independent check of the compiled grammar's parser scores.
+    Serves as an independent check of the compiled grammar's parser scores,
+    so it shares no code with parsing.build_table.  A span (i, j) tries, per
+    rule A -> B C, the split points k of the shorter index: B-spans (i, k)
+    or C-spans (k, j).
     """
     if mode not in ("viterbi", "marginal"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,6 +226,9 @@ def cyk(g: Scfg, tokens, mode: str = "viterbi") -> float:
     if n == 0:
         raise ValueError("empty token list")
     chart: dict[tuple[int, int], dict[str, float]] = {}
+    # (start, nonterminal) -> ends, (end, nonterminal) -> starts of its spans
+    ends_from: dict[tuple[int, str], list[int]] = {}
+    starts_to: dict[tuple[int, str], list[int]] = {}
 
     def fold(cell: dict[str, float], head: str, score: float) -> None:
         cur = cell.get(head)
@@ -234,24 +240,25 @@ def cyk(g: Scfg, tokens, mode: str = "viterbi") -> float:
             big, small = (cur, score) if cur >= score else (score, cur)
             cell[head] = big + math.log1p(math.exp(small - big))
 
-    for i, tok in enumerate(tokens):
-        cell: dict[str, float] = {}
-        for head, logp in lexical.get(tok, ()):
-            fold(cell, head, logp)
-        chart[(i, i + 1)] = cell
-    for length in range(2, n + 1):
+    for length in range(1, n + 1):
         for i in range(0, n - length + 1):
             j = i + length
-            cell = {}
-            for k in range(i + 1, j):
-                left = chart[(i, k)]
-                right = chart[(k, j)]
-                if not left or not right:
-                    continue
-                for head, b, c, logp in binary:
-                    if b in left and c in right:
-                        fold(cell, head, logp + left[b] + right[c])
+            cell: dict[str, float] = {}
+            if length == 1:
+                for head, logp in lexical.get(tokens[i], ()):
+                    fold(cell, head, logp)
+            for head, b, c, logp in binary:
+                lefts = ends_from.get((i, b), ())
+                rights = starts_to.get((j, c), ())
+                for k in lefts if len(lefts) <= len(rights) else rights:
+                    left = chart[(i, k)].get(b)
+                    right = chart[(k, j)].get(c)
+                    if left is not None and right is not None:
+                        fold(cell, head, logp + left + right)
             chart[(i, j)] = cell
+            for head in cell:
+                ends_from.setdefault((i, head), []).append(j)
+                starts_to.setdefault((j, head), []).append(i)
     return chart[(0, n)].get(g.start, NEG_INF)
 
 

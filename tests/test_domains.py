@@ -1,5 +1,7 @@
 """Parameter domain relations, functions, codecs, and ordering."""
 
+import collections
+import enum
 import re
 
 import pytest
@@ -213,3 +215,49 @@ def test_join_keys_agree_with_their_relation(make, key, config, good):
 )
 def test_relations_without_join_key(make, key):
     assert make().join(RelationRef(key)) is None
+
+
+class Small(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+Pair = collections.namedtuple("Pair", "start end")
+
+
+@pytest.mark.parametrize(
+    "make, key, what",
+    [
+        (string_span_domain, "adjacent", "span"),
+        (interval_domain, "meets", "interval"),
+        (interval_domain, "before", "interval"),
+        (interval_domain, "equals", "interval"),
+    ],
+)
+def test_pair_check_accepts_and_rejects_as_the_isinstance_test(make, key, what):
+    dom = make()
+    binary = dom.relation(RelationRef(key), 2)
+    ternary = dom.relation(RelationRef(key), 3)
+    join = dom.join(RelationRef(key))
+    # tuple and int subclasses still pass, and behave as the plain pair
+    for value in ((Small.ZERO, Small.ONE), Pair(0, 1)):
+        for other in ((0, 1), (1, 2)):
+            assert binary(value, other) == binary((0, 1), other)
+            assert binary(other, value) == binary(other, (0, 1))
+        assert dom.encode_param(value) == [0, 1]
+        if join is not None:
+            assert join[0](value) == join[0]((0, 1))
+            assert join[1](value) == join[1]((0, 1))
+    # bool items, other lengths and lists are still refused, with the same
+    # message from the binary and the ternary form, on either side
+    for bad in ((0, True), (False, 1), (0, 1, 2), [0, 1]):
+        message = f"{what} must be a pair of ints, got {bad!r}"
+        for call in (
+            lambda: binary(bad, (1, 2)),
+            lambda: binary((0, 1), bad),
+            lambda: ternary(bad, (1, 2), (2, 3)),
+            lambda: ternary((0, 1), bad, (2, 3)),
+        ):
+            with pytest.raises(DomainError) as raised:
+                call()
+            assert str(raised.value) == message

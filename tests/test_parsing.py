@@ -12,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aog
 from aog import (
@@ -24,6 +26,7 @@ from aog import (
     MissingEntry,
     NotInNormalForm,
     OrRule,
+    ParamTuple,
     ParserBudget,
     RelationRef,
     TerminalInstance,
@@ -32,6 +35,7 @@ from aog import (
     cyk,
     enumerate_parses,
     interval_domain,
+    param_order_key,
     parse,
     parse_scfg,
     project_parse,
@@ -43,6 +47,7 @@ from aog import (
     tree_sample,
     validate_grammar,
 )
+from aog.parsing import back_precedes
 from helpers import NEG_INF, logsumexp, random_aog
 
 AMBIGUOUS = parse_scfg(
@@ -330,6 +335,50 @@ def test_viterbi_ties_break_deterministically():
         t1 = project_parse(first.tree, node_map, g)
         t2 = project_parse(again.tree, node_map, g)
         assert t1.root.children[0].node == t2.root.children[0].node
+
+
+def full_tie_key(back):
+    """The tie rule's documented key of a backpointer."""
+    if len(back) == 2:
+        return back
+    and_idx, (ls, ln, lp, lm), (rs, rn, rp, rm), or_idx = back
+    return (and_idx, (ls, ln, param_order_key(lp), lm), (rs, rn, param_order_key(rp), rm), or_idx)
+
+
+tie_params = st.recursive(
+    st.none() | st.integers(-2, 2),
+    lambda inner: st.lists(inner, max_size=3).map(tuple)
+    | st.lists(inner, max_size=3).map(lambda items: ParamTuple(tuple(items))),
+    max_leaves=5,
+)
+child_fields = (st.integers(1, 3), st.sampled_from("XY"), tie_params, st.integers(1, 7))
+# (and rule, left size, node, param, mask, right size, node, param, mask, or rule)
+flat_backs = st.tuples(st.integers(0, 2), *child_fields, *child_fields, st.integers(0, 2))
+size_one_backs = st.tuples(st.integers(0, 2), st.sampled_from(["w0", "w1", "w10"]))
+
+
+def sharing_prefix(first, second, shared):
+    """first, and second with its first `shared` fields taken from first."""
+    return first, first[:shared] + second[shared:]
+
+
+def unflatten(flat):
+    return (flat[0], flat[1:5], flat[5:9], flat[9])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.builds(sharing_prefix, size_one_backs, size_one_backs, st.integers(0, 2)),
+        st.builds(sharing_prefix, flat_backs, flat_backs, st.integers(0, 10)).map(
+            lambda pair: tuple(map(unflatten, pair))
+        ),
+    )
+)
+def test_lazy_tie_rule_matches_full_keys(pair):
+    first, second = pair
+    for back, other in ((first, second), (second, first)):
+        assert back_precedes(back, other) == (full_tie_key(back) < full_tie_key(other))
 
 
 def assert_matches_enumeration(g, trial):

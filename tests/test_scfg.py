@@ -1,6 +1,8 @@
 """String-grammar frontend: listing format, reshaping, compilation, references."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from aog import (
     ScfgRule,
     and_or_form,
     cyk,
+    enumerate_parses,
     format_scfg,
     is_and_or_form,
     parse,
@@ -147,6 +150,37 @@ def test_compiled_grammar_rejects_invalid_source():
     g = Scfg("S", (ScfgRule("S", ("a",), 0.5),))
     with pytest.raises(ValueError):
         scfg_to_aog(g)
+
+
+def random_binary_normal_form(rng: random.Random) -> Scfg:
+    """Two or three heads, each with two or three binary rules (repeats
+    allowed) and one or two terminal rules over a and b."""
+    heads = ["S", "A", "B"][: rng.randint(2, 3)]
+    rules = []
+    for head in heads:
+        bodies = [(rng.choice(heads), rng.choice(heads)) for _ in range(rng.randint(2, 3))]
+        bodies += [(tok,) for tok in rng.sample(["a", "b"], rng.randint(1, 2))]
+        rng.shuffle(bodies)
+        weights = [rng.uniform(0.1, 1.0) for _ in bodies]
+        rules += [ScfgRule(head, body, w / sum(weights)) for body, w in zip(bodies, weights)]
+    return Scfg("S", tuple(rules))
+
+
+@pytest.mark.parametrize("trial", range(25))
+def test_cyk_matches_string_distribution_and_enumeration(trial):
+    g = random_binary_normal_form(random.Random(trial))
+    compiled = scfg_to_aog(g)
+    dist = string_distribution(g, max_len=4)
+    for length in range(1, 5):
+        for tokens in itertools.product(sorted(g.terminals), repeat=length):
+            marginal = cyk(g, tokens, "marginal")
+            if tokens in dist:
+                assert marginal == pytest.approx(math.log(dist[tokens]), rel=1e-9, abs=1e-9)
+            else:
+                assert marginal == -math.inf
+            scores = [lp for _, lp in enumerate_parses(compiled, string_sample(tokens))]
+            best = max(scores, default=-math.inf)
+            assert cyk(g, tokens, "viterbi") == pytest.approx(best, rel=1e-9, abs=1e-9)
 
 
 def test_cyk_requires_binary_normal_form():
