@@ -4,7 +4,13 @@ Subcommands: validate, sample, parse, normalize, convert (scfg/spn/sat
 frontends), emit (fol/slp).  stdout carries machine-readable output
 only (JSON, JSON lines, or emitted logic text); diagnostics go to
 stderr via logging, with verbosity from the AOG_LOG environment
-variable (error, warn, info, debug).
+variable (error, warn, info, debug).  Each `main` call reads AOG_LOG
+anew and logs to the sys.stderr of that call, so in-process callers
+may call it repeatedly; the argument parser is built on the first call
+and reused for the rest of the process.  JSON documents are written by
+`serialize.canonical_dumps`, which takes any nesting depth; `aog
+sample`'s one-line records use json.dumps and stop near the
+interpreter's recursion limit (about 495 tree levels).
 
 Exit codes: 0 success (for parse: a parse was found), 1 no parse or
 sampling failure, 2 validation or conversion rejected the input, 3 a
@@ -14,6 +20,7 @@ file was malformed, 4 the parser budget was exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -58,11 +65,7 @@ _LOG_LEVELS = {
 }
 
 
-def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("AOG_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
+_LOG_FORMAT = logging.Formatter("%(levelname)s %(name)s: %(message)s")
 
 
 def _emit(payload: dict) -> None:
@@ -287,7 +290,9 @@ def cmd_emit(args: argparse.Namespace, g: Grammar, _: None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `aog` argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="aog", description="And-Or grammar toolkit: validate, sample, parse, convert, emit."
     )
@@ -349,9 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    # this call's AOG_LOG level and sys.stderr, for the length of the call only;
+    # records skip the root logger, so a caller's own handlers print no copy
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LOG_FORMAT)
+    level = _LOG_LEVELS.get(os.environ.get("AOG_LOG", "warn").lower(), logging.WARNING)
+    saved = log.level, log.propagate
+    log.addHandler(handler)
+    log.setLevel(level)
+    log.propagate = False
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
 
 
 if __name__ == "__main__":

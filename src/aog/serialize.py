@@ -5,6 +5,12 @@ drift fails loudly rather than silently dropping data.  Dumps are
 canonical (sorted keys, two-space indent, trailing newline) so repeated
 saves of the same object are byte-identical.  Rule order is preserved
 as authored: it is the tie-break order for sampling and parsing.
+
+canonical_dumps writes every file and every `aog` JSON document.  Its
+text is exactly json.dumps(payload, indent=2, sort_keys=True) + "\n",
+and it refuses what json refuses with the same exception, but it walks
+the payload with a loop: a parse tree of any depth is written, where
+json's indented writer raises RecursionError near 495 tree levels.
 """
 
 from __future__ import annotations
@@ -29,8 +35,130 @@ from .normalize import NodeMap
 FORMAT_VERSION = 1
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii  # json's own string escaper
+_INF = float("inf")
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# exact scalar types; subclasses (IntEnum, str and float subclasses) take _scalar_text
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+_CONTAINERS = {dict: True, list: False, tuple: False}  # exact type: is a dict
+
+
+def _scalar_text(value: Any) -> str | None:
+    """value as json writes a scalar (tested in json's order), or None."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as json writes it, non-str scalars as strings, with ": "."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+        )
+    return _ESCAPE(text) + ": "
+
+
 def canonical_dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """payload as json.dumps(payload, indent=2, sort_keys=True) + "\\n" writes it.
+
+    The same bytes for every payload json accepts (ASCII escapes, NaN and
+    Infinity, int and float subclasses by their base repr, tuples as lists,
+    key coercion), and the same TypeError or circular-payload ValueError
+    for one it refuses.  Containers are walked with an explicit stack, so
+    any nesting depth is written; json's indented writer recurses once per
+    level and stops near the recursion limit.
+    """
+    parts: list[str] = []
+    write = parts.append
+    open_ids: set[int] = set()
+    # open containers, innermost last: (entries left, entries are (key, value)
+    # pairs, id, text before each entry but the first, text after the last).
+    # The outermost holds the payload alone; its closing text is the final newline.
+    frames: list[tuple] = [(iter((payload,)), False, None, ",\n", "\n")]
+    first = True  # the innermost container has written no entry yet
+    while frames:
+        entries, pairs, ident, sep, close = frames[-1]
+        for value in entries:
+            if first:
+                first = False
+            else:
+                write(sep)
+            if pairs:
+                key, value = value
+                write(_ESCAPE(key) + ": " if type(key) is str else _key_text(key))
+            kind = type(value)
+            scalar = _SCALARS.get(kind)
+            if scalar is not None:
+                write(scalar(value))
+                continue
+            is_dict = _CONTAINERS.get(kind)
+            if is_dict is None:  # a subclass, or not JSON
+                text = _scalar_text(value)
+                if text is not None:
+                    write(text)
+                    continue
+                if isinstance(value, (list, tuple)):
+                    is_dict = False
+                elif isinstance(value, dict):
+                    is_dict = True
+                else:
+                    raise TypeError(
+                        f"Object of type {value.__class__.__name__} is not JSON serializable"
+                    )
+            if not value:
+                write("{}" if is_dict else "[]")
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            open_ids.add(id(value))
+            indent = sep[1:]
+            inner = indent + "  "
+            write(("{" if is_dict else "[") + inner)
+            frames.append(
+                (
+                    iter(sorted(value.items()) if is_dict else value),
+                    is_dict,
+                    id(value),
+                    "," + inner,
+                    indent + ("}" if is_dict else "]"),
+                )
+            )
+            first = True
+            break
+        else:
+            frames.pop()
+            open_ids.discard(ident)
+            write(close)
+    return "".join(parts)
 
 
 def _require_keys(obj: Any, required: set[str], optional: set[str], where: str) -> dict:

@@ -1,6 +1,9 @@
 """Command-line interface: every subcommand and exit code."""
 
+import contextlib
+import io
 import json
+import logging
 import math
 import os
 import shutil
@@ -12,8 +15,18 @@ from pathlib import Path
 import pytest
 
 import aog
-from aog import save_grammar, save_sample, string_sample, to_gcnf
+from aog import (
+    gcnf_violations,
+    parse,
+    parse_scfg,
+    save_grammar,
+    save_sample,
+    scfg_to_aog,
+    string_sample,
+    to_gcnf,
+)
 from aog.cli import main
+from aog.serialize import canonical_dumps, tree_to_json_dict
 
 
 @pytest.fixture
@@ -356,3 +369,107 @@ def test_installed_console_script_on_path():
     installed = distribution("aog").entry_points.select(group="console_scripts", name="aog")
     assert [entry.value for entry in installed] == [_declared_scripts()["aog"]]
     assert shutil.which("aog") is not None
+
+
+# ------------------------------------------------------- repeated in-process calls
+
+
+def fresh_aog(argv, env=None):
+    """argv run by `python -m aog.cli` in a new process."""
+    src = str(Path(aog.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "aog.cli", *argv],
+        env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def without_elapsed(out: str) -> dict:
+    payload = json.loads(out)
+    payload.get("stats", {}).pop("elapsed_seconds", None)
+    return payload
+
+
+def test_aog_log_applies_to_each_call(monkeypatch, grammar_file, tmp_path, line_drawing):
+    # the grammar has an arity-3 rule, so parse logs that it normalizes
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    line = "INFO aog: grammar is not in normal form; normalizing for parsing\n"
+    assert fresh_aog(["parse", grammar_file, xp], {"AOG_LOG": "info"}).stderr == line
+
+    def stderr_of_call(level):
+        monkeypatch.setenv("AOG_LOG", level)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["parse", grammar_file, xp]) == 0
+        return err.getvalue()
+
+    assert [stderr_of_call(level) for level in ("info", "info", "warn", "info")] == [
+        line, line, "", line
+    ]
+    # nothing is left on the logger for callers after main
+    logger = logging.getLogger("aog")
+    assert (logger.handlers, logger.level, logger.propagate) == ([], logging.NOTSET, True)
+
+
+def test_reused_parser_leaks_nothing_between_calls(capsys, tmp_path, grammar_file, line_drawing):
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    dot = tmp_path / "tree.dot"
+    plain = ["parse", grammar_file, xp]
+    marginal = plain + ["--stats", "--mode", "marginal"]
+    with_dot = plain + ["--dot", str(dot), "--stats"]
+
+    def outputs(call, argv):
+        out = call(argv)
+        written = dot.read_text() if dot.exists() else None
+        dot.unlink(missing_ok=True)
+        return out, written
+
+    def fresh_call(argv):
+        done = fresh_aog(argv)
+        return done.returncode, without_elapsed(done.stdout)
+
+    def in_process(argv):
+        code, out = run(capsys, argv)
+        return code, without_elapsed(out)
+
+    expected = {i: outputs(fresh_call, argv) for i, argv in enumerate((plain, marginal, with_dot))}
+    assert expected[0][0][1]["mode"] == "viterbi" and "stats" not in expected[0][0][1]
+    assert expected[1][0][1]["mode"] == "marginal" and expected[1][1] is None
+    assert expected[2][1].startswith("digraph parse {")
+    for i in (1, 0, 2, 0, 1, 2, 0):
+        assert outputs(in_process, (plain, marginal, with_dot)[i]) == expected[i]
+
+    # usage errors still exit 2, with argparse's message on stderr, between good calls
+    for argv in (["parse", grammar_file], marginal[:-1] + ["best"], []):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: aog")
+        assert outputs(in_process, plain) == expected[0]
+
+
+def test_parse_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):
+    # the a x 400 left-branching tree is about 800 levels deep, where
+    # json.dumps(indent=2) raises RecursionError
+    g = scfg_to_aog(parse_scfg("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]"))
+    assert gcnf_violations(g) == []
+    x = string_sample(["a"] * 400)
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    save_grammar(g, gpath)
+    save_sample(x, g.domain, xpath)
+
+    code, out = run(capsys, ["parse", str(gpath), str(xpath)])
+    assert code == 0
+    result = parse(g, x)
+    expected = {
+        "mode": "viterbi",
+        "found": True,
+        "log_prob": result.score,
+        "normalized": False,
+        "tree": tree_to_json_dict(result.tree, g.domain),
+    }
+    # compared as text: json.loads would recurse as deep as the tree
+    assert out == canonical_dumps(expected)
+    assert out.count('"node": "S"') == 400

@@ -1,10 +1,13 @@
 """JSON persistence: roundtrips, strict key checking, canonical output."""
 
+import enum
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aog import (
     FormatError,
@@ -141,3 +144,103 @@ def test_check_flag_admits_invalid_grammar(line_drawing):
     payload["or_rules"][0]["prob"] = 0.25
     g = grammar_from_json_dict(payload, check=False)
     assert not validate_grammar(g).ok
+
+
+# --------------------------------------------------- canonical_dumps against json
+
+
+class Color(enum.IntEnum):
+    RED = 1
+    BLUE = -20
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(write, payload):
+    """write(payload)'s text, or the type and message of what it raised."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),  # NaN, both infinities and -0.0 included
+    st.text(),  # non-ASCII and control characters escaped
+    st.sampled_from(Color),
+)
+# one dict's keys are all strings, all numbers or None, which json can sort
+KEYS = st.sampled_from(
+    [
+        st.text(),
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from(Color)),
+        st.none(),
+    ]
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    )
+
+
+PAYLOADS = st.recursive(SCALARS, containers, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_canonical_dumps_matches_json(payload):
+    assert canonical_dumps(payload) == json_text(payload)
+
+
+class Opaque:
+    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    PAYLOADS,
+    st.sampled_from(
+        [
+            {1, 2},
+            b"bytes",
+            1j,
+            Opaque(),
+            {(1, 2): "tuple key"},
+            {frozenset(): 0},
+            {"a": 1, 2: "mixed keys"},
+            {None: 1, "b": 2},
+        ]
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_canonical_dumps_refuses_as_json(payload, bad, where):
+    # bad is placed inside a drawn payload; both writers meet the same first refusal
+    payload = [payload, bad] if where == 0 else {"k": [bad] * where, "a": payload}
+    expected = outcome(json_text, payload)
+    assert isinstance(expected, tuple)
+    assert outcome(canonical_dumps, payload) == expected
+
+
+def test_canonical_dumps_refuses_circular_payloads():
+    loop: list = [1]
+    loop.append(loop)
+    knot: dict = {"a": [{}]}
+    knot["a"][0]["b"] = knot
+    for payload in (loop, knot, {"x": [loop]}):
+        expected = outcome(json_text, payload)
+        assert expected == (ValueError, "Circular reference detected")
+        assert outcome(canonical_dumps, payload) == expected
+    # the same container twice side by side is no cycle
+    shared = [1, 2]
+    payload = [shared, shared, {"s": shared}]
+    assert canonical_dumps(payload) == json_text(payload)
