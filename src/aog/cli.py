@@ -6,8 +6,12 @@ only (JSON, JSON lines, or emitted logic text); diagnostics go to
 stderr via logging, with verbosity from the AOG_LOG environment
 variable (error, warn, info, debug).  Each `main` call reads AOG_LOG
 anew and logs to the sys.stderr of that call, so in-process callers
-may call it repeatedly; the argument parser is built on the first call
-and reused for the rest of the process.  JSON documents are written by
+may call it repeatedly.  For the length of the call, main takes the
+`aog` logger over: its records go to that stderr handler only and do
+not reach the root logger's handlers, which print no second copy; the
+logger's level, handlers and propagation are restored when main returns.
+The argument parser is built on the first call and reused for the rest
+of the process.  JSON documents are written by
 `serialize.canonical_dumps`, which takes any nesting depth; `aog
 sample`'s one-line records use json.dumps and stop near the
 interpreter's recursion limit (about 495 tree levels).

@@ -49,17 +49,6 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# exact scalar types; subclasses (IntEnum, str and float subclasses) take _scalar_text
-_SCALARS = {
-    str: _ESCAPE,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-_CONTAINERS = {dict: True, list: False, tuple: False}  # exact type: is a dict
-
-
 def _scalar_text(value: Any) -> str | None:
     """value as json writes a scalar (tested in json's order), or None."""
     if isinstance(value, str):
@@ -114,26 +103,19 @@ def canonical_dumps(payload: Any) -> str:
                 write(sep)
             if pairs:
                 key, value = value
-                write(_ESCAPE(key) + ": " if type(key) is str else _key_text(key))
-            kind = type(value)
-            scalar = _SCALARS.get(kind)
-            if scalar is not None:
-                write(scalar(value))
+                write(_key_text(key))
+            text = _scalar_text(value)
+            if text is not None:
+                write(text)
                 continue
-            is_dict = _CONTAINERS.get(kind)
-            if is_dict is None:  # a subclass, or not JSON
-                text = _scalar_text(value)
-                if text is not None:
-                    write(text)
-                    continue
-                if isinstance(value, (list, tuple)):
-                    is_dict = False
-                elif isinstance(value, dict):
-                    is_dict = True
-                else:
-                    raise TypeError(
-                        f"Object of type {value.__class__.__name__} is not JSON serializable"
-                    )
+            if isinstance(value, (list, tuple)):
+                is_dict = False
+            elif isinstance(value, dict):
+                is_dict = True
+            else:
+                raise TypeError(
+                    f"Object of type {value.__class__.__name__} is not JSON serializable"
+                )
             if not value:
                 write("{}" if is_dict else "[]")
                 continue

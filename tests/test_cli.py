@@ -412,6 +412,34 @@ def test_aog_log_applies_to_each_call(monkeypatch, grammar_file, tmp_path, line_
     assert (logger.handlers, logger.level, logger.propagate) == ([], logging.NOTSET, True)
 
 
+def test_main_keeps_aog_records_from_root_handlers(monkeypatch, grammar_file, tmp_path, line_drawing):
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    monkeypatch.setenv("AOG_LOG", "info")
+    seen: list[str] = []
+
+    class Collect(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    root = logging.getLogger()
+    handler = Collect(logging.DEBUG)
+    saved_level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.DEBUG)
+    try:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["parse", grammar_file, xp]) == 0
+        # the record is printed once, on main's stderr, and not handed to root
+        assert err.getvalue() == "INFO aog: grammar is not in normal form; normalizing for parsing\n"
+        assert seen == []
+        logging.getLogger("aog").warning("after main")
+        assert seen == ["after main"]
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(saved_level)
+
+
 def test_reused_parser_leaks_nothing_between_calls(capsys, tmp_path, grammar_file, line_drawing):
     xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
     dot = tmp_path / "tree.dot"
