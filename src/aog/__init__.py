@@ -51,14 +51,7 @@ from .grammar import (
     validate_grammar,
 )
 from .logic_export import LogicDocument, emit_fol, emit_slp
-from .normalize import (
-    GcnfGrammar,
-    NodeMap,
-    certify_gcnf,
-    gcnf_violations,
-    project_parse,
-    to_gcnf,
-)
+from .normalize import NodeMap, gcnf_violations, project_parse, to_gcnf
 from .parsing import (
     CompositionKey,
     CompositionStats,

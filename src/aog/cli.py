@@ -17,8 +17,10 @@ sample`'s one-line records use json.dumps and stop near the
 interpreter's recursion limit (about 495 tree levels).
 
 Exit codes: 0 success (for parse: a parse was found), 1 no parse or
-sampling failure, 2 validation or conversion rejected the input, 3 a
-file was malformed, 4 the parser budget was exhausted.
+sampling failure, 2 validation or conversion rejected the input (for
+parse also an empty sample, an Or-rule cycle, or --dot with
+--mode marginal), 3 a file was malformed, 4 the parser budget was
+exhausted.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 @_with_grammar
 def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
+    if args.dot and args.mode == "marginal":
+        _emit({"error": "--dot needs a viterbi parse: a marginal parse has no tree"})
+        return 2
     unknown = sorted({i.terminal for i in x.instances} - set(g.terminals))
     if unknown:
         _emit({"error": f"sample uses unknown terminals {unknown}"})
@@ -164,13 +169,20 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     target = g
     if normalized:
         log.info("grammar is not in normal form; normalizing for parsing")
-        target, node_map = to_gcnf(g)
+        try:
+            target, node_map = to_gcnf(g)
+        except AogError as exc:
+            _emit({"error": str(exc)})
+            return 2
     budget = ParserBudget(max_entries=args.budget_entries, max_seconds=args.budget_seconds)
     try:
         result = parse(target, x, mode=args.mode, budget=budget)
     except BudgetExceeded as exc:
         _emit({"error": str(exc)})
         return 4
+    except ValueError as exc:  # build_table refuses an empty sample
+        _emit({"error": str(exc)})
+        return 2
     found = result.score != NEG_INF
     out = {
         "mode": result.mode,

@@ -30,7 +30,7 @@ test, which alone decides what is accepted and with what message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .errors import ConfigError, DomainError
 
@@ -89,9 +89,11 @@ def param_order_key(value: Any):
 class DomainBinding:
     """A named domain: relation/function/join registries, codec, sampling hooks.
 
-    strategy is either "leaf_order" (parameters are pinned at the leaves and
-    folded upward, as with string spans) or "top_down" (a root parameter is
-    split into child parameters while descending, as with grid points).
+    A domain with leaf_param samples in leaf order: parameters are pinned
+    at the leaves and folded upward, as with string spans.  Any other
+    domain samples top down: a root parameter (root_default) is split into
+    child parameters while descending (realize_children), as with grid
+    points.
 
     Bindings compare by (name, config): domain_from_config rebuilds the
     same callables from those two fields, so identically configured
@@ -104,14 +106,13 @@ class DomainBinding:
     functions: dict[str, FunctionFactory]
     encode_param: Callable[[Any], Any]
     decode_param: Callable[[Any], Any]
-    strategy: str
     # relation key -> equality join key of its binary form, where declared
     joins: dict[str, JoinFactory] = field(default_factory=dict)
-    # leaf_order: leaf index -> parameter
+    # leaf order: leaf index -> parameter
     leaf_param: Callable[[int], Any] | None = None
-    # top_down: default parameter for the sample root
+    # top down: default parameter for the sample root
     root_default: Callable[[], Any] | None = None
-    # top_down: (relation, function, parent param, arity) -> child params
+    # top down: (relation, function, parent param, arity) -> child params
     realize_children: Callable[[RelationRef, FunctionRef, Any, int], tuple] | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -172,6 +173,19 @@ def _ends_meet(what: str) -> Callable[[Any, Any], bool]:
     return lambda left, right: _check_pair(left, what)[1] == _check_pair(right, what)[0]
 
 
+def _plain(name: str, fn: Callable) -> Callable[[dict, int], Callable]:
+    """A relation or function that takes no config and is fn at every arity."""
+
+    def factory(config: dict, arity: int) -> Callable:
+        _no_config(config, name)
+        return fn
+
+    return factory
+
+
+_always = _plain("true", lambda *params: True)
+
+
 def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
     """A relation that holds when binary holds on every two consecutive
     children; its binary form is binary itself."""
@@ -185,16 +199,22 @@ def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
     return factory
 
 
+def _start_end_decoder(what: str) -> Callable[[Any], tuple[int, int]]:
+    """Decoder of a [start, end] value with start < end, as spans and
+    intervals are encoded."""
+
+    def decode(raw: Any) -> tuple[int, int]:
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise DomainError(f"{what} must be encoded as [start, end], got {raw!r}")
+        start, end = raw
+        if not isinstance(start, int) or not isinstance(end, int) or start >= end:
+            raise DomainError(f"{what} needs ints start < end, got {raw!r}")
+        return (start, end)
+
+    return decode
+
+
 # ---------------------------------------------------------------- string spans
-
-
-def _span_decode(raw: Any) -> tuple[int, int]:
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise DomainError(f"span must be encoded as [start, end], got {raw!r}")
-    start, end = raw
-    if not isinstance(start, int) or not isinstance(end, int) or start >= end:
-        raise DomainError(f"span needs ints start < end, got {raw!r}")
-    return (start, end)
 
 
 def string_span_domain() -> DomainBinding:
@@ -203,24 +223,14 @@ def string_span_domain() -> DomainBinding:
     Relation "adjacent" holds when consecutive child spans abut; function
     "concat" returns the covering span.  Leaf i is pinned to span (i, i+1).
     """
-
-    def concat(config: dict, arity: int) -> Function:
-        _no_config(config, "concat")
-
-        def fn(*spans):
-            return (spans[0][0], spans[-1][1])
-
-        return fn
-
     return DomainBinding(
         name="string_span",
         config={},
         relations={"adjacent": _chain("adjacent", _ends_meet("span"))},
-        functions={"concat": concat},
+        functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]))},
         joins={"adjacent": _end_start_join("adjacent", "span")},
         encode_param=lambda p: list(_check_pair(p, "span")),
-        decode_param=_span_decode,
-        strategy="leaf_order",
+        decode_param=_start_end_decoder("span"),
         leaf_param=lambda i: (i, i + 1),
     )
 
@@ -310,22 +320,12 @@ def grid_domain() -> DomainBinding:
         joins={"offset": offset_join},
         encode_param=lambda p: list(_check_pair(p, "grid point")),
         decode_param=_point_decode,
-        strategy="top_down",
         root_default=lambda: (0, 0),
         realize_children=realize,
     )
 
 
 # ------------------------------------------------------------------- intervals
-
-
-def _interval_decode(raw: Any) -> tuple[int, int]:
-    if not isinstance(raw, list) or len(raw) != 2:
-        raise DomainError(f"interval must be encoded as [start, end], got {raw!r}")
-    start, end = raw
-    if not isinstance(start, int) or not isinstance(end, int) or start >= end:
-        raise DomainError(f"interval needs ints start < end, got {raw!r}")
-    return (start, end)
 
 
 def interval_domain() -> DomainBinding:
@@ -358,13 +358,8 @@ def interval_domain() -> DomainBinding:
 
         return key, key
 
-    def hull(config: dict, arity: int) -> Function:
-        _no_config(config, "hull")
-
-        def fn(*ivals):
-            return (min(v[0] for v in ivals), max(v[1] for v in ivals))
-
-        return fn
+    def hull(*ivals):
+        return (min(v[0] for v in ivals), max(v[1] for v in ivals))
 
     def realize(rel: RelationRef, fn: FunctionRef, parent: Any, arity: int):
         start, end = _check_pair(parent, "interval")
@@ -387,11 +382,10 @@ def interval_domain() -> DomainBinding:
             "equals": _chain("equals", lambda l, r: _check_pair(l, iv) == _check_pair(r, iv)),
             "during": during,
         },
-        functions={"hull": hull},
+        functions={"hull": _plain("hull", hull)},
         joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
         encode_param=lambda p: list(_check_pair(p, "interval")),
-        decode_param=_interval_decode,
-        strategy="top_down",
+        decode_param=_start_end_decoder("interval"),
         root_default=lambda: (0, 1024),
         realize_children=realize,
     )
@@ -403,14 +397,6 @@ def interval_domain() -> DomainBinding:
 def null_domain() -> DomainBinding:
     """Degenerate domain for grammars whose parameters carry no information."""
 
-    def always(config: dict, arity: int) -> Relation:
-        _no_config(config, "true")
-        return lambda *params: True
-
-    def null_fn(config: dict, arity: int) -> Function:
-        _no_config(config, "null")
-        return lambda *params: None
-
     def decode(raw: Any):
         if raw is not None:
             raise DomainError(f"null domain parameter must be null, got {raw!r}")
@@ -419,11 +405,10 @@ def null_domain() -> DomainBinding:
     return DomainBinding(
         name="null",
         config={},
-        relations={"true": always},
-        functions={"null": null_fn},
+        relations={"true": _always},
+        functions={"null": _plain("null", lambda *params: None)},
         encode_param=lambda p: None,
         decode_param=decode,
-        strategy="top_down",
         root_default=lambda: None,
         realize_children=lambda rel, fn, parent, arity: tuple(None for _ in range(arity)),
     )
@@ -442,23 +427,10 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
     available, so a wrapped grammar keeps resolving untouched rules.
     """
 
-    def always(config: dict, arity: int) -> Relation:
-        _no_config(config, "true")
-        return lambda *params: True
-
-    def pack(config: dict, arity: int) -> Function:
-        _no_config(config, "pack")
-        return lambda *params: ParamTuple(tuple(params))
-
-    def extend(config: dict, arity: int) -> Function:
-        _no_config(config, "extend")
-
-        def fn(packed, last):
-            if not isinstance(packed, ParamTuple):
-                raise DomainError(f"extend needs a packed first argument, got {packed!r}")
-            return ParamTuple(packed.items + (last,))
-
-        return fn
+    def extend(packed, last):
+        if not isinstance(packed, ParamTuple):
+            raise DomainError(f"extend needs a packed first argument, got {packed!r}")
+        return ParamTuple(packed.items + (last,))
 
     def project(config: dict, arity: int) -> Function:
         index = config.pop("index", None)
@@ -473,15 +445,6 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
 
         return fn
 
-    def _read_applied(config: dict) -> tuple[str, dict, int]:
-        key = config.pop("key", None)
-        inner = config.pop("config", {})
-        base_arity = config.pop("arity", None)
-        _no_config(config, "apply_packed")
-        if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
-            raise ConfigError("apply_packed needs a base key and an arity of at least 2")
-        return key, inner, base_arity
-
     def _unpack(packed, last, base_arity: int) -> tuple:
         if not isinstance(packed, ParamTuple):
             raise DomainError(f"apply_packed needs a packed first argument, got {packed!r}")
@@ -490,19 +453,23 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
             raise DomainError(f"packed arity {len(flat)} does not match configured {base_arity}")
         return flat
 
-    def apply_packed_rel(config: dict, arity: int) -> Relation:
-        key, inner, base_arity = _read_applied(config)
-        if arity != 2:
-            raise ConfigError("apply_packed applies to a packed pair")
-        target = base.relation(RelationRef(key, inner), base_arity)
-        return lambda packed, last: target(*_unpack(packed, last, base_arity))
+    def apply_packed(resolve: Callable, ref_type: type) -> Callable[[dict, int], Callable]:
+        """Factory of apply_packed over base.relation or base.function,
+        resolving ref_type(key, config) at the configured base arity."""
 
-    def apply_packed_fn(config: dict, arity: int) -> Function:
-        key, inner, base_arity = _read_applied(config)
-        if arity != 2:
-            raise ConfigError("apply_packed applies to a packed pair")
-        target = base.function(FunctionRef(key, inner), base_arity)
-        return lambda packed, last: target(*_unpack(packed, last, base_arity))
+        def factory(config: dict, arity: int) -> Callable:
+            key = config.pop("key", None)
+            inner = config.pop("config", {})
+            base_arity = config.pop("arity", None)
+            _no_config(config, "apply_packed")
+            if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
+                raise ConfigError("apply_packed needs a base key and an arity of at least 2")
+            if arity != 2:
+                raise ConfigError("apply_packed applies to a packed pair")
+            target = resolve(ref_type(key, inner), base_arity)
+            return lambda packed, last: target(*_unpack(packed, last, base_arity))
+
+        return factory
 
     def encode(value: Any):
         if isinstance(value, ParamTuple):
@@ -516,12 +483,15 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
             return ParamTuple(tuple(decode(v) for v in raw["t"]))
         return base.decode_param(raw)
 
-    own_relations = {"true": always, "apply_packed": apply_packed_rel}
+    own_relations = {"true": _always, "apply_packed": apply_packed(base.relation, RelationRef)}
     relations = {**base.relations, **own_relations}
-    functions = dict(base.functions)
-    functions.update(
-        {"pack": pack, "extend": extend, "project": project, "apply_packed": apply_packed_fn}
-    )
+    functions = {
+        **base.functions,
+        "pack": _plain("pack", lambda *params: ParamTuple(params)),
+        "extend": _plain("extend", extend),
+        "project": project,
+        "apply_packed": apply_packed(base.function, FunctionRef),
+    }
     return DomainBinding(
         name="tuple",
         config={"base": base.name, "base_config": base.config},
@@ -530,7 +500,6 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
         joins={key: join for key, join in base.joins.items() if key not in own_relations},
         encode_param=encode,
         decode_param=decode,
-        strategy=base.strategy,
         leaf_param=base.leaf_param,
         root_default=base.root_default,
         realize_children=base.realize_children,

@@ -294,10 +294,11 @@ def sample(
     """Draw one derivation from the grammar's distribution.
 
     The derivation structure is chosen first (Or-rules by cumulative
-    probability in authoring order), then parameters are filled in according
-    to the domain's strategy.  Raises DepthExceeded when expansion passes
-    max_depth and DomainError when the domain cannot realize a parameter
-    assignment for the sampled structure.
+    probability in authoring order), then parameters are filled in: pinned
+    at the leaves and folded upward when the domain has leaf_param, else
+    split top down from root_param or the domain's root_default.  Raises
+    DepthExceeded when expansion passes max_depth and DomainError when the
+    domain cannot realize a parameter assignment for the sampled structure.
     """
     rng = random.Random(seed)
     log_prob = 0.0
@@ -327,9 +328,7 @@ def sample(
             tree.children = (TreeNode(chosen.child, None),)
         todo.extend((child, depth + 1) for child in reversed(tree.children))
 
-    if g.domain.strategy == "leaf_order":
-        if g.domain.leaf_param is None:
-            raise DomainError(f"domain {g.domain.name!r} has no leaf parameterization")
+    if g.domain.leaf_param is not None:
         # pre-order taking children right to left; reversed, it has children
         # before parents and numbers the leaves left to right
         order, todo = [], [root]

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .grammar import Grammar, NodeKind
+from .grammar import Grammar, fresh_name
 
 _IDENT = re.compile(r"[^0-9a-zA-Z]+")
 
@@ -43,14 +43,9 @@ def _symbol_table(names: Iterable[str]) -> dict[str, str]:
         base = _IDENT.sub("_", name).strip("_").lower() or "n"
         if base[0].isdigit():
             base = "n" + base
-        candidate = base
-        bump = 2
-        while candidate in used:
-            candidate = f"{base}{bump}"
-            bump += 1
-        used.add(candidate)
-        table[name] = candidate
+        table[name] = fresh_name(base, used)
     return table
+
 
 def _config_note(g: Grammar, head: str) -> str:
     rule = g.and_rule_of[head]

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .domains import FunctionRef, RelationRef, tuple_domain
-from .errors import MapMismatch, NotInNormalForm, UnitCycleError
+from .errors import MapMismatch, UnitCycleError
 from .grammar import (
     AndRule,
     Grammar,
@@ -35,14 +35,8 @@ from .grammar import (
 )
 
 
-class GcnfGrammar(Grammar):
-    """A Grammar certified to be in the binary normal form."""
-
-
 def gcnf_violations(g: Grammar) -> list[str]:
     """Empty list iff the grammar is in normal form."""
-    if isinstance(g, GcnfGrammar):
-        return []
     out = []
     if g.start not in g.or_nodes:
         out.append(f"start {g.start!r} is not an Or-node")
@@ -56,23 +50,6 @@ def gcnf_violations(g: Grammar) -> list[str]:
         if rule.child in g.or_nodes:
             out.append(f"Or-rule {rule.head!r} -> {rule.child!r} points at an Or-node")
     return out
-
-
-def certify_gcnf(g: Grammar) -> GcnfGrammar:
-    violations = gcnf_violations(g)
-    if violations:
-        raise NotInNormalForm("; ".join(violations))
-    if isinstance(g, GcnfGrammar):
-        return g
-    return GcnfGrammar(
-        domain=g.domain,
-        terminals=g.terminals,
-        and_nodes=g.and_nodes,
-        or_nodes=g.or_nodes,
-        start=g.start,
-        and_rules=g.and_rules,
-        or_rules=g.or_rules,
-    )
 
 
 @dataclass
@@ -126,7 +103,7 @@ class NodeMap:
         )
 
 
-def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
+def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     """Convert a valid grammar to normal form; probabilities are preserved
     per derivation, with parallel Or-chains merged by probability summation."""
     report = validate_grammar(g)
@@ -263,7 +240,7 @@ def to_gcnf(g: Grammar) -> tuple[GcnfGrammar, NodeMap]:
     check = validate_grammar(out)
     if not check.ok:
         raise AssertionError(f"normalization produced an invalid grammar:\n{check}")
-    return certify_gcnf(out), node_map
+    return out, node_map
 
 
 def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> ParseTree:

@@ -143,6 +143,13 @@ def canonical_dumps(payload: Any) -> str:
     return "".join(parts)
 
 
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def _require_keys(obj: Any, required: set[str], optional: set[str], where: str) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -305,11 +312,7 @@ def save_grammar(g: Grammar, path: str | Path) -> None:
 
 
 def load_grammar(path: str | Path, renormalize: bool = False, check: bool = True) -> Grammar:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    return grammar_from_json_dict(raw, renormalize=renormalize, check=check)
+    return grammar_from_json_dict(_read_json(path), renormalize=renormalize, check=check)
 
 
 # --------------------------------------------------------------------- samples
@@ -358,11 +361,7 @@ def save_sample(x: DataSample, domain: DomainBinding, path: str | Path) -> None:
 
 
 def load_sample(path: str | Path, domain: DomainBinding) -> DataSample:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    return sample_from_json_dict(raw, domain)
+    return sample_from_json_dict(_read_json(path), domain)
 
 
 # -------------------------------------------------------------------- node maps
@@ -374,12 +373,8 @@ def save_node_map(node_map: NodeMap, path: str | Path) -> None:
 
 
 def load_node_map(path: str | Path) -> NodeMap:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
     top = _require_keys(
-        raw,
+        _read_json(path),
         {"format_version", "original_start"},
         {"start_node", "alt_nodes", "bin_nodes", "unit_chains"},
         "node map",

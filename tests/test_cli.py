@@ -217,6 +217,53 @@ def test_parse_writes_dot(capsys, tmp_path, grammar_file, line_drawing):
     assert "figure" in text and "dot" in text
 
 
+def test_parse_marginal_with_dot_exits_2(capsys, tmp_path, grammar_file, line_drawing):
+    # a marginal parse has no tree to draw, so --dot is refused, not ignored
+    xp = sample_file(tmp_path, line_drawing, [(2, 2)])
+    dot = tmp_path / "tree.dot"
+    code, out = run(capsys, ["parse", grammar_file, xp, "--mode", "marginal", "--dot", str(dot)])
+    assert code == 2
+    assert json.loads(out) == {"error": "--dot needs a viterbi parse: a marginal parse has no tree"}
+    assert not dot.exists()
+
+
+def test_parse_empty_sample_exits_2(capsys, tmp_path, grammar_file):
+    xpath = tmp_path / "x.json"
+    xpath.write_text('{"instances": []}')
+    for mode in ("viterbi", "marginal"):
+        code, out = run(capsys, ["parse", grammar_file, str(xpath), "--mode", mode])
+        assert code == 2
+        assert json.loads(out) == {"error": "cannot parse an empty sample"}
+
+
+def test_parse_or_rule_cycle_exits_2(capsys, tmp_path):
+    from aog import DataSample, Grammar, OrRule, TerminalInstance, null_domain
+
+    g = Grammar(
+        domain=null_domain(),
+        terminals=frozenset({"a"}),
+        and_nodes=frozenset(),
+        or_nodes=frozenset({"S", "T"}),
+        start="S",
+        and_rules=(),
+        or_rules=(
+            OrRule("S", "T", 0.5),
+            OrRule("S", "a", 0.5),
+            OrRule("T", "S", 0.5),
+            OrRule("T", "a", 0.5),
+        ),
+    )
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    save_grammar(g, gpath)
+    save_sample(DataSample((TerminalInstance("x0", "a", None),)), g.domain, xpath)
+    expected = {"error": "Or-rule cycle: S -> T -> S"}
+    # parse reports the cycle as normalize does
+    code, out = run(capsys, ["normalize", str(gpath), "-o", str(tmp_path / "n.json")])
+    assert code == 2 and json.loads(out) == expected
+    code, out = run(capsys, ["parse", str(gpath), str(xpath)])
+    assert code == 2 and json.loads(out) == expected
+
+
 def test_sample_emits_json_lines(capsys, grammar_file):
     code, out = run(capsys, ["sample", grammar_file, "--seed", "7", "--count", "3"])
     assert code == 0

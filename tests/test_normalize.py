@@ -9,7 +9,6 @@ from aog import (
     AndRule,
     DataSample,
     FunctionRef,
-    GcnfGrammar,
     Grammar,
     MapMismatch,
     NodeMap,
@@ -17,7 +16,6 @@ from aog import (
     RelationRef,
     TerminalInstance,
     UnitCycleError,
-    certify_gcnf,
     enumerate_parses,
     gcnf_violations,
     null_domain,
@@ -34,7 +32,6 @@ from helpers import logsumexp, random_aog
 
 def assert_is_gcnf(g):
     assert gcnf_violations(g) == []
-    assert isinstance(certify_gcnf(g), GcnfGrammar)
 
 
 def test_gcnf_violations_lists_problems(line_drawing):

@@ -10,8 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aog import (
+    DataSample,
     FormatError,
+    FunctionRef,
     NodeMap,
+    ParamTuple,
+    TerminalInstance,
     grammar_from_json_dict,
     grammar_to_json_dict,
     load_grammar,
@@ -31,12 +35,24 @@ from aog.serialize import canonical_dumps
 from helpers import random_aog
 
 
+KINDS = ("string", "grid", "null", "interval")
+
+
+def with_normal_form(g):
+    """g and its normal form, which is over the tuple domain when g has a
+    rule of three or more children."""
+    return g, to_gcnf(g)[0]
+
+
 @pytest.mark.parametrize("trial", range(12))
-def test_grammar_roundtrip_random(trial):
+def test_grammar_roundtrip_random(trial, tmp_path):
     rng = random.Random(800 + trial)
-    g = random_aog(rng, allow_or_chains=trial % 2 == 0)
-    restored = grammar_from_json_dict(grammar_to_json_dict(g))
-    assert restored == g
+    for kind in KINDS:
+        for g in with_normal_form(random_aog(rng, allow_or_chains=trial % 2 == 0, kind=kind)):
+            assert grammar_from_json_dict(grammar_to_json_dict(g)) == g
+            path = tmp_path / f"{kind}.json"
+            save_grammar(g, path)
+            assert load_grammar(path) == g
 
 
 def test_grammar_roundtrip_tuple_domain(wide_string_grammar):
@@ -101,13 +117,45 @@ def test_renormalize_divides_per_head(line_drawing):
     assert probs == pytest.approx([0.2, 0.3, 0.5])
 
 
+def packed_params(domain, tree) -> list:
+    """The packed tuples that binarization threads up through each wide
+    And-node of tree, built by the tuple domain's pack and extend."""
+    pack = domain.function(FunctionRef("pack"), 2)
+    extend = domain.function(FunctionRef("extend"), 2)
+    out = []
+    for node in tree.root.walk():
+        params = [child.param for child in node.children]
+        if len(params) > 2:
+            out.append(pack(*params[:2]))
+            for param in params[2:-1]:
+                out.append(extend(out[-1], param))
+    return out
+
+
+def assert_sample_roundtrips(x, domain, path):
+    assert sample_from_json_dict(sample_to_json_dict(x, domain), domain) == x
+    save_sample(x, domain, path)
+    assert load_sample(path, domain) == x
+
+
 def test_sample_roundtrip(line_drawing, tmp_path):
-    _, x = sample(line_drawing, seed=5)
-    payload = sample_to_json_dict(x, line_drawing.domain)
-    assert sample_from_json_dict(payload, line_drawing.domain) == x
     path = tmp_path / "x.json"
-    save_sample(x, line_drawing.domain, path)
-    assert load_sample(path, line_drawing.domain) == x
+    assert_sample_roundtrips(sample(line_drawing, seed=5)[1], line_drawing.domain, path)
+    rng = random.Random(900)
+    for kind in KINDS:
+        wide = 0
+        for trial in range(6):
+            g, gcnf = with_normal_form(random_aog(rng, kind=kind))
+            tree, x = sample(g, seed=trial)
+            for grammar in (g, gcnf):
+                assert_sample_roundtrips(x, grammar.domain, path)
+            params = packed_params(gcnf.domain, tree) if gcnf.domain.name == "tuple" else []
+            if params:  # the drawn tree used a wide rule
+                wide += 1
+                assert all(isinstance(p, ParamTuple) for p in params)
+                packed = tuple(TerminalInstance(f"p{i}", "t0", p) for i, p in enumerate(params))
+                assert_sample_roundtrips(DataSample(packed), gcnf.domain, path)
+        assert wide, kind
 
 
 def test_sample_rejects_malformed(line_drawing):
