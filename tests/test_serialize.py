@@ -47,7 +47,7 @@ def with_normal_form(g):
 @pytest.mark.parametrize("trial", range(12))
 def test_grammar_roundtrip_random(trial, tmp_path):
     rng = random.Random(800 + trial)
-    for kind in KINDS:
+    for kind in (None,) + KINDS:  # None: random_aog draws the kind
         for g in with_normal_form(random_aog(rng, allow_or_chains=trial % 2 == 0, kind=kind)):
             assert grammar_from_json_dict(grammar_to_json_dict(g)) == g
             path = tmp_path / f"{kind}.json"
@@ -58,7 +58,6 @@ def test_grammar_roundtrip_random(trial, tmp_path):
 def test_grammar_roundtrip_tuple_domain(wide_string_grammar):
     gcnf, _ = to_gcnf(wide_string_grammar)
     restored = grammar_from_json_dict(grammar_to_json_dict(gcnf))
-    # loading yields a plain Grammar, so compare canonical content
     assert grammar_to_json_dict(restored) == grammar_to_json_dict(gcnf)
     assert validate_grammar(restored).ok
     assert restored.domain == gcnf.domain
