@@ -159,11 +159,6 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     if args.dot and args.mode == "marginal":
         _emit({"error": "--dot needs a viterbi parse: a marginal parse has no tree"})
         return 2
-    unknown = sorted({i.terminal for i in x.instances} - set(g.terminals))
-    if unknown:
-        _emit({"error": f"sample uses unknown terminals {unknown}"})
-        return 2
-
     normalized = bool(gcnf_violations(g))
     node_map = None
     target = g
@@ -180,7 +175,7 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     except BudgetExceeded as exc:
         _emit({"error": str(exc)})
         return 4
-    except ValueError as exc:  # build_table refuses an empty sample
+    except ValueError as exc:  # build_table refuses an empty sample or an unknown terminal
         _emit({"error": str(exc)})
         return 2
     found = result.score != NEG_INF
@@ -199,17 +194,8 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
             Path(args.dot).write_text(tree_to_dot(tree))
     if args.stats:
         stats = result.stats
-        out["stats"] = {
-            "sample_size": stats.sample_size,
-            "per_size_compositions": stats.per_size_compositions,
-            "per_size_entries": stats.per_size_entries,
-            "table_entries": stats.table_entries,
-            "total_compositions": stats.total_compositions,
-            "c_max": stats.c_max,
-            "worst_case_compositions": stats.worst_case_compositions,
-            "pair_tests": stats.pair_tests,
-            "elapsed_seconds": stats.elapsed_seconds,
-        }
+        derived = [k for k, v in vars(type(stats)).items() if isinstance(v, property)]
+        out["stats"] = {**vars(stats), **{k: getattr(stats, k) for k in derived}}
     _emit(out)
     return 0 if found else 1
 

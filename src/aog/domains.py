@@ -21,8 +21,8 @@ moved by its (dx, dy) with the second point; "true", "before", "during"
 and "apply_packed" declare none.  A key checks its parameter as the
 relation does, raising the same DomainError.
 
-_check_pair checks span, interval and grid values on every relation call
-and key.  A plain tuple of two plain ints passes a cheap exact-type test;
+_check_pair is the one rule for span, interval and grid values: relation
+calls, join keys, decoders and grid configs apply it.  A plain tuple of two plain ints passes a cheap exact-type test;
 other values (an IntEnum item, a named tuple) go on to the isinstance
 test, which alone decides what is accepted and with what message.
 """
@@ -199,17 +199,15 @@ def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
     return factory
 
 
-def _start_end_decoder(what: str) -> Callable[[Any], tuple[int, int]]:
-    """Decoder of a [start, end] value with start < end, as spans and
-    intervals are encoded."""
+def _pair_decoder(what: str, ordered: bool) -> Callable[[Any], tuple[int, int]]:
+    """Decoder of an [a, b] value that _check_pair accepts as (a, b);
+    ordered also needs a < b, as span and interval [start, end] do."""
 
     def decode(raw: Any) -> tuple[int, int]:
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise DomainError(f"{what} must be encoded as [start, end], got {raw!r}")
-        start, end = raw
-        if not isinstance(start, int) or not isinstance(end, int) or start >= end:
-            raise DomainError(f"{what} needs ints start < end, got {raw!r}")
-        return (start, end)
+        a, b = _check_pair(tuple(raw) if isinstance(raw, list) else raw, what)
+        if ordered and a >= b:
+            raise DomainError(f"{what} needs start < end, got {raw!r}")
+        return (a, b)
 
     return decode
 
@@ -230,18 +228,12 @@ def string_span_domain() -> DomainBinding:
         functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]))},
         joins={"adjacent": _end_start_join("adjacent", "span")},
         encode_param=lambda p: list(_check_pair(p, "span")),
-        decode_param=_start_end_decoder("span"),
+        decode_param=_pair_decoder("span", ordered=True),
         leaf_param=lambda i: (i, i + 1),
     )
 
 
 # ------------------------------------------------------------------ grid points
-
-
-def _point_decode(raw: Any) -> tuple[int, int]:
-    if not isinstance(raw, list) or len(raw) != 2 or not all(isinstance(v, int) for v in raw):
-        raise DomainError(f"grid point must be encoded as [x, y], got {raw!r}")
-    return (raw[0], raw[1])
 
 
 def _read_offsets(config: dict, arity: int) -> list[tuple[int, int]]:
@@ -253,13 +245,10 @@ def _read_offsets(config: dict, arity: int) -> list[tuple[int, int]]:
 
 
 def _config_pair(raw: Any, what: str) -> tuple[int, int]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-    ):
-        raise ConfigError(f"{what} must be [dx, dy], got {raw!r}")
-    return (raw[0], raw[1])
+    try:
+        return _check_pair(tuple(raw) if isinstance(raw, list) else raw, what)
+    except DomainError:
+        raise ConfigError(f"{what} must be [dx, dy], got {raw!r}") from None
 
 
 def grid_domain() -> DomainBinding:
@@ -319,7 +308,7 @@ def grid_domain() -> DomainBinding:
         functions={"anchor": anchor},
         joins={"offset": offset_join},
         encode_param=lambda p: list(_check_pair(p, "grid point")),
-        decode_param=_point_decode,
+        decode_param=_pair_decoder("grid point", ordered=False),
         root_default=lambda: (0, 0),
         realize_children=realize,
     )
@@ -385,7 +374,7 @@ def interval_domain() -> DomainBinding:
         functions={"hull": _plain("hull", hull)},
         joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
         encode_param=lambda p: list(_check_pair(p, "interval")),
-        decode_param=_start_end_decoder("interval"),
+        decode_param=_pair_decoder("interval", ordered=True),
         root_default=lambda: (0, 1024),
         realize_children=realize,
     )

@@ -138,33 +138,30 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
         except ValueError as exc:
             raise UnitCycleError("Or-rule cycle: " + " -> ".join(exc.args)) from None
         rank = {node: i for i, node in enumerate(order)}
-        # child -> (prob, chains) per head, children before heads
-        expanded: dict[str, dict[str, tuple[float, list[UnitChain]]]] = {}
+        # head -> child -> chains merged into that edge, children before heads
+        chains_of: dict[str, dict[str, list[UnitChain]]] = {}
         grouped: dict[str, list[OrRule]] = {}
         for rule in or_rules:
             grouped.setdefault(rule.head, []).append(rule)
-        for head in sorted(grouped, key=lambda h: (rank.get(h, -1), h)):
-            merged: dict[str, tuple[float, list[UnitChain]]] = {}
-            for rule in grouped[head]:
-                if rule.child in or_nodes:
-                    for target, (_, chains) in expanded[rule.child].items():
-                        for chain in chains:
-                            prob = rule.prob * chain.prob
-                            cur = merged.get(target, (0.0, []))
-                            merged[target] = (
-                                cur[0] + prob,
-                                cur[1] + [UnitChain(prob, [head] + chain.nodes)],
-                            )
-                else:
-                    cur = merged.get(rule.child, (0.0, []))
-                    merged[rule.child] = (
-                        cur[0] + rule.prob,
-                        cur[1] + [UnitChain(rule.prob, [head, rule.child])],
-                    )
-            expanded[head] = merged
         or_rules = []
         for head in sorted(grouped, key=lambda h: (rank.get(h, -1), h)):
-            for child, (prob, chains) in expanded[head].items():
+            merged: dict[str, list[UnitChain]] = {}
+            for rule in grouped[head]:
+                if rule.child in or_nodes:
+                    for target, chains in chains_of[rule.child].items():
+                        merged.setdefault(target, []).extend(
+                            UnitChain(rule.prob * chain.prob, [head] + chain.nodes)
+                            for chain in chains
+                        )
+                else:
+                    merged.setdefault(rule.child, []).append(
+                        UnitChain(rule.prob, [head, rule.child])
+                    )
+            chains_of[head] = merged
+            for child, chains in merged.items():
+                prob = 0.0  # summed in chain order, not by sum(), which compensates
+                for chain in chains:
+                    prob += chain.prob
                 or_rules.append(OrRule(head, child, prob))
                 if len(chains) > 1 or len(chains[0].nodes) > 2:
                     node_map.unit_chains[(head, child)] = chains

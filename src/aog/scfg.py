@@ -22,6 +22,7 @@ from .errors import DepthExceeded, FormatError
 from .grammar import (
     DataSample,
     Grammar,
+    NodeKind,
     OrRule,
     AndRule,
     PROB_TOL,
@@ -118,16 +119,20 @@ def validate_scfg(g: Scfg) -> ValidationReport:
     return report
 
 
+def _head_kind(rules: tuple[ScfgRule, ...]) -> NodeKind | None:
+    """AND for a single fixed sequence, OR for a choice of single symbols,
+    None for any other rules of one head."""
+    if len(rules) == 1 and len(rules[0].body) >= 2:
+        return NodeKind.AND
+    if all(len(rule.body) == 1 for rule in rules):
+        return NodeKind.OR
+    return None
+
+
 def is_and_or_form(g: Scfg) -> bool:
     """True when every head is either a single fixed sequence or a set of
     single-symbol alternatives."""
-    for head, rules in g.rules_of.items():
-        if len(rules) == 1 and len(rules[0].body) >= 2:
-            continue
-        if all(len(rule.body) == 1 for rule in rules):
-            continue
-        return False
-    return True
+    return all(_head_kind(rules) is not None for rules in g.rules_of.values())
 
 
 def and_or_form(g: Scfg) -> Scfg:
@@ -143,10 +148,7 @@ def and_or_form(g: Scfg) -> Scfg:
     taken = set(g.heads) | set(g.terminals)
     out: list[ScfgRule] = []
     for head, rules in g.rules_of.items():
-        if len(rules) == 1 and len(rules[0].body) >= 2:
-            out.extend(rules)
-            continue
-        if all(len(rule.body) == 1 for rule in rules):
+        if _head_kind(rules) is not None:
             out.extend(rules)
             continue
         for idx, rule in enumerate(rules, 1):
@@ -170,7 +172,7 @@ def scfg_to_aog(g: Scfg) -> Grammar:
     and_rules: list[AndRule] = []
     or_rules: list[OrRule] = []
     for head, rules in shaped.rules_of.items():
-        if len(rules) == 1 and len(rules[0].body) >= 2:
+        if _head_kind(rules) is NodeKind.AND:
             and_nodes.add(head)
             and_rules.append(
                 AndRule(head, rules[0].body, RelationRef("adjacent"), FunctionRef("concat"))

@@ -174,6 +174,18 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
+def _version(top: dict) -> None:
+    version = top["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:  # not True or 1.0
+        raise FormatError(f"unsupported format_version {version!r}")
+
+
+def _ref(raw: Any, ref_type: type, where: str):
+    """A relation or function reference: {"key": ..., "config": ...}."""
+    ref = _require_keys(raw, {"key"}, {"config"}, where)
+    return ref_type(_string(ref["key"], f"{where}.key"), _config(ref.get("config"), where))
+
+
 def _config(value: Any, where: str) -> dict:
     if value is None:
         return {}
@@ -218,8 +230,7 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
         set(),
         "grammar",
     )
-    if top["format_version"] != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {top['format_version']!r}")
+    _version(top)
     dom_raw = _require_keys(top["domain"], {"name"}, {"config"}, "domain")
     try:
         domain = domain_from_config(
@@ -252,20 +263,12 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
         children = rule["children"]
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
             raise FormatError(f"{where}: children must be a list of node ids")
-        rel = _require_keys(rule["relation"], {"key"}, {"config"}, f"{where}.relation")
-        fn = _require_keys(rule["function"], {"key"}, {"config"}, f"{where}.function")
         and_rules.append(
             AndRule(
                 _string(rule["head"], f"{where}.head"),
                 tuple(children),
-                RelationRef(
-                    _string(rel["key"], f"{where}.relation.key"),
-                    _config(rel.get("config"), f"{where}.relation"),
-                ),
-                FunctionRef(
-                    _string(fn["key"], f"{where}.function.key"),
-                    _config(fn.get("config"), f"{where}.function"),
-                ),
+                _ref(rule["relation"], RelationRef, f"{where}.relation"),
+                _ref(rule["function"], FunctionRef, f"{where}.function"),
             )
         )
 
@@ -379,8 +382,7 @@ def load_node_map(path: str | Path) -> NodeMap:
         {"start_node", "alt_nodes", "bin_nodes", "unit_chains"},
         "node map",
     )
-    if top["format_version"] != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {top['format_version']!r}")
+    _version(top)
     try:
         return NodeMap.from_json_dict(top)
     except (KeyError, TypeError) as exc:
