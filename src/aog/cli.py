@@ -18,9 +18,10 @@ interpreter's recursion limit (about 495 tree levels).
 
 Exit codes: 0 success (for parse: a parse was found), 1 no parse or
 sampling failure, 2 validation or conversion rejected the input (for
-parse also an empty sample, an Or-rule cycle, or --dot with
---mode marginal), 3 a file was malformed, 4 the parser budget was
-exhausted.
+parse also an empty sample, an unknown terminal, an Or-rule cycle, a
+value refused mid-parse, or --dot with --mode marginal), 3 a file was
+malformed (too deep, a bad format_version, node kind or parameter
+value), 4 the parser budget was exhausted.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     except BudgetExceeded as exc:
         _emit({"error": str(exc)})
         return 4
-    except ValueError as exc:  # build_table refuses an empty sample or an unknown terminal
+    except (ValueError, DomainError) as exc:  # no instances, unknown terminal, refused value
         _emit({"error": str(exc)})
         return 2
     found = result.score != NEG_INF

@@ -21,10 +21,10 @@ moved by its (dx, dy) with the second point; "true", "before", "during"
 and "apply_packed" declare none.  A key checks its parameter as the
 relation does, raising the same DomainError.
 
-_check_pair is the one rule for span, interval and grid values: relation
-calls, join keys, decoders and grid configs apply it.  A plain tuple of two plain ints passes a cheap exact-type test;
-other values (an IntEnum item, a named tuple) go on to the isinstance
-test, which alone decides what is accepted and with what message.
+_check_pair is the one rule for span, interval and grid values, in
+relations, join keys, decoders and configs.  Two plain ints in a plain
+tuple pass a cheap exact-type test; other values (an IntEnum item, a named
+tuple) go on to the isinstance test, which alone decides what passes.
 """
 
 from __future__ import annotations
@@ -442,23 +442,45 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
             raise DomainError(f"packed arity {len(flat)} does not match configured {base_arity}")
         return flat
 
+    def _applied(config: dict, ref_type: type) -> tuple[Any, int]:
+        """The base ref_type(key, config) and base arity of an apply_packed config."""
+        key = config.pop("key", None)
+        inner = config.pop("config", {})
+        base_arity = config.pop("arity", None)
+        _no_config(config, "apply_packed")
+        if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
+            raise ConfigError("apply_packed needs a base key and an arity of at least 2")
+        if not isinstance(inner, dict):
+            raise ConfigError(f"apply_packed config must be an object, got {inner!r}")
+        return ref_type(key, inner), base_arity
+
     def apply_packed(resolve: Callable, ref_type: type) -> Callable[[dict, int], Callable]:
         """Factory of apply_packed over base.relation or base.function,
         resolving ref_type(key, config) at the configured base arity."""
 
         def factory(config: dict, arity: int) -> Callable:
-            key = config.pop("key", None)
-            inner = config.pop("config", {})
-            base_arity = config.pop("arity", None)
-            _no_config(config, "apply_packed")
-            if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
-                raise ConfigError("apply_packed needs a base key and an arity of at least 2")
+            ref, base_arity = _applied(config, ref_type)
             if arity != 2:
                 raise ConfigError("apply_packed applies to a packed pair")
-            target = resolve(ref_type(key, inner), base_arity)
+            target = resolve(ref, base_arity)
             return lambda packed, last: target(*_unpack(packed, last, base_arity))
 
         return factory
+
+    def realize(rel: RelationRef, fn: FunctionRef, parent: Any, arity: int) -> tuple:
+        # children from which pack, extend or apply_packed would build parent
+        if rel.key == fn.key == "apply_packed":
+            base_rel, base_arity = _applied(dict(rel.config), RelationRef)
+            base_fn, _ = _applied(dict(fn.config), FunctionRef)
+            flat = base.realize_children(base_rel, base_fn, parent, base_arity)
+            return (ParamTuple(tuple(flat[:-1])), flat[-1])
+        if fn.key not in ("pack", "extend"):
+            return base.realize_children(rel, fn, parent, arity)
+        if not isinstance(parent, ParamTuple) or len(parent) < 2:
+            raise DomainError(f"cannot split {parent!r} for {fn.key!r}")
+        if fn.key == "pack":
+            return parent.items
+        return (ParamTuple(parent.items[:-1]), parent.items[-1])
 
     def encode(value: Any):
         if isinstance(value, ParamTuple):
@@ -491,7 +513,7 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
         decode_param=decode,
         leaf_param=base.leaf_param,
         root_default=base.root_default,
-        realize_children=base.realize_children,
+        realize_children=realize if base.realize_children else None,
     )
 
 

@@ -146,7 +146,7 @@ def canonical_dumps(payload: Any) -> str:
 def _read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for json's reader
         raise FormatError(f"{path}: {exc}") from None
 
 
@@ -250,7 +250,7 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
             raise FormatError(f"nodes[{i}]: duplicate node id {name!r}")
         seen.add(name)
         kind = node["kind"]
-        if kind not in kinds:
+        if not isinstance(kind, str) or kind not in kinds:
             raise FormatError(f"nodes[{i}]: unknown kind {kind!r}")
         kinds[kind].add(name)
 

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,9 +18,12 @@ import pytest
 import aog
 from aog import (
     gcnf_violations,
+    grammar_to_json_dict,
     parse,
     parse_scfg,
     save_grammar,
+    sample as draw_sample,
+    sample_to_json_dict,
     save_sample,
     scfg_to_aog,
     string_sample,
@@ -27,6 +31,7 @@ from aog import (
 )
 from aog.cli import main
 from aog.serialize import canonical_dumps, tree_to_json_dict
+from helpers import random_aog
 
 
 @pytest.fixture
@@ -55,7 +60,7 @@ def test_validate_ok(capsys, grammar_file):
 
 
 def test_validate_invalid_grammar(capsys, tmp_path, grammar_file):
-    payload = json.loads(open(grammar_file).read())
+    payload = json.loads(Path(grammar_file).read_text())
     payload["or_rules"][0]["prob"] = 0.01
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
@@ -80,7 +85,7 @@ def test_validate_missing_file(capsys, tmp_path):
 
 
 def edited_grammar_file(tmp_path, grammar_file, edit) -> str:
-    payload = json.loads(open(grammar_file).read())
+    payload = json.loads(Path(grammar_file).read_text())
     edit(payload)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(payload))
@@ -129,7 +134,7 @@ def test_non_integer_grid_config_is_a_binding_issue(capsys, tmp_path, grammar_fi
 
 
 def test_validate_renormalize_rescues_scaled_probs(capsys, tmp_path, grammar_file):
-    payload = json.loads(open(grammar_file).read())
+    payload = json.loads(Path(grammar_file).read_text())
     for rule in payload["or_rules"]:
         rule["prob"] *= 3.0
     scaled = tmp_path / "scaled.json"
@@ -274,6 +279,19 @@ def test_sample_emits_json_lines(capsys, grammar_file):
     first = json.loads(lines[0])
     assert first["tree"]["root"]["node"] == "figure"
     assert first["sample"]["instances"]
+
+
+def test_sample_of_normalized_top_down_grammar(capsys, tmp_path, grammar_file):
+    # draws through the binarized hline rule split its packed parameters
+    normalized = str(tmp_path / "n.json")
+    assert run(capsys, ["normalize", grammar_file, "-o", normalized])[0] == 0
+    for seed in range(10):
+        code, out = run(capsys, ["sample", normalized, "--seed", str(seed)])
+        assert code == 0, out
+        sample_path = tmp_path / "x.json"
+        sample_path.write_text(json.dumps(json.loads(out)["sample"]))
+        code, out = run(capsys, ["parse", normalized, str(sample_path)])
+        assert code == 0 and json.loads(out)["found"] is True
 
 
 def test_sample_is_reproducible(capsys, grammar_file):
@@ -548,3 +566,131 @@ def test_parse_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):
     # compared as text: json.loads would recurse as deep as the tree
     assert out == canonical_dumps(expected)
     assert out.count('"node": "S"') == 400
+
+
+# ------------------------------------------------------------ malformed values
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+def test_format_version_must_be_the_int_1(capsys, tmp_path, grammar_file, value):
+    path = edited_grammar_file(tmp_path, grammar_file, lambda g: g.update(format_version=value))
+    code, out = run(capsys, ["validate", path])
+    assert code == 3
+    assert json.loads(out)["error"] == f"unsupported format_version {value!r}"
+
+
+def test_bool_sample_value_exits_3(capsys, tmp_path, grammar_file):
+    # the decoder applies the relations' pair rule, so a bool fails at load
+    xpath = tmp_path / "x.json"
+    xpath.write_text('{"instances": [{"id": "a", "terminal": "dot", "param": [true, 0]}]}')
+    code, out = run(capsys, ["parse", grammar_file, str(xpath)])
+    assert code == 3
+    assert "pair of ints" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("kind", [["and"], {"kind": "and"}], ids=["list", "object"])
+def test_unhashable_node_kind_exits_3(capsys, tmp_path, grammar_file, kind):
+    path = edited_grammar_file(tmp_path, grammar_file, lambda g: g["nodes"][0].update(kind=kind))
+    for argv in (["validate", path], ["emit", "fol", path], ["sample", path]):
+        code, out = run(capsys, argv)
+        assert code == 3
+        assert "unknown kind" in json.loads(out)["error"]
+
+
+def test_apply_packed_with_non_object_config_is_a_binding_issue(capsys, tmp_path, grammar_file):
+    normalized = tmp_path / "n.json"
+    assert run(capsys, ["normalize", grammar_file, "-o", str(normalized)])[0] == 0
+
+    def edit(payload):
+        for rule in payload["and_rules"]:
+            if rule["relation"]["key"] == "apply_packed":
+                rule["relation"]["config"]["config"] = [1]
+
+    code, out = run(capsys, ["validate", edited_grammar_file(tmp_path, str(normalized), edit)])
+    assert code == 2
+    assert [i["code"] for i in json.loads(out)["issues"]] == ["and-binding"]
+
+
+def test_file_nested_too_deep_exits_3(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out = run(capsys, ["validate", str(path)])
+    assert code == 3
+    assert json.loads(out)["valid"] is False
+
+
+def test_parse_value_a_relation_refuses_exits_2(capsys, tmp_path, grammar_file):
+    # a packed value decodes in the normal form's tuple domain, but no
+    # grid relation takes it
+    normalized = tmp_path / "n.json"
+    assert run(capsys, ["normalize", grammar_file, "-o", str(normalized)])[0] == 0
+    xpath = tmp_path / "x.json"
+    xpath.write_text(
+        '{"instances": [{"id": "a", "terminal": "dot", "param": {"t": [[0, 1]]}},'
+        ' {"id": "b", "terminal": "dot", "param": [1, 1]}]}'
+    )
+    code, out = run(capsys, ["parse", str(normalized), str(xpath)])
+    assert code == 2
+    assert "pair of ints" in json.loads(out)["error"]
+
+
+# ------------------------------------------------- aim 3: no traceback reaches a caller
+
+MUTANT_VALUES = (True, None, 2**70, 1.5, "", [], [True, 1], {}, {"t": []})
+
+
+def json_slots(doc) -> list[tuple]:
+    """(container, key or index) of every value inside a JSON document."""
+    slots, todo = [], [doc]
+    while todo:
+        node = todo.pop()
+        for key in node if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                todo.append(node[key])
+    return slots
+
+
+def mutated(text: str, rng: random.Random) -> str:
+    """text with one value replaced by a mutant value, or deleted."""
+    doc = json.loads(text)
+    container, key = rng.choice(json_slots(doc))
+    choice = rng.randrange(len(MUTANT_VALUES) + 1)
+    if choice == len(MUTANT_VALUES):
+        del container[key]
+    else:
+        container[key] = json.loads(json.dumps(MUTANT_VALUES[choice]))
+    return json.dumps(doc)
+
+
+def test_mutated_files_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(2026)
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    commands = [
+        ["validate", str(gpath)],
+        ["parse", str(gpath), str(xpath), "--budget-entries", "20000"],
+        ["parse", str(gpath), str(xpath), "--mode", "marginal", "--budget-entries", "20000"],
+        ["sample", str(gpath), "--count", "3"],
+        ["normalize", str(gpath), "-o", str(tmp_path / "n.json")],
+        ["emit", "slp", str(gpath)],
+    ]
+    cases = 0
+    for trial, kind in enumerate(("string", "grid", "null", "interval")):
+        g = random_aog(random.Random(trial), kind=kind)
+        _, x = draw_sample(g, seed=0)
+        for grammar in (g, to_gcnf(g)[0]):
+            grammar_text = canonical_dumps(grammar_to_json_dict(grammar))
+            sample_text = canonical_dumps(sample_to_json_dict(x, grammar.domain))
+            for _ in range(75):
+                if rng.random() < 0.7:
+                    gpath.write_text(mutated(grammar_text, rng))
+                    xpath.write_text(sample_text)
+                else:
+                    gpath.write_text(grammar_text)
+                    xpath.write_text(mutated(sample_text, rng))
+                for argv in commands:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = main(argv)
+                    assert code in (0, 1, 2, 3, 4), argv
+                cases += 1
+    assert cases == 600

@@ -7,12 +7,15 @@ import pytest
 
 from aog import (
     AndRule,
+    BudgetExceeded,
     DataSample,
+    DomainError,
     FunctionRef,
     Grammar,
     MapMismatch,
     NodeMap,
     OrRule,
+    ParserBudget,
     RelationRef,
     TerminalInstance,
     UnitCycleError,
@@ -204,3 +207,26 @@ def test_rule_count_growth_is_linear():
         after = len(gcnf.and_rules) + len(gcnf.or_rules)
         widest = max((len(r.children) for r in g.and_rules), default=2)
         assert after <= before * (widest + 2)
+
+
+@pytest.mark.parametrize("kind", ["grid", "interval", "null"])
+def test_normal_form_of_a_top_down_grammar_samples(kind):
+    # the tuple domain splits a packed parent for pack, extend and
+    # apply_packed, so a draw may pass through every binarized rule
+    checked = 0
+    for trial in range(100):
+        gcnf, _ = to_gcnf(random_aog(random.Random(900 + trial), kind=kind))
+        for seed in range(3):
+            try:
+                tree, x = sample(gcnf, seed=seed)
+            except DomainError:  # an interval too narrow to split
+                continue
+            assert tree_probability(gcnf, tree) == pytest.approx(tree.log_prob, abs=1e-9)
+            assert tree_sample(gcnf, tree) == x
+            try:
+                result = parse(gcnf, x, budget=ParserBudget(max_entries=5_000))
+            except BudgetExceeded:  # a null-domain chart holds every subset
+                continue
+            assert result.score >= tree.log_prob - 1e-9
+            checked += 1
+    assert checked >= 250

@@ -6,21 +6,26 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aog import (
+    BudgetExceeded,
     DataSample,
+    DomainError,
     FormatError,
     FunctionRef,
     NodeMap,
     ParamTuple,
+    ParserBudget,
     TerminalInstance,
+    gcnf_violations,
     grammar_from_json_dict,
     grammar_to_json_dict,
     load_grammar,
     load_node_map,
     load_sample,
+    parse,
     sample,
     sample_from_json_dict,
     sample_to_json_dict,
@@ -155,6 +160,42 @@ def test_sample_roundtrip(line_drawing, tmp_path):
                 packed = tuple(TerminalInstance(f"p{i}", "t0", p) for i, p in enumerate(params))
                 assert_sample_roundtrips(DataSample(packed), gcnf.domain, path)
         assert wide, kind
+
+
+def parse_target(g):
+    return to_gcnf(g)[0] if gcnf_violations(g) else g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(KINDS),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=9),
+)
+def test_saved_files_parse_as_the_objects(tmp_path_factory, seed, kind, normal_form, chains, draw):
+    g = random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
+    if normal_form:
+        g = to_gcnf(g)[0]
+    try:
+        _, x = sample(g, seed=draw)
+    except DomainError:  # an interval too narrow to split
+        assume(False)
+    folder = tmp_path_factory.mktemp("roundtrip")
+    save_grammar(g, folder / "g.json")
+    save_sample(x, g.domain, folder / "x.json")
+    loaded = load_grammar(folder / "g.json")
+    loaded_x = load_sample(folder / "x.json", loaded.domain)
+    for mode in ("viterbi", "marginal"):
+        budget = ParserBudget(max_entries=5_000)
+        try:
+            expected = parse(parse_target(g), x, mode, budget)
+        except BudgetExceeded:  # a null-domain chart holds every subset
+            assume(False)
+        result = parse(parse_target(loaded), loaded_x, mode, budget)
+        assert result.score.hex() == expected.score.hex()
+        assert result.tree == expected.tree
 
 
 def test_sample_rejects_malformed(line_drawing):
