@@ -20,8 +20,12 @@ Exit codes: 0 success (for parse: a parse was found), 1 no parse or
 sampling failure, 2 validation or conversion rejected the input (for
 parse also an empty sample, an unknown terminal, an Or-rule cycle, a
 value refused mid-parse, or --dot with --mode marginal), 3 a file was
-malformed (too deep, a bad format_version, node kind or parameter
-value), 4 the parser budget was exhausted.
+malformed (too deep, not UTF-8, a bad format_version, node kind or
+parameter value) or could not be read or written, 4 the parser budget
+was exhausted.  A command returns 0, 1 or 2 itself; an error it raises
+ends in `main`, which writes {"error": ...} and picks the code from the
+one table `_EXIT_CODES` (only `validate` answers a malformed file in
+its own payload).
 """
 
 from __future__ import annotations
@@ -34,15 +38,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    AogError,
-    BudgetExceeded,
-    DepthExceeded,
-    DomainError,
-    FormatError,
-    InvalidSpn,
-    UnsupportedGrammar,
-)
+from .errors import AogError, BudgetExceeded, DepthExceeded, DomainError, FormatError
 from .grammar import DataSample, Grammar, ParseTree, TreeNode, validate_grammar
 from .grammar import sample as draw_sample
 from .logic_export import emit_fol, emit_slp
@@ -73,6 +69,13 @@ _LOG_LEVELS = {
 
 
 _LOG_FORMAT = logging.Formatter("%(levelname)s %(name)s: %(message)s")
+
+# the exit code of an error a command raises: the first matching entry
+_EXIT_CODES = (
+    (BudgetExceeded, 4),
+    ((FormatError, OSError), 3),
+    ((AogError, ValueError), 2),
+)
 
 
 def _emit(payload: dict) -> None:
@@ -123,18 +126,13 @@ def _grammar_audit(g: Grammar) -> dict:
 def _with_grammar(cmd):
     """Run cmd(args, grammar, sample) once args.grammar loads and validates.
 
-    args.sample is loaded too when the command takes one.  A malformed or
-    unreadable file exits 3, checked for both files before validation; an
-    invalid grammar exits 2.
+    args.sample is loaded too when the command takes one, before the
+    grammar is validated; an invalid grammar exits 2.
     """
 
     def run(args: argparse.Namespace) -> int:
-        try:
-            g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
-            x = load_sample(args.sample, g.domain) if "sample" in args else None
-        except (FormatError, OSError) as exc:
-            _emit({"error": str(exc)})
-            return 3
+        g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
+        x = load_sample(args.sample, g.domain) if "sample" in args else None
         report = validate_grammar(g)
         if not report.ok:
             _emit({"error": "invalid grammar", "issues": _issues(report)})
@@ -165,20 +163,9 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
     target = g
     if normalized:
         log.info("grammar is not in normal form; normalizing for parsing")
-        try:
-            target, node_map = to_gcnf(g)
-        except AogError as exc:
-            _emit({"error": str(exc)})
-            return 2
+        target, node_map = to_gcnf(g)
     budget = ParserBudget(max_entries=args.budget_entries, max_seconds=args.budget_seconds)
-    try:
-        result = parse(target, x, mode=args.mode, budget=budget)
-    except BudgetExceeded as exc:
-        _emit({"error": str(exc)})
-        return 4
-    except (ValueError, DomainError) as exc:  # no instances, unknown terminal, refused value
-        _emit({"error": str(exc)})
-        return 2
+    result = parse(target, x, mode=args.mode, budget=budget)
     found = result.score != NEG_INF
     out = {
         "mode": result.mode,
@@ -222,11 +209,7 @@ def cmd_sample(args: argparse.Namespace, g: Grammar, _: None) -> int:
 
 @_with_grammar
 def cmd_normalize(args: argparse.Namespace, g: Grammar, _: None) -> int:
-    try:
-        gcnf, node_map = to_gcnf(g)
-    except AogError as exc:
-        _emit({"error": str(exc)})
-        return 2
+    gcnf, node_map = to_gcnf(g)
     save_grammar(gcnf, args.output)
     if args.map:
         save_node_map(node_map, args.map)
@@ -235,11 +218,7 @@ def cmd_normalize(args: argparse.Namespace, g: Grammar, _: None) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        _emit({"error": str(exc)})
-        return 3
+    text = Path(args.input).read_text()
     try:
         if args.kind == "scfg":
             source = parse_scfg(text)
@@ -273,7 +252,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 "clauses": len(formula.clauses),
                 "sample": str(sample_path),
             }
-    except (FormatError, InvalidSpn, UnsupportedGrammar, ValueError) as exc:
+    except FormatError as exc:  # malformed source text is rejected input, not a bad file
         _emit({"error": str(exc)})
         return 2
     save_grammar(g, args.output)
@@ -369,6 +348,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except (AogError, OSError, ValueError) as exc:
+        log.debug("aog %s failed", args.command, exc_info=True)
+        _emit({"error": str(exc)})
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     finally:
         log.removeHandler(handler)
         log.setLevel(saved[0])

@@ -299,9 +299,9 @@ def sample(
     split top down from root_param or the domain's root_default.  Raises
     DepthExceeded when expansion passes max_depth and DomainError when the
     domain cannot realize a parameter assignment for the sampled structure.
+    The tree's log_prob is its tree_probability, which also checks it.
     """
     rng = random.Random(seed)
-    log_prob = 0.0
     root = TreeNode(g.start, None)
     todo = [(root, 0)]
     while todo:  # pre-order: Or-nodes draw from rng in derivation order
@@ -324,7 +324,6 @@ def sample(
                 if pick < acc:
                     chosen = rule
                     break
-            log_prob += math.log(chosen.prob)
             tree.children = (TreeNode(chosen.child, None),)
         todo.extend((child, depth + 1) for child in reversed(tree.children))
 
@@ -375,7 +374,9 @@ def sample(
     for leaf in (n for n in root.walk() if g.kind(n.node) is NodeKind.TERMINAL):
         leaf.instance = f"t{len(instances)}"
         instances.append(TerminalInstance(leaf.instance, leaf.node, leaf.param))
-    return ParseTree(root, log_prob), DataSample(tuple(instances))
+    drawn = ParseTree(root, 0.0)
+    drawn.log_prob = tree_probability(g, drawn)
+    return drawn, DataSample(tuple(instances))
 
 
 # ----------------------------------------------------------- tree verification

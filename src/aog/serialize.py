@@ -146,7 +146,8 @@ def canonical_dumps(payload: Any) -> str:
 def _read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep for json's reader
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nested too deep for json's reader
         raise FormatError(f"{path}: {exc}") from None
 
 
