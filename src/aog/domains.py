@@ -410,29 +410,16 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
     """Wrap a base domain so rules can pass flat tuples of child parameters.
 
     Adds "pack" (children -> tuple), "extend" (tuple + one more value),
-    "project" (tuple component), the trivially true relation, and
-    "apply_packed", which unpacks a tuple argument and applies a base
-    relation or function of the original arity.  Base registry entries stay
-    available, so a wrapped grammar keeps resolving untouched rules.
+    the trivially true relation, and "apply_packed", which unpacks a tuple
+    argument and applies a base relation or function of the original
+    arity.  Base registry entries stay available, so a wrapped grammar
+    keeps resolving untouched rules.
     """
 
     def extend(packed, last):
         if not isinstance(packed, ParamTuple):
             raise DomainError(f"extend needs a packed first argument, got {packed!r}")
         return ParamTuple(packed.items + (last,))
-
-    def project(config: dict, arity: int) -> Function:
-        index = config.pop("index", None)
-        _no_config(config, "project")
-        if not isinstance(index, int) or index < 0:
-            raise ConfigError(f"project needs a non-negative index, got {index!r}")
-
-        def fn(packed):
-            if not isinstance(packed, ParamTuple) or index >= len(packed):
-                raise DomainError(f"cannot project component {index} of {packed!r}")
-            return packed.items[index]
-
-        return fn
 
     def _unpack(packed, last, base_arity: int) -> tuple:
         if not isinstance(packed, ParamTuple):
@@ -500,7 +487,6 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
         **base.functions,
         "pack": _plain("pack", lambda *params: ParamTuple(params)),
         "extend": _plain("extend", extend),
-        "project": project,
         "apply_packed": apply_packed(base.function, FunctionRef),
     }
     return DomainBinding(

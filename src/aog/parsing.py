@@ -93,7 +93,12 @@ class RootEntry(NamedTuple):
 @dataclass
 class ParserBudget:
     max_entries: int = 10_000_000
-    max_seconds: float | None = None
+    max_seconds: float | None = None  # None or inf: no time limit
+
+    def __post_init__(self) -> None:
+        # monotonic() > nan is never true, so a nan limit would never fire
+        if self.max_seconds is not None and math.isnan(self.max_seconds):
+            raise ValueError("max_seconds is nan; None or inf sets no time limit")
 
 
 @dataclass

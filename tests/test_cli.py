@@ -372,6 +372,68 @@ def test_convert_missing_input_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "{grammar}", "-o", "{bad}"],
+        ["normalize", "{grammar}", "-o", "{ok}", "--map", "{bad}"],
+        ["parse", "{grammar}", "{sample}", "--dot", "{bad}"],
+        ["emit", "slp", "{grammar}", "-o", "{bad}"],
+        ["convert", "scfg", "{scfg}", "-o", "{bad}"],
+        ["convert", "sat", "{cnf}", "-o", "{ok}", "--sample-out", "{bad}"],
+    ],
+    ids=["normalize-o", "normalize-map", "parse-dot", "emit-o", "convert-o", "convert-sample-out"],
+)
+def test_unwritable_output_exits_3(capsys, tmp_path, grammar_file, scfg_file, line_drawing, argv):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    paths = {
+        "grammar": grammar_file,
+        "sample": sample_file(tmp_path, line_drawing, [(2, 2)]),
+        "scfg": scfg_file,
+        "cnf": str(cnf),
+        "ok": str(tmp_path / "out.json"),
+        "bad": str(tmp_path / "no-such-dir" / "out.json"),
+    }
+    code, out = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 3
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_file_that_is_not_utf8(capsys, tmp_path, grammar_file, line_drawing):
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code, out = run(capsys, ["validate", str(latin1)])
+    assert code == 3 and json.loads(out)["valid"] is False
+    xp = sample_file(tmp_path, line_drawing, [(2, 2)])
+    for argv in (["parse", str(latin1), xp], ["parse", grammar_file, str(latin1)]):
+        code, out = run(capsys, argv)
+        assert code == 3 and "error" in json.loads(out)
+    # convert reads source text, not a file of this package: malformed text exits 2
+    code, out = run(capsys, ["convert", "scfg", str(latin1), "-o", str(tmp_path / "g.json")])
+    assert code == 2 and "error" in json.loads(out)
+
+
+def test_nan_budget_seconds_exits_2(capsys, tmp_path, grammar_file, line_drawing):
+    xp = sample_file(tmp_path, line_drawing, [(2, 2)])
+    code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "nan"])
+    assert code == 2 and "nan" in json.loads(out)["error"]
+    code, _ = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "inf"])
+    assert code == 0
+
+
+def test_debug_log_carries_the_traceback_of_an_error(monkeypatch, capsys, tmp_path):
+    g = scfg_to_aog(parse_scfg("X -> X X [0.4]\nX -> a [0.6]\n"))
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    save_grammar(g, gpath)
+    save_sample(string_sample(["a"] * 6), g.domain, xpath)
+    monkeypatch.setenv("AOG_LOG", "debug")
+    assert main(["parse", str(gpath), str(xpath), "--budget-entries", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "DEBUG aog: aog parse failed\nTraceback (most recent call last):" in err
+    assert "BudgetExceeded: chart exceeded 3 entries" in err
+
+
 def test_emit_fol_to_stdout(capsys, grammar_file):
     code, out = run(capsys, ["emit", "fol", grammar_file])
     assert code == 0

@@ -115,10 +115,6 @@ def test_tuple_domain_pack_extend_project():
     assert packed == ParamTuple(((0, 1), (1, 2)))
     extend = dom.function(FunctionRef("extend"), 2)
     assert extend(packed, (2, 3)) == ParamTuple(((0, 1), (1, 2), (2, 3)))
-    project = dom.function(FunctionRef("project", {"index": 1}), 1)
-    assert project(packed) == (1, 2)
-    with pytest.raises(DomainError):
-        project(ParamTuple(((0, 1),)))
 
 
 def test_tuple_domain_apply_packed_uses_base_semantics():

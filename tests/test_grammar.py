@@ -1,6 +1,7 @@
 """Grammar validation, sampling, and tree scoring."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from aog import (
     AndRule,
     DataSample,
     DepthExceeded,
+    DomainError,
     FunctionRef,
     Grammar,
     InvalidTree,
@@ -19,10 +21,12 @@ from aog import (
     null_domain,
     sample,
     string_span_domain,
+    to_gcnf,
     tree_probability,
     tree_sample,
     validate_grammar,
 )
+from helpers import random_aog
 
 
 def issue_codes(report):
@@ -190,3 +194,18 @@ def test_tree_probability_exact_value(line_drawing):
         tree, x = sample(line_drawing, seed=seed)
         expected = {3: math.log(0.5), 2: math.log(0.3), 1: math.log(0.2)}[len(x)]
         assert tree_probability(line_drawing, tree) == expected
+
+
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_sample_log_prob_is_tree_probability(kind):
+    # summed bottom-up as the parser sums, so aog sample and aog parse print
+    # the same bits for the same tree
+    for trial in range(60):
+        g = random_aog(random.Random(trial), kind=kind)
+        for grammar in (g, to_gcnf(g)[0]):
+            for seed in range(5):
+                try:
+                    tree, _ = sample(grammar, seed=seed)
+                except DomainError:  # an interval too narrow to split
+                    continue
+                assert tree.log_prob == tree_probability(grammar, tree)

@@ -163,6 +163,15 @@ def test_budget_seconds_bound_a_single_stratum():
     assert time.monotonic() - started < 0.5
 
 
+def test_nan_budget_seconds_is_refused():
+    # monotonic() > nan is never true: a nan deadline would never fire
+    with pytest.raises(ValueError):
+        ParserBudget(max_seconds=math.nan)
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    result = parse(gcnf, string_sample(["a"] * 4), budget=ParserBudget(max_seconds=math.inf))
+    assert result.score != NEG_INF
+
+
 def test_backtrack_does_not_recurse_per_tree_level():
     # a left-branching tree over 60 tokens is about 120 levels deep; rebuilt
     # under a recursion limit of 50 it must equal the tree parse returns
