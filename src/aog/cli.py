@@ -22,10 +22,11 @@ parse also an empty sample, an unknown terminal, an Or-rule cycle, a
 value refused mid-parse, or --dot with --mode marginal), 3 a file was
 malformed (too deep, not UTF-8, a bad format_version, node kind or
 parameter value) or could not be read or written, 4 the parser budget
-was exhausted.  A command returns 0, 1 or 2 itself; an error it raises
-ends in `main`, which writes {"error": ...} and picks the code from the
-one table `_EXIT_CODES` (only `validate` answers a malformed file in
-its own payload).
+was exhausted.  `_EXIT_CODES` is the one policy for errors: `main`
+catches an error a command raises, writes {"error": ...} and returns the
+code of the first matching entry.  Only `validate` (a malformed file in
+its own payload), `sample` (a failed draw exits 1) and `convert`
+(malformed source text exits 2) answer errors themselves.
 """
 
 from __future__ import annotations
