@@ -180,7 +180,7 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
             tree = project_parse(tree, node_map, g)
         out["tree"] = tree_to_json_dict(tree, g.domain)
         if args.dot:
-            Path(args.dot).write_text(tree_to_dot(tree))
+            Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
     if args.stats:
         stats = result.stats
         derived = [k for k, v in vars(type(stats)).items() if isinstance(v, property)]
@@ -219,7 +219,7 @@ def cmd_normalize(args: argparse.Namespace, g: Grammar, _: None) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text()
+    text = Path(args.input).read_text(encoding="utf-8")
     try:
         if args.kind == "scfg":
             source = parse_scfg(text)

@@ -8,22 +8,22 @@ viterbi keeps the larger, marginal log-adds (semiring parsing, Goodman
 1999).  enumerate_parses is a deliberately naive top-down enumerator over
 general grammars that serves as an independent reference.
 
-Chart layout.  Cells are plain floats (log scores):
+Chart layout.  Each cell is one (score, back) pair, score a log score:
 scores[size][or_node][(param, mask)], where bit i of mask stands for
-instance i of the sample.  A viterbi table also records, in the flat dict
-backs keyed by (size, or_node, param, mask), how each cell got its score:
+instance i of the sample.  back is None in a marginal table; in a viterbi
+table it records how the cell got its score:
 
 - (or rule, instance id) at size 1, an Or-rule over a terminal instance;
-- (and rule, left key, right key, or rule) above, an Or-rule over an
-  And-rule applied to the two child cells with those keys.
+- (and rule, left param, left mask, right param, right mask, or rule)
+  above, an Or-rule over an And-rule applied to two child cells: their
+  nodes are the And-rule's children, their sizes their masks' popcounts.
 
-Marginal tables leave backs empty.  Tie rule: when two derivations of a
-viterbi cell score the same, the smaller backpointer wins, compared as
-(or rule, instance id) at size 1 and above as (and rule, (size, node,
-param_order_key(param), mask) of the left child, the same of the right
-child, or rule).  back_precedes compares field by field and builds
-param_order_keys only for differing params after tied fields; tuples
-compare lexicographically, so it picks the backpointer the keys pick.
+Tie rule: when two derivations of a viterbi cell score the same, the
+smaller backpointer wins, compared as (or rule, instance id) at size 1 and
+above as (and rule, (size, node, param_order_key(param), mask) of the left
+child, the same of the right child, or rule).  One And-rule fixes both
+child nodes, so back_precedes compares sizes, params and masks, building
+param_order_keys only for differing params after tied fields.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: Or-rules by child with their log
@@ -183,32 +183,31 @@ class CompositionTable:
     grammar: Grammar
     sample: DataSample
     mode: str
-    scores: list[dict[str, dict[tuple, float]]]
-    backs: dict[tuple, tuple]
+    scores: list[dict[str, dict[tuple, tuple[float, tuple | None]]]]
     stats: CompositionStats
 
-    def _chart_key(self, key: CompositionKey) -> tuple:
-        """The (size, or_node, param, mask) of an existing cell."""
+    def _cell(self, key: CompositionKey) -> tuple[int, tuple]:
+        """The instance mask and the (score, back) pair of an existing cell."""
         mask = 0
         for i, inst in enumerate(self.sample.instances):
             if inst.instance_id in key.terminals:
                 mask |= 1 << i
         if 0 <= key.size < len(self.scores) and mask.bit_count() == len(key.terminals):
-            if (key.param, mask) in self.scores[key.size].get(key.or_node, {}):
-                return key.size, key.or_node, key.param, mask
+            cell = self.scores[key.size].get(key.or_node, {}).get((key.param, mask))
+            if cell is not None:
+                return mask, cell
         raise MissingEntry(f"no chart entry for {key}")
 
     def lookup(self, key: CompositionKey) -> float:
         """The score of a cell; MissingEntry when the chart has none."""
-        size, or_node, param, mask = self._chart_key(key)
-        return self.scores[size][or_node][(param, mask)]
+        return self._cell(key)[1][0]
 
     def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
         n = len(self.sample)
         start = self.grammar.start
         out = [
             (CompositionKey(n, start, param, self.sample.ids), RootEntry(score))
-            for (param, _), score in self.scores[n].get(start, {}).items()
+            for (param, _), (score, _) in self.scores[n].get(start, {}).items()
         ]
         return sorted(out, key=lambda kv: param_order_key(kv[0].param))
 
@@ -226,14 +225,16 @@ def back_precedes(back: tuple, other: tuple) -> bool:
     by the tie rule's order (module docstring), compared lazily."""
     if len(back) == 2 or back[0] != other[0]:
         return back < other  # size 1, or the And-rules differ
-    for (size, node, param, mask), (osize, onode, oparam, omask) in zip(back[1:3], other[1:3]):
-        if size != osize or node != onode:
-            return (size, node) < (osize, onode)
+    for at in (1, 3):  # the left child's (param, mask), then the right's
+        param, mask = back[at], back[at + 1]
+        oparam, omask = other[at], other[at + 1]
+        if mask.bit_count() != omask.bit_count():
+            return mask.bit_count() < omask.bit_count()
         if param != oparam:
             return param_order_key(param) < param_order_key(oparam)
         if mask != omask:
             return mask < omask
-    return back[3] < other[3]
+    return back[5] < other[5]
 
 
 def build_table(
@@ -256,36 +257,34 @@ def build_table(
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
 
     n = len(x)
-    scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
-    backs: dict[tuple, tuple] = {}
+    scores: list[dict[str, dict[tuple, tuple]]] = [{} for _ in range(n + 1)]
     entry_count = 0
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
-    def add(size: int, head: str, param: Any, mask: int, score: float, back: tuple) -> None:
+    def add(stratum: dict, head: str, param: Any, mask: int, score: float, back: tuple) -> None:
         # the one place a chart cell is created or updated
         nonlocal entry_count
-        cells = scores[size].setdefault(head, {})
+        # a node's dict holds a cell from its creation on, so it is truthy
+        cells = stratum.get(head) or stratum.setdefault(head, {})
         ikey = (param, mask)
         cur = cells.get(ikey)
         if cur is None:
             entry_count += 1
             if entry_count > max_entries:
                 raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-            cells[ikey] = score
-            if viterbi:
-                backs[size, head, param, mask] = back
+            cells[ikey] = (score, back) if viterbi else (score, None)
         elif not viterbi:
-            cells[ikey] = log_add(cur, score)
-        elif score > cur or (
-            score == cur and back_precedes(back, backs[size, head, param, mask])
-        ):
-            cells[ikey] = score
-            backs[size, head, param, mask] = back
+            cells[ikey] = (log_add(cur[0], score), None)
+        elif score > cur[0] or (score == cur[0] and back_precedes(back, cur[1])):
+            cells[ikey] = (score, back)
+
+    def positions_of(by_node: dict[str, list[int]], nodes: dict) -> set[int]:
+        return set(itertools.chain.from_iterable(map(by_node.get, nodes, itertools.repeat(()))))
 
     for index, inst in enumerate(x.instances):
         for or_idx, logp, head in compiled.or_by_child.get(inst.terminal, ()):
-            add(1, head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
+            add(scores[1], head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
 
     pair_tests = 0
     # size -> positions of the child pairs whose left (right) child has
@@ -297,9 +296,9 @@ def build_table(
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
     left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
-        for node in scores[i - 1]:
-            with_left[i - 1].update(compiled.by_left.get(node, ()))
-            with_right[i - 1].update(compiled.by_right.get(node, ()))
+        with_left[i - 1] = positions_of(compiled.by_left, scores[i - 1])
+        with_right[i - 1] = positions_of(compiled.by_right, scores[i - 1])
+        stratum = scores[i]
         for j in range(1, i):
             left_nodes = scores[j]
             right_nodes = scores[i - j]
@@ -318,7 +317,7 @@ def build_table(
                     if keys is None:
                         keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
                     next_key = iter(keys).__next__
-                for (lparam, lmask), lscore in lefts.items():
+                for (lparam, lmask), (lscore, _) in lefts.items():
                     if deadline is not None and time.monotonic() > deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
                     if join is None:
@@ -326,8 +325,7 @@ def build_table(
                     else:
                         candidates = bucket.get(next_key(), ())
                     pair_tests += len(candidates)
-                    lkey = (j, left_child, lparam, lmask)
-                    for (rparam, rmask), rscore in candidates:
+                    for (rparam, rmask), (rscore, _) in candidates:
                         if lmask & rmask:
                             continue
                         pair_score = lscore + rscore
@@ -336,15 +334,14 @@ def build_table(
                             if not rel(lparam, rparam):
                                 continue
                             parent_param = fn(lparam, rparam)
-                            rkey = (i - j, right_child, rparam, rmask)
                             for or_idx, logp, or_head in or_rules:
                                 add(
-                                    i,
+                                    stratum,
                                     or_head,
                                     parent_param,
                                     umask,
                                     logp + pair_score,
-                                    (and_idx, lkey, rkey, or_idx),
+                                    (and_idx, lparam, lmask, rparam, rmask, or_idx),
                                 )
 
     per_size_comps = []
@@ -365,38 +362,41 @@ def build_table(
         pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,
     )
-    return CompositionTable(g, x, mode, scores, backs, stats)
+    return CompositionTable(g, x, mode, scores, stats)
 
 
 def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     """Reconstruct the derivation recorded at a chart entry (viterbi tables).
 
     Iterative, so the depth of the tree is not bounded by the recursion
-    limit: chart keys are listed parents first, then built in reverse.
+    limit: cells are listed parents first as (node, param, mask, back),
+    then built in reverse.  The cells of one tree cover distinct instance
+    sets, so a built subtree is found by its mask.
     """
     if table.mode != "viterbi":
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
-    top = table._chart_key(root)  # raises MissingEntry for unknown keys
-    order = [top]
-    for key in order:  # grows while it is walked
-        back = table.backs[key]
-        if len(back) == 4:
-            order += back[1:3]  # left and right child keys
-    built: dict[tuple, TreeNode] = {}
-    for key in reversed(order):
-        param = key[2]
-        back = table.backs[key]
+    scores = table.scores
+    top, (score, back) = table._cell(root)  # raises MissingEntry for unknown keys
+    order = [(root.or_node, root.param, top, back)]
+    for _, _, _, back in order:  # grows while it is walked
+        if len(back) == 6:
+            and_idx, lparam, lmask, rparam, rmask, _ = back
+            left, right = g.and_rules[and_idx].children
+            for node, param, mask in ((left, lparam, lmask), (right, rparam, rmask)):
+                order.append((node, param, mask, scores[mask.bit_count()][node][param, mask][1]))
+    built: dict[int, TreeNode] = {}
+    for _, param, mask, back in reversed(order):
         if len(back) == 2:
             or_idx, instance = back
             inst = table.sample.by_id[instance]
             child = TreeNode(inst.terminal, inst.param, instance=instance)
         else:
-            and_idx, left, right, or_idx = back
-            children = (built.pop(left), built.pop(right))
+            and_idx, _, lmask, _, rmask, or_idx = back
+            children = (built.pop(lmask), built.pop(rmask))
             child = TreeNode(g.and_rules[and_idx].head, param, children)
-        built[key] = TreeNode(g.or_rules[or_idx].head, param, (child,))
-    return ParseTree(built[top], table.lookup(root))
+        built[mask] = TreeNode(g.or_rules[or_idx].head, param, (child,))
+    return ParseTree(built[top], score)
 
 
 def parse(

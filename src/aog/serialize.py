@@ -145,7 +145,7 @@ def canonical_dumps(payload: Any) -> str:
 
 def _read_json(path: str | Path) -> Any:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # RecursionError: nested too deep for json's reader
         raise FormatError(f"{path}: {exc}") from None

@@ -414,6 +414,40 @@ def test_file_that_is_not_utf8(capsys, tmp_path, grammar_file, line_drawing):
     assert code == 2 and "error" in json.loads(out)
 
 
+# a locale whose preferred encoding is ASCII: no UTF-8 mode, no C-locale coercion
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_utf8_files_are_read_in_any_locale(tmp_path):
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env={**os.environ, **ASCII_LOCALE}, capture_output=True, text=True, timeout=60,
+    )
+    if "utf" in probe.stdout.lower().replace("-", ""):
+        pytest.skip("the C locale reads UTF-8 on this platform")
+    source = tmp_path / "g.scfg"
+    source.write_bytes("X -> X X [0.4]\nX -> café [0.6]\n".encode())
+    converted = tmp_path / "g.json"
+    done = fresh_aog(["convert", "scfg", str(source), "-o", str(converted)], ASCII_LOCALE)
+    assert done.returncode == 0, done.stdout + done.stderr
+    g = aog.load_grammar(converted)
+    assert "café" in g.terminals
+    # the same grammar and a sample, written as raw UTF-8 rather than \u escapes
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(json.dumps(grammar_to_json_dict(g), ensure_ascii=False).encode())
+    sample = tmp_path / "x.json"
+    x = string_sample(["café", "café"])
+    sample.write_bytes(json.dumps(sample_to_json_dict(x, g.domain), ensure_ascii=False).encode())
+    assert b"caf\xc3\xa9" in raw.read_bytes() and b"caf\xc3\xa9" in sample.read_bytes()
+    done = fresh_aog(["validate", str(raw)], ASCII_LOCALE)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout) == {"valid": True, "issues": []}
+    dot = tmp_path / "t.dot"
+    done = fresh_aog(["parse", str(raw), str(sample), "--dot", str(dot)], ASCII_LOCALE)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "café" in dot.read_text(encoding="utf-8")
+
+
 def test_nan_budget_seconds_exits_2(capsys, tmp_path, grammar_file, line_drawing):
     xp = sample_file(tmp_path, line_drawing, [(2, 2)])
     code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "nan"])

@@ -294,8 +294,13 @@ def test_backtrack_requires_viterbi_table():
     with pytest.raises(ValueError):
         backtrack(table, table.root_entries()[0][0])
     table = build_table(gcnf, x, "viterbi")
-    with pytest.raises(MissingEntry):
-        backtrack(table, CompositionKey(1, "X", (9, 10), frozenset({"w9"})))
+    unknown_instance = CompositionKey(1, "X", (9, 10), frozenset({"w9"}))
+    size_out_of_range = CompositionKey(7, "X", (0, 2), x.ids)
+    for key in (unknown_instance, size_out_of_range):
+        with pytest.raises(MissingEntry):
+            backtrack(table, key)
+        with pytest.raises(MissingEntry):
+            table.lookup(key)
 
 
 def test_stats_count_string_compositions():
@@ -346,12 +351,23 @@ def test_viterbi_ties_break_deterministically():
         assert t1.root.children[0].node == t2.root.children[0].node
 
 
+# the (left, right) children of And-rules 0, 1 and 2 in the tie tests
+TIE_CHILDREN = (("X", "Y"), ("Y", "X"), ("X", "X"))
+
+
 def full_tie_key(back):
-    """The tie rule's documented key of a backpointer."""
+    """The tie rule's documented key of a flat backpointer: a child's size
+    is the popcount of its mask and its node comes from the And-rule."""
     if len(back) == 2:
         return back
-    and_idx, (ls, ln, lp, lm), (rs, rn, rp, rm), or_idx = back
-    return (and_idx, (ls, ln, param_order_key(lp), lm), (rs, rn, param_order_key(rp), rm), or_idx)
+    and_idx, lparam, lmask, rparam, rmask, or_idx = back
+    left, right = TIE_CHILDREN[and_idx]
+    return (
+        and_idx,
+        (lmask.bit_count(), left, param_order_key(lparam), lmask),
+        (rmask.bit_count(), right, param_order_key(rparam), rmask),
+        or_idx,
+    )
 
 
 tie_params = st.recursive(
@@ -360,9 +376,12 @@ tie_params = st.recursive(
     | st.lists(inner, max_size=3).map(lambda items: ParamTuple(tuple(items))),
     max_leaves=5,
 )
-child_fields = (st.integers(1, 3), st.sampled_from("XY"), tie_params, st.integers(1, 7))
-# (and rule, left size, node, param, mask, right size, node, param, mask, or rule)
-flat_backs = st.tuples(st.integers(0, 2), *child_fields, *child_fields, st.integers(0, 2))
+# masks of sizes 1 to 4, several of each size
+tie_masks = st.integers(1, 15)
+# (and rule, left param, left mask, right param, right mask, or rule)
+flat_backs = st.tuples(
+    st.integers(0, 2), tie_params, tie_masks, tie_params, tie_masks, st.integers(0, 2)
+)
 size_one_backs = st.tuples(st.integers(0, 2), st.sampled_from(["w0", "w1", "w10"]))
 
 
@@ -371,23 +390,62 @@ def sharing_prefix(first, second, shared):
     return first, first[:shared] + second[shared:]
 
 
-def unflatten(flat):
-    return (flat[0], flat[1:5], flat[5:9], flat[9])
-
-
 @settings(max_examples=500, deadline=None)
 @given(
     st.one_of(
         st.builds(sharing_prefix, size_one_backs, size_one_backs, st.integers(0, 2)),
-        st.builds(sharing_prefix, flat_backs, flat_backs, st.integers(0, 10)).map(
-            lambda pair: tuple(map(unflatten, pair))
-        ),
+        st.builds(sharing_prefix, flat_backs, flat_backs, st.integers(0, 6)),
     )
 )
 def test_lazy_tie_rule_matches_full_keys(pair):
     first, second = pair
     for back, other in ((first, second), (second, first)):
         assert back_precedes(back, other) == (full_tie_key(back) < full_tie_key(other))
+
+
+def assert_every_cell_backtracks(gcnf, x):
+    """backtrack on every cell of the viterbi chart, not only the roots,
+    gives a tree scored as the cell whose leaves are the cell's instances;
+    returns the number of cells."""
+    table = build_table(gcnf, x, "viterbi")
+    ids = [inst.instance_id for inst in x.instances]
+    cells = 0
+    for size, stratum in enumerate(table.scores):
+        for node, node_cells in stratum.items():
+            rooted_here = dataclasses.replace(gcnf, start=node)
+            for param, mask in node_cells:
+                terminals = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+                key = CompositionKey(size, node, param, terminals)
+                tree = backtrack(table, key)
+                assert tree.log_prob == table.lookup(key)
+                assert (tree.root.node, tree.root.param) == (node, param)
+                assert sorted(leaf.instance for leaf in tree.leaves()) == sorted(terminals)
+                # the tree is a derivation of the grammar that scores as the cell
+                assert tree_probability(rooted_here, tree) == pytest.approx(
+                    tree.log_prob, rel=1e-12, abs=1e-12
+                )
+                cells += 1
+    return cells
+
+
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_backtrack_from_every_cell(kind):
+    cells = 0
+    for trial in range(12):
+        g = random_aog(random.Random(3000 + trial), allow_or_chains=trial % 2 == 1, kind=kind)
+        gcnf, _ = to_gcnf(g)
+        for seed in range(3):
+            _, x = aog.sample(g, seed=seed * 13 + trial)
+            if len(x) <= 8:
+                cells += assert_every_cell_backtracks(gcnf, x)
+    assert cells > 100
+
+
+def test_backtrack_from_every_all_spans_cell():
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    x = string_sample(["a"] * 12)
+    # one cell per span and Or-node of the normal form
+    assert assert_every_cell_backtracks(gcnf, x) == 78 * len({r.head for r in gcnf.or_rules})
 
 
 def assert_matches_enumeration(g, trial):
