@@ -369,8 +369,8 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     """Reconstruct the derivation recorded at a chart entry (viterbi tables).
 
     Iterative, so the depth of the tree is not bounded by the recursion
-    limit: cells are listed parents first as (node, param, mask, back),
-    then built in reverse.  The cells of one tree cover distinct instance
+    limit: cells are listed parents first as (param, mask, back), then
+    built in reverse.  The cells of one tree cover distinct instance
     sets, so a built subtree is found by its mask.
     """
     if table.mode != "viterbi":
@@ -378,15 +378,15 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     g = table.grammar
     scores = table.scores
     top, (score, back) = table._cell(root)  # raises MissingEntry for unknown keys
-    order = [(root.or_node, root.param, top, back)]
-    for _, _, _, back in order:  # grows while it is walked
+    order = [(root.param, top, back)]
+    for _, _, back in order:  # grows while it is walked
         if len(back) == 6:
             and_idx, lparam, lmask, rparam, rmask, _ = back
             left, right = g.and_rules[and_idx].children
             for node, param, mask in ((left, lparam, lmask), (right, rparam, rmask)):
-                order.append((node, param, mask, scores[mask.bit_count()][node][param, mask][1]))
+                order.append((param, mask, scores[mask.bit_count()][node][param, mask][1]))
     built: dict[int, TreeNode] = {}
-    for _, param, mask, back in reversed(order):
+    for param, mask, back in reversed(order):
         if len(back) == 2:
             or_idx, instance = back
             inst = table.sample.by_id[instance]
