@@ -10,8 +10,12 @@ general grammars that serves as an independent reference.
 
 Chart layout.  Each cell is one (score, back) pair, score a log score:
 scores[size][or_node][(param, mask)], where bit i of mask stands for
-instance i of the sample.  back is None in a marginal table; in a viterbi
-table it records how the cell got its score:
+instance i of the sample.  Only cells a later step reads are stored: below
+the top size n those of And-rule children, read by the combine step, and
+at n the start's, read by root_entries.  No stored cell derives from any
+other, so scores, trees and ties are the full chart's, and the stats
+still count the compositions of cells not stored.  back is None in a
+marginal table; in a viterbi table it records how the cell got its score:
 
 - (or rule, instance id) at size 1, an Or-rule over a terminal instance;
 - (and rule, left param, left mask, right param, right mask, or rule)
@@ -26,12 +30,12 @@ child nodes, so back_precedes compares sizes, params and masks, building
 param_order_keys only for differing params after tied fields.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
-what every parse of the grammar needs: Or-rules by child with their log
-probs, the And-rules grouped by (left child, right child) pair with their
-relation and function callables, and per pair an equality join key where
-the domain declares one (see domains.py).  Grammar.compiled caches it on
-the grammar instance, so a grammar parsed many times resolves each
-relation and function once.
+what every parse of the grammar needs: the kept Or-rules by child with
+their log probs, the And-rules grouped by (left child, right child) pair
+with their relation and function callables, and per pair an equality
+join key where the domain declares one (see domains.py).
+Grammar.compiled caches it on the grammar instance, so a grammar parsed
+many times resolves each relation and function once.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
@@ -106,8 +110,8 @@ class CompositionStats:
     """Size of the chart, per composition size, and the work of filling it."""
 
     sample_size: int
-    per_size_compositions: list[int]  # distinct terminal-instance sets, index = size
-    per_size_entries: list[int]  # chart entries, index = size
+    per_size_compositions: list[int]  # instance sets derived, stored or not, index = size
+    per_size_entries: list[int]  # stored chart cells, index = size
     pair_tests: int  # candidate (left, right) cell pairs the combine loop examined
     elapsed_seconds: float
 
@@ -133,17 +137,19 @@ class CompositionStats:
 class CompiledGrammar:
     """What build_table needs of a normal-form grammar, resolved once.
 
-    or_by_child maps a node to the Or-rules over it, each (rule index, log
-    prob, head).  pairs lists the child pairs of the And-rules in order of
-    first use in and_rules, each (left child, right child, join, rules):
-    join is the pair's (left key, right key) when all its rules share one
-    relation that declares a join, else None; rules are (And-rule index,
-    relation, function, Or-rules over the head) in and_rules order.
-    by_left and by_right map a node to the positions in pairs of the pairs
-    with that left or right child.
+    or_by_child[top], top being whether a stratum is size n, maps each node
+    under some Or-rule to the Or-rules over it whose head is read there
+    (module docstring), each (rule index, log prob, head).  pairs lists the
+    child pairs of the And-rules in order of first use in and_rules, each
+    (left child, right child, join, rules): join is the pair's (left key,
+    right key) when all its rules share one relation that declares a join,
+    else None; rules[top] are (And-rule index, relation, function,
+    or_by_child[top] of the head or None) in and_rules order.  by_left and
+    by_right map a node to the positions in pairs of the pairs with that
+    left or right child.
     """
 
-    or_by_child: dict[str, list[tuple[int, float, str]]]
+    or_by_child: tuple[dict[str, list[tuple[int, float, str]]], ...]
     pairs: list[tuple[str, str, Any, tuple]]
     by_left: dict[str, list[int]]
     by_right: dict[str, list[int]]
@@ -154,26 +160,35 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
     violations = gcnf_violations(g)
     if violations:
         raise NotInNormalForm("; ".join(violations))
-    or_by_child: dict[str, list[tuple[int, float, str]]] = {}
+    read = {child for rule in g.and_rules for child in rule.children}
+    below: dict[str, list[tuple[int, float, str]]] = {}
+    at_top: dict[str, list[tuple[int, float, str]]] = {}
     for idx, rule in enumerate(g.or_rules):
-        or_by_child.setdefault(rule.child, []).append((idx, math.log(rule.prob), rule.head))
-    by_pair: dict[tuple[str, ...], list[tuple]] = {}
+        entry = (idx, math.log(rule.prob), rule.head)
+        kept = below.setdefault(rule.child, [])
+        if rule.head in read:
+            kept.append(entry)
+        kept = at_top.setdefault(rule.child, [])
+        if rule.head == g.start:
+            kept.append(entry)
+    by_pair: dict[tuple[str, ...], tuple[list, list]] = {}
     for idx, rule in enumerate(g.and_rules):
         rel = g.domain.relation(rule.relation, 2)
         fn = g.domain.function(rule.function, 2)
-        entry = (idx, rel, fn, or_by_child.get(rule.head, ()))
-        by_pair.setdefault(rule.children, []).append(entry)
+        rules = by_pair.setdefault(rule.children, ([], []))
+        rules[0].append((idx, rel, fn, below.get(rule.head)))
+        rules[1].append((idx, rel, fn, at_top.get(rule.head)))
     pairs = []
     by_left: dict[str, list[int]] = {}
     by_right: dict[str, list[int]] = {}
     for (left, right), rules in by_pair.items():
-        relation = g.and_rules[rules[0][0]].relation
-        shared = all(g.and_rules[rule[0]].relation == relation for rule in rules)
+        relation = g.and_rules[rules[0][0][0]].relation
+        shared = all(g.and_rules[rule[0]].relation == relation for rule in rules[0])
         join = g.domain.join(relation) if shared else None
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
-        pairs.append((left, right, join, tuple(rules)))
-    return CompiledGrammar(or_by_child, pairs, by_left, by_right)
+        pairs.append((left, right, join, rules))
+    return CompiledGrammar((below, at_top), pairs, by_left, by_right)
 
 
 @dataclass
@@ -199,7 +214,8 @@ class CompositionTable:
         raise MissingEntry(f"no chart entry for {key}")
 
     def lookup(self, key: CompositionKey) -> float:
-        """The score of a cell; MissingEntry when the chart has none."""
+        """The score of a stored cell; MissingEntry when the chart has none,
+        as for a cell no later step reads (module docstring)."""
         return self._cell(key)[1][0]
 
     def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
@@ -282,8 +298,12 @@ def build_table(
     def positions_of(by_node: dict[str, list[int]], nodes: dict) -> set[int]:
         return set(itertools.chain.from_iterable(map(by_node.get, nodes, itertools.repeat(()))))
 
+    # per size, the instance sets derived into no stored cell (at size 1, all)
+    derived: list[set[int]] = [set() for _ in range(n + 1)]
     for index, inst in enumerate(x.instances):
-        for or_idx, logp, head in compiled.or_by_child.get(inst.terminal, ()):
+        if inst.terminal in compiled.or_by_child[0]:
+            derived[1].add(1 << index)
+        for or_idx, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
             add(scores[1], head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
 
     pair_tests = 0
@@ -299,11 +319,13 @@ def build_table(
         with_left[i - 1] = positions_of(compiled.by_left, scores[i - 1])
         with_right[i - 1] = positions_of(compiled.by_right, scores[i - 1])
         stratum = scores[i]
+        unread = derived[i]
         for j in range(1, i):
             left_nodes = scores[j]
             right_nodes = scores[i - j]
             for pos in sorted(with_left[j] & with_right[i - j]):
-                left_child, right_child, join, rules = compiled.pairs[pos]
+                left_child, right_child, join, by_size = compiled.pairs[pos]
+                rules = by_size[i == n]
                 lefts = left_nodes[left_child]
                 rights = right_nodes[right_child]
                 if join is not None:
@@ -333,6 +355,10 @@ def build_table(
                         for and_idx, rel, fn, or_rules in rules:
                             if not rel(lparam, rparam):
                                 continue
+                            if not or_rules:  # no kept cell over the head
+                                if or_rules is not None:
+                                    unread.add(umask)
+                                continue
                             parent_param = fn(lparam, rparam)
                             for or_idx, logp, or_head in or_rules:
                                 add(
@@ -344,21 +370,14 @@ def build_table(
                                     (and_idx, lparam, lmask, rparam, rmask, or_idx),
                                 )
 
-    per_size_comps = []
-    per_size_entries = []
-    for stratum in scores:
-        comps = set()
-        count = 0
+    for stratum, comps in zip(scores[2:], derived[2:]):
         for cells in stratum.values():
-            count += len(cells)
             for _, mask in cells:
                 comps.add(mask)
-        per_size_comps.append(len(comps))
-        per_size_entries.append(count)
     stats = CompositionStats(
         sample_size=n,
-        per_size_compositions=per_size_comps,
-        per_size_entries=per_size_entries,
+        per_size_compositions=[len(comps) for comps in derived],
+        per_size_entries=[sum(map(len, stratum.values())) for stratum in scores],
         pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,
     )

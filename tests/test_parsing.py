@@ -48,7 +48,7 @@ from aog import (
     validate_grammar,
 )
 from aog.parsing import back_precedes
-from helpers import NEG_INF, logsumexp, random_aog
+from helpers import NEG_INF, logsumexp, random_3sat, random_aog, random_spn
 
 AMBIGUOUS = parse_scfg(
     """
@@ -559,3 +559,158 @@ def test_random_grammars_agree_on_mutated_samples(trial):
         )
     else:
         assert marginal.score == NEG_INF
+
+
+SPARSE = parse_scfg(
+    """
+    S -> A B [1.0]
+    A -> a [1.0]
+    B -> a [1.0]
+    """
+)
+
+
+def sat_formula(seed):
+    return aog.sat_to_aog(random_3sat(random.Random(seed)))
+
+
+def assert_only_read_cells_stored(gcnf, x, mode):
+    """Every stored cell is one a later step reads: an And-rule child's
+    below the top size, the start's at it."""
+    table = build_table(gcnf, x, mode)
+    read = {child for rule in gcnf.and_rules for child in rule.children}
+    n = len(x)
+    for size, stratum in enumerate(table.scores):
+        for node in stratum:
+            assert node == gcnf.start if size == n else node in read, (size, node)
+    return table
+
+
+@pytest.mark.parametrize("mode", ["viterbi", "marginal"])
+def test_chart_stores_only_cells_a_later_step_reads(mode):
+    charts = []
+    for kind in ("string", "grid", "null", "interval"):
+        for trial in range(8):
+            g = random_aog(random.Random(7000 + trial), allow_or_chains=trial % 2 == 1, kind=kind)
+            gcnf, _ = to_gcnf(g)
+            for seed in range(2):
+                _, x = aog.sample(g, seed=seed * 17 + trial)
+                if len(x) <= 8:
+                    charts.append((gcnf, x))
+    charts.append((to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 10)))
+    charts.append((to_gcnf(scfg_to_aog(SPARSE))[0], string_sample(["a"] * 3)))
+    for seed in range(44000, 44020):
+        g, x = sat_formula(seed)
+        charts.append((to_gcnf(g)[0], x))
+    for gcnf, x in charts:
+        assert_only_read_cells_stored(gcnf, x, mode)
+    assert len(charts) > 50
+
+
+def test_start_cells_below_the_top_size_are_not_stored():
+    # S -> A B over a×3 derives the start on both two-token spans; no
+    # And-rule reads the start, so those cells are counted, not stored
+    gcnf, _ = to_gcnf(scfg_to_aog(SPARSE))
+    x = string_sample(["a"] * 3)
+    table = assert_only_read_cells_stored(gcnf, x, "viterbi")
+    assert table.stats.per_size_compositions == [0, 3, 2, 0]
+    assert table.stats.per_size_entries == [0, 6, 0, 0]
+    for key in (
+        CompositionKey(2, gcnf.start, (0, 2), frozenset({"w0", "w1"})),
+        CompositionKey(2, gcnf.start, (1, 3), frozenset({"w1", "w2"})),
+    ):
+        with pytest.raises(MissingEntry):
+            table.lookup(key)
+        with pytest.raises(MissingEntry):
+            backtrack(table, key)
+
+
+@pytest.mark.parametrize("over_unread", [False, True])
+def test_compositions_count_sets_derived_into_no_stored_cell(over_unread):
+    # P -> A B and the terminal c feed only the start; U -> B A is an
+    # And-node nothing reads, and no Or-rule is over the terminal d.  A
+    # derivation counts as a composition when some Or-rule is over its
+    # head, stored or not: c's, P's on "a b", and U's on "b a" only under
+    # V -> U.
+    or_rules = [
+        OrRule("S", "P", 0.5),
+        OrRule("S", "c", 0.5),
+        OrRule("A", "a", 1.0),
+        OrRule("B", "b", 1.0),
+    ]
+    if over_unread:
+        or_rules.append(OrRule("V", "U", 1.0))
+    g = Grammar(
+        domain=string_span_domain(),
+        terminals=frozenset({"a", "b", "c", "d"}),
+        and_nodes=frozenset({"P", "U"}),
+        or_nodes=frozenset({"S", "A", "B"} | ({"V"} if over_unread else set())),
+        start="S",
+        and_rules=(
+            AndRule("P", ("A", "B"), RelationRef("adjacent"), FunctionRef("concat")),
+            AndRule("U", ("B", "A"), RelationRef("adjacent"), FunctionRef("concat")),
+        ),
+        or_rules=tuple(or_rules),
+    )
+    x = string_sample(["a", "b", "a", "c", "d"])
+    for mode in ("viterbi", "marginal"):
+        table = assert_only_read_cells_stored(g, x, mode)
+        assert table.stats.per_size_compositions == [0, 4, 1 + over_unread, 0, 0, 0]
+        assert table.stats.per_size_entries == [0, 3, 0, 0, 0, 0]
+        assert table.stats.pair_tests == 2
+
+
+# per_size_compositions, pair_tests and the root score's float.hex are
+# those of the chart that stored every cell; table_entries counts the
+# stored cells only (it was 12246, 16472 and 311)
+UNREAD_PINS = {
+    "sat 44002": (
+        [0, 13, 78, 285, 705, 1242, 1596, 1506, 1035, 505, 166, 33, 3, 0],
+        27269,
+        {"viterbi": "-inf", "marginal": "-inf"},
+        5009,
+    ),
+    "sat 44008": (
+        [0, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66, 12, 1],
+        140111,
+        {"viterbi": "-0x1.5cc9e7b43bc91p+3", "marginal": "-0x1.1e03ffa51279bp+3"},
+        8248,
+    ),
+    "spn 43000": (
+        [0, 10, 9, 7, 4, 2, 1, 1, 0, 0, 1],
+        144,
+        {"viterbi": "-0x1.3e071c1543164p+3", "marginal": "-0x1.a25f3cb714ab6p+2"},
+        311,
+    ),
+}
+
+
+def pinned_input(name):
+    if name.startswith("sat"):
+        g, x = sat_formula(int(name.split()[1]))
+    else:
+        conv = aog.spn_to_aog(random_spn(random.Random(43000), 10))
+        g = conv.grammar
+        bits = 0b1011001110
+        x = aog.assignment_sample(conv, {v: (bits >> (v - 1)) & 1 for v in range(1, 11)})
+    return to_gcnf(g)[0], x
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_PINS))
+def test_unread_cells_leave_scores_and_counts_exact(name):
+    comps, pair_tests, scores, entries = UNREAD_PINS[name]
+    gcnf, x = pinned_input(name)
+    for mode, score in scores.items():
+        result = parse(gcnf, x, mode)
+        assert result.stats.per_size_compositions == comps
+        assert result.stats.pair_tests == pair_tests
+        assert result.score.hex() == score
+        assert result.stats.table_entries == entries
+
+
+def test_budget_entries_count_stored_cells():
+    gcnf, x = pinned_input("sat 44008")
+    entries = UNREAD_PINS["sat 44008"][3]
+    assert parse(gcnf, x, budget=ParserBudget(max_entries=entries)).stats.table_entries == entries
+    with pytest.raises(BudgetExceeded):
+        parse(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
