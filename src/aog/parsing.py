@@ -32,10 +32,12 @@ param_order_keys only for differing params after tied fields.
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: the kept Or-rules by child with
 their log probs, the And-rules grouped by (left child, right child) pair
-with their relation and function callables, and per pair an equality
-join key where the domain declares one (see domains.py).
-Grammar.compiled caches it on the grammar instance, so a grammar parsed
-many times resolves each relation and function once.
+with their relation and function callables, per pair an equality join key
+where the domain declares one (see domains.py), and per terminal the pairs
+a size-1 cell over it is a child of.  Grammar.compiled caches it on the
+grammar instance, so a grammar parsed many times resolves each relation
+and function once.  Seeding writes size-1 cells without add, as each has
+one derivation unless two Or-rules share its head and terminal: add folds it.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
@@ -146,13 +148,20 @@ class CompiledGrammar:
     else None; rules[top] are (And-rule index, relation, function,
     or_by_child[top] of the head or None) in and_rules order.  by_left and
     by_right map a node to the positions in pairs of the pairs with that
-    left or right child.
+    left or right child, and seeds[right] a terminal to the sorted positions
+    of the pairs whose left (right) child heads an or_by_child[0] rule over it.
     """
 
     or_by_child: tuple[dict[str, list[tuple[int, float, str]]], ...]
     pairs: list[tuple[str, str, Any, tuple]]
     by_left: dict[str, list[int]]
     by_right: dict[str, list[int]]
+    seeds: tuple[dict[str, tuple[int, ...]], ...]
+
+
+def positions_of(by_node: dict[str, list[int]], nodes) -> set[int]:
+    """The positions in pairs of the pairs with a child in nodes, by_node[node] listing them."""
+    return set(itertools.chain.from_iterable(map(by_node.get, nodes, itertools.repeat(()))))
 
 
 def compile_grammar(g: Grammar) -> CompiledGrammar:
@@ -188,7 +197,11 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
         pairs.append((left, right, join, rules))
-    return CompiledGrammar((below, at_top), pairs, by_left, by_right)
+    seeds = tuple(
+        {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
+        for by in (by_left, by_right)
+    )
+    return CompiledGrammar((below, at_top), pairs, by_left, by_right, seeds)
 
 
 @dataclass
@@ -265,16 +278,16 @@ def build_table(
     compiled = g.compiled  # NotInNormalForm, or a rule that does not resolve
     if len(x) == 0:
         raise ValueError("cannot parse an empty sample")
-    for inst in x.instances:
-        if inst.terminal not in g.terminals:
-            raise ValueError(f"sample uses unknown terminal {inst.terminal!r}")
+    terminals = dict.fromkeys(inst.terminal for inst in x.instances)
+    for terminal in terminals:
+        if terminal not in g.terminals:
+            raise ValueError(f"sample uses unknown terminal {terminal!r}")
     budget = budget or ParserBudget()
     started = time.monotonic()
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
 
     n = len(x)
     scores: list[dict[str, dict[tuple, tuple]]] = [{} for _ in range(n + 1)]
-    entry_count = 0
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
@@ -295,34 +308,41 @@ def build_table(
         elif score > cur[0] or (score == cur[0] and back_precedes(back, cur[1])):
             cells[ikey] = (score, back)
 
-    def positions_of(by_node: dict[str, list[int]], nodes: dict) -> set[int]:
-        return set(itertools.chain.from_iterable(map(by_node.get, nodes, itertools.repeat(()))))
-
     # per size, the instance sets derived into no stored cell (at size 1, all)
     derived: list[set[int]] = [set() for _ in range(n + 1)]
+    seeded = scores[1]
     for index, inst in enumerate(x.instances):
+        mask = 1 << index
         if inst.terminal in compiled.or_by_child[0]:
-            derived[1].add(1 << index)
+            derived[1].add(mask)
+        ikey = (inst.param, mask)
         for or_idx, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
-            add(scores[1], head, inst.param, 1 << index, logp, (or_idx, inst.instance_id))
+            cells = seeded.get(head) or seeded.setdefault(head, {})
+            cell = (logp, (or_idx, inst.instance_id) if viterbi else None)
+            if cells.setdefault(ikey, cell) is not cell:  # a second Or-rule over head and terminal
+                add(seeded, head, *ikey, *cell)
+    entry_count = sum(map(len, seeded.values()))
+    if entry_count > max_entries:
+        raise BudgetExceeded(f"chart exceeded {max_entries} entries")
 
     pair_tests = 0
     # size -> positions of the child pairs whose left (right) child has
-    # cells of that size, listed once the stratum is final
-    with_left: list[set[int]] = [set() for _ in range(n + 1)]
-    with_right: list[set[int]] = [set() for _ in range(n + 1)]
+    # cells of that size, listed once the stratum is final (size 1: compiled)
+    with_left, with_right = ([set(), set().union(*map(s.get, terminals))] for s in compiled.seeds)
     # (size, pair position) -> key -> the right cells of that key, and the
     # join keys of the left cells in chart order
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
     left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
-        with_left[i - 1] = positions_of(compiled.by_left, scores[i - 1])
-        with_right[i - 1] = positions_of(compiled.by_right, scores[i - 1])
+        if i > 2:
+            with_left.append(positions_of(compiled.by_left, scores[i - 1]))
+            with_right.append(positions_of(compiled.by_right, scores[i - 1]))
         stratum = scores[i]
         unread = derived[i]
         for j in range(1, i):
-            left_nodes = scores[j]
-            right_nodes = scores[i - j]
+            left_nodes, right_nodes = scores[j], scores[i - j]
+            if not left_nodes or not right_nodes:
+                continue
             for pos in sorted(with_left[j] & with_right[i - j]):
                 left_child, right_child, join, by_size = compiled.pairs[pos]
                 rules = by_size[i == n]

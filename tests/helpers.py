@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -33,6 +34,18 @@ def logsumexp(values) -> float:
         return NEG_INF
     top = max(values)
     return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def chart_fingerprint(table) -> str:
+    """sha256 over every stored cell of a chart in insertion order, each as
+    (size, node, param, mask, score.hex(), back): equal fingerprints mean
+    the same cells, order, scores and backpointers."""
+    digest = hashlib.sha256()
+    for size, stratum in enumerate(table.scores):
+        for node, cells in stratum.items():
+            for (param, mask), (score, back) in cells.items():
+                digest.update(repr((size, node, param, mask, score.hex(), back)).encode())
+    return digest.hexdigest()
 
 
 def normalized(rng: random.Random, count: int) -> list[float]:

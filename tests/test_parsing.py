@@ -47,8 +47,8 @@ from aog import (
     tree_sample,
     validate_grammar,
 )
-from aog.parsing import back_precedes
-from helpers import NEG_INF, logsumexp, random_3sat, random_aog, random_spn
+from aog.parsing import back_precedes, positions_of
+from helpers import NEG_INF, chart_fingerprint, logsumexp, random_3sat, random_aog, random_spn
 
 AMBIGUOUS = parse_scfg(
     """
@@ -715,3 +715,119 @@ def test_budget_entries_count_stored_cells():
     assert parse(gcnf, x, budget=ParserBudget(max_entries=entries)).stats.table_entries == entries
     with pytest.raises(BudgetExceeded):
         parse(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
+
+
+# sha256 of every stored cell in insertion order (helpers.chart_fingerprint),
+# taken from a chart built before seeding wrote size-1 cells directly
+CHART_FINGERPRINTS = {
+    "sat 44002": {
+        "viterbi": "551109ef351ef98a40fdddd2a0ca3648a3c425aa066671d84b3e976292b929e1",
+        "marginal": "3f1c229ef8ac45474917bf90f5095855f790f41edd460738f1921b0e9116817a",
+    },
+    "sat 44008": {
+        "viterbi": "c5218bb2baeca193e5d9fbbe7351b2086c3566217f3819ac321a433429d36029",
+        "marginal": "5c9415077c1478a9fbfb67c72e164024719a258956bab13333077f15159590a2",
+    },
+    "spn 43000": {
+        "viterbi": "4546b9bc7abcd093d26d1cfbf16a8fc5f22685f375460c87f24539f8c10bfa7e",
+        "marginal": "c706ca398231d85cb9b79da23c7a1f9e160d23bf8ee06fcb42e2820ce981e593",
+    },
+    "all-spans a8": {
+        "viterbi": "524f6dc767812bcaed1f352e4862bb0e3ebd9630c9c3fbcada95f74cc2038603",
+        "marginal": "848c99968acd7fa3a0348cc1868a8748c3b0f55573974c83429c8b87ccd22475",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FINGERPRINTS))
+def test_chart_fingerprint_is_pinned(name):
+    if name in UNREAD_PINS:
+        gcnf, x = pinned_input(name)
+    else:
+        gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+    for mode, fingerprint in CHART_FINGERPRINTS[name].items():
+        assert chart_fingerprint(build_table(gcnf, x, mode)) == fingerprint
+
+
+def duplicate_or_rule_grammar(p, r):
+    # S -> P | t | t and A -> t | t: both Or-nodes have two Or-rules over
+    # the one terminal, so seeding derives their size-1 cells twice.
+    # validate_grammar reports such rules; build_table does not refuse them.
+    return Grammar(
+        domain=string_span_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset({"P"}),
+        or_nodes=frozenset({"S", "A"}),
+        start="S",
+        and_rules=(AndRule("P", ("A", "A"), RelationRef("adjacent"), FunctionRef("concat")),),
+        or_rules=(
+            OrRule("S", "P", 1 - sum(r)),
+            OrRule("S", "t", r[0]),
+            OrRule("S", "t", r[1]),
+            OrRule("A", "t", p[0]),
+            OrRule("A", "t", p[1]),
+        ),
+    )
+
+
+@pytest.mark.parametrize("p, r", [((0.5, 0.5), (0.25, 0.25)), ((0.3, 0.7), (0.4, 0.1))])
+def test_duplicate_or_rules_fold_at_seeding(p, r):
+    g = duplicate_or_rule_grammar(p, r)
+    assert {issue.code for issue in validate_grammar(g).issues} == {"or-duplicate"}
+    # the larger prob wins; on a tie the smaller Or-rule index (rules 1 and 3)
+    s_rule = 1 if r[0] >= r[1] else 2
+    a_rule = 3 if p[0] >= p[1] else 4
+    log_p = math.log(1 - sum(r))  # S -> P, with A's two Or-rules summing to 1
+    cases = [
+        (["t"], "S", r, s_rule, math.log(max(r)), math.log(sum(r))),
+        (["t", "t"], "A", p, a_rule, log_p + 2 * math.log(max(p)), log_p),
+    ]
+    for tokens, node, probs, or_rule, best, total in cases:
+        x = string_sample(tokens)
+        trees = enumerate_parses(g, x)
+        assert len(trees) == 2 ** len(tokens)
+        viterbi = parse(g, x, "viterbi")
+        marginal = parse(g, x, "marginal")
+        assert viterbi.score == pytest.approx(max(lp for _, lp in trees), abs=1e-12)
+        assert viterbi.score == pytest.approx(best, abs=1e-12)
+        assert marginal.score == pytest.approx(logsumexp([lp for _, lp in trees]), abs=1e-12)
+        assert marginal.score == pytest.approx(total, abs=1e-12)
+        assert tree_probability(g, viterbi.tree) == pytest.approx(best, abs=1e-12)
+        table = build_table(g, x, "viterbi")
+        assert table.stats.per_size_entries[1] == len(tokens)
+        assert table.scores[1][node][(0, 1), 1] == (math.log(max(probs)), (or_rule, "w0"))
+
+
+def test_budget_entries_bind_during_seeding():
+    gcnf, x = pinned_input("spn 43000")
+    stats = parse(gcnf, x).stats
+    seeded = stats.per_size_entries[1]
+    assert 0 < seeded < stats.table_entries
+    with pytest.raises(BudgetExceeded, match=f"chart exceeded {seeded - 1} entries"):
+        parse(gcnf, x, budget=ParserBudget(max_entries=seeded - 1))
+    budget = ParserBudget(max_entries=stats.table_entries)
+    assert parse(gcnf, x, budget=budget).stats.table_entries == stats.table_entries
+    # one token: the seeded cell is the only one, so no later step can catch it
+    gcnf = to_gcnf(scfg_to_aog(AMBIGUOUS))[0]
+    with pytest.raises(BudgetExceeded, match="chart exceeded 0 entries"):
+        parse(gcnf, string_sample(["a"]), budget=ParserBudget(max_entries=0))
+
+
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_compiled_seed_positions_match_the_seeded_chart(kind):
+    checked = 0
+    for trial in range(16):
+        g = random_aog(random.Random(8000 + trial), allow_or_chains=trial % 2 == 1, kind=kind)
+        gcnf, _ = to_gcnf(g)
+        compiled = gcnf.compiled
+        for seed in range(4):
+            _, x = aog.sample(g, seed=seed * 19 + trial)
+            if not 2 <= len(x) <= 8:
+                continue
+            seeded = build_table(gcnf, x).scores[1]
+            terminals = {inst.terminal for inst in x.instances}
+            for by_node, seeds in zip((compiled.by_left, compiled.by_right), compiled.seeds):
+                assert all(list(seeds[t]) == sorted(set(seeds[t])) for t in gcnf.terminals)
+                assert set().union(*(seeds[t] for t in terminals)) == positions_of(by_node, seeded)
+            checked += 1
+    assert checked >= 10
