@@ -191,6 +191,8 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
 
 @_with_grammar
 def cmd_sample(args: argparse.Namespace, g: Grammar, _: None) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count is {args.count}; 0 or more")
     for i in range(args.count):
         seed = args.seed + i
         try:

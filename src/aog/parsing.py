@@ -13,9 +13,11 @@ scores[size][or_node][(param, mask)], where bit i of mask stands for
 instance i of the sample.  Only cells a later step reads are stored: below
 the top size n those of And-rule children, read by the combine step, and
 at n the start's, read by root_entries.  No stored cell derives from any
-other, so scores, trees and ties are the full chart's, and the stats
-still count the compositions of cells not stored.  back is None in a
-marginal table; in a viterbi table it records how the cell got its score:
+other, so scores, trees and ties are the full chart's.  The stats still
+count the compositions of cells not stored, each size's once its stratum
+is final, so a parse holds its chart plus the mask set of one stratum.
+back is None in a marginal table; in a viterbi table it records how the
+cell got its score:
 
 - (or rule, instance id) at size 1, an Or-rule over a terminal instance;
 - (and rule, left param, left mask, right param, right mask, or rule)
@@ -102,9 +104,11 @@ class ParserBudget:
     max_seconds: float | None = None  # None or inf: no time limit
 
     def __post_init__(self) -> None:
+        if self.max_entries < 0:
+            raise ValueError(f"max_entries is {self.max_entries}; 0 or more")
         # monotonic() > nan is never true, so a nan limit would never fire
-        if self.max_seconds is not None and math.isnan(self.max_seconds):
-            raise ValueError("max_seconds is nan; None or inf sets no time limit")
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds is {self.max_seconds}; 0 or more, None: no limit")
 
 
 @dataclass
@@ -112,7 +116,7 @@ class CompositionStats:
     """Size of the chart, per composition size, and the work of filling it."""
 
     sample_size: int
-    per_size_compositions: list[int]  # instance sets derived, stored or not, index = size
+    per_size_compositions: list[int]  # sets derived, stored or not, per size, counted once final
     per_size_entries: list[int]  # stored chart cells, index = size
     pair_tests: int  # candidate (left, right) cell pairs the combine loop examined
     elapsed_seconds: float
@@ -291,41 +295,39 @@ def build_table(
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
-    def add(stratum: dict, head: str, param: Any, mask: int, score: float, back: tuple) -> None:
-        # the one place a chart cell is created or updated
+    def add(stratum: dict, head: str, ikey: tuple, score: float, back: tuple | None) -> None:
+        # the one place a chart cell is created or updated; ikey is (param, mask)
         nonlocal entry_count
         # a node's dict holds a cell from its creation on, so it is truthy
         cells = stratum.get(head) or stratum.setdefault(head, {})
-        ikey = (param, mask)
         cur = cells.get(ikey)
         if cur is None:
             entry_count += 1
             if entry_count > max_entries:
                 raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-            cells[ikey] = (score, back) if viterbi else (score, None)
+            cells[ikey] = (score, back)
         elif not viterbi:
             cells[ikey] = (log_add(cur[0], score), None)
         elif score > cur[0] or (score == cur[0] and back_precedes(back, cur[1])):
             cells[ikey] = (score, back)
 
-    # per size, the instance sets derived into no stored cell (at size 1, all)
-    derived: list[set[int]] = [set() for _ in range(n + 1)]
     seeded = scores[1]
     for index, inst in enumerate(x.instances):
-        mask = 1 << index
-        if inst.terminal in compiled.or_by_child[0]:
-            derived[1].add(mask)
-        ikey = (inst.param, mask)
+        ikey = (inst.param, 1 << index)
         for or_idx, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
             cells = seeded.get(head) or seeded.setdefault(head, {})
             cell = (logp, (or_idx, inst.instance_id) if viterbi else None)
             if cells.setdefault(ikey, cell) is not cell:  # a second Or-rule over head and terminal
-                add(seeded, head, *ikey, *cell)
+                add(seeded, head, ikey, *cell)
     entry_count = sum(map(len, seeded.values()))
     if entry_count > max_entries:
         raise BudgetExceeded(f"chart exceeded {max_entries} entries")
 
+    # per size, the instance sets derived, stored or not (size 1: instances under an Or-rule)
+    compositions = [0] * (n + 1)
+    compositions[1] = sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)
     pair_tests = 0
+    back = None  # stays None in marginal mode; viterbi sets it per derivation
     # size -> positions of the child pairs whose left (right) child has
     # cells of that size, listed once the stratum is final (size 1: compiled)
     with_left, with_right = ([set(), set().union(*map(s.get, terminals))] for s in compiled.seeds)
@@ -338,7 +340,7 @@ def build_table(
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
         stratum = scores[i]
-        unread = derived[i]
+        comps: set[int] = set()  # counted once stratum i is final, then dropped
         for j in range(1, i):
             left_nodes, right_nodes = scores[j], scores[i - j]
             if not left_nodes or not right_nodes:
@@ -377,26 +379,21 @@ def build_table(
                                 continue
                             if not or_rules:  # no kept cell over the head
                                 if or_rules is not None:
-                                    unread.add(umask)
+                                    comps.add(umask)
                                 continue
-                            parent_param = fn(lparam, rparam)
+                            ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for or_idx, logp, or_head in or_rules:
-                                add(
-                                    stratum,
-                                    or_head,
-                                    parent_param,
-                                    umask,
-                                    logp + pair_score,
-                                    (and_idx, lparam, lmask, rparam, rmask, or_idx),
-                                )
-
-    for stratum, comps in zip(scores[2:], derived[2:]):
+                                if viterbi:
+                                    back = (and_idx, lparam, lmask, rparam, rmask, or_idx)
+                                add(stratum, or_head, ikey, logp + pair_score, back)
         for cells in stratum.values():
             for _, mask in cells:
                 comps.add(mask)
+        compositions[i] = len(comps)
+
     stats = CompositionStats(
         sample_size=n,
-        per_size_compositions=[len(comps) for comps in derived],
+        per_size_compositions=compositions,
         per_size_entries=[sum(map(len, stratum.values())) for stratum in scores],
         pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,

@@ -456,6 +456,23 @@ def test_nan_budget_seconds_exits_2(capsys, tmp_path, grammar_file, line_drawing
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--budget-seconds", "--budget-entries"])
+def test_negative_budget_exits_2(capsys, tmp_path, grammar_file, line_drawing, flag):
+    # one instance and two: the deadline is checked only in the combine loop
+    for points in ([(2, 2)], [(2, 2), (2, 3)]):
+        xp = sample_file(tmp_path, line_drawing, points)
+        code, out = run(capsys, ["parse", grammar_file, xp, flag, "-1"])
+        assert code == 2 and "-1" in json.loads(out)["error"]
+        code, _ = run(capsys, ["parse", grammar_file, xp, flag, "0"])
+        assert code in (0, 4)  # zero is a budget: the parse ends or runs out
+
+
+def test_negative_sample_count_exits_2(capsys, grammar_file):
+    code, out = run(capsys, ["sample", grammar_file, "--count", "-3"])
+    assert code == 2 and "--count" in json.loads(out)["error"]
+    assert run(capsys, ["sample", grammar_file, "--count", "0"]) == (0, "")
+
+
 def test_debug_log_carries_the_traceback_of_an_error(monkeypatch, capsys, tmp_path):
     g = scfg_to_aog(parse_scfg("X -> X X [0.4]\nX -> a [0.6]\n"))
     gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"

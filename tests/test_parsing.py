@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,13 @@ def test_nan_budget_seconds_is_refused():
     gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
     result = parse(gcnf, string_sample(["a"] * 4), budget=ParserBudget(max_seconds=math.inf))
     assert result.score != NEG_INF
+
+
+@pytest.mark.parametrize("field", ["max_entries", "max_seconds"])
+def test_negative_budgets_are_refused(field):
+    with pytest.raises(ValueError, match=f"{field} is -1"):
+        ParserBudget(**{field: -1})
+    ParserBudget(**{field: 0})  # zero stays valid: nothing may be stored, or no time spent
 
 
 def test_backtrack_does_not_recurse_per_tree_level():
@@ -707,6 +715,53 @@ def test_unread_cells_leave_scores_and_counts_exact(name):
         assert result.stats.pair_tests == pair_tests
         assert result.score.hex() == score
         assert result.stats.table_entries == entries
+
+
+# (per_size_compositions, per_size_entries) of viterbi charts over a×1..3:
+# no combine step at n = 1, only the top stratum at n = 2, and under
+# S -> A B a start that no step reads below n
+TINY_PINS = {
+    "S -> a [1.0]": [([0, 1], [0, 1]), ([0, 2, 0], [0, 0, 0]), ([0, 3, 0, 0], [0, 0, 0, 0])],
+    "X -> X X [0.4]\nX -> a [0.6]": [
+        ([0, 1], [0, 1]),
+        ([0, 2, 1], [0, 2, 1]),
+        ([0, 3, 2, 1], [0, 3, 2, 1]),
+    ],
+    "S -> A B [1.0]\nA -> a [1.0]\nB -> a [1.0]": [
+        ([0, 1], [0, 0]),
+        ([0, 2, 1], [0, 4, 1]),
+        ([0, 3, 2, 0], [0, 6, 0, 0]),
+    ],
+}
+
+
+@pytest.mark.parametrize("rules", sorted(TINY_PINS))
+def test_tiny_sample_counts_are_pinned(rules):
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(rules)))
+    for n, counts in enumerate(TINY_PINS[rules], 1):
+        stats = build_table(gcnf, string_sample(["a"] * n)).stats
+        assert (stats.per_size_compositions, stats.per_size_entries) == counts, n
+
+
+@pytest.mark.parametrize("mode", ["viterbi", "marginal"])
+def test_build_table_peak_memory_stays_near_the_kept_chart(mode):
+    # a parse holds its chart plus the mask set of one stratum, so its
+    # traced peak stays within a tenth of the chart it returns
+    gcnf, x = pinned_input("sat 44008")
+    gcnf.compiled  # compile outside the traced span
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table = build_table(gcnf, x, mode)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert table.stats.table_entries == UNREAD_PINS["sat 44008"][3]
+    assert peak <= 1.10 * kept, (peak, kept)
 
 
 def test_budget_entries_count_stored_cells():
