@@ -180,13 +180,23 @@ class TreeNode:
     def walk(self) -> Iterator["TreeNode"]:
         """Every node of the subtree in pre-order: a node before its
         children, children left to right.  Iterative, so the depth of the
-        tree is not bounded by the recursion limit; reversed, the list
-        has every node after its children."""
+        tree is not bounded by the recursion limit."""
         todo = [self]
         while todo:
             node = todo.pop()
             yield node
             todo.extend(reversed(node.children))
+
+    def postorder(self) -> list["TreeNode"]:
+        """Every node of the subtree after its children, children left to
+        right: the order a recursive fold finishes them.  Iterative, like walk."""
+        order, todo = [], [self]
+        while todo:  # pre-order taking children right to left, then reversed
+            node = todo.pop()
+            order.append(node)
+            todo.extend(node.children)
+        order.reverse()
+        return order
 
 
 @dataclass
@@ -328,15 +338,8 @@ def sample(
         todo.extend((child, depth + 1) for child in reversed(tree.children))
 
     if g.domain.leaf_param is not None:
-        # pre-order taking children right to left; reversed, it has children
-        # before parents and numbers the leaves left to right
-        order, todo = [], [root]
-        while todo:
-            tree = todo.pop()
-            order.append(tree)
-            todo.extend(tree.children)
         counter = 0
-        for tree in reversed(order):
+        for tree in root.postorder():  # leaves numbered left to right
             kind = g.kind(tree.node)
             if kind is NodeKind.TERMINAL:
                 tree.param = g.domain.leaf_param(counter)
@@ -387,7 +390,9 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
 
     Checks node kinds, rule membership, relation satisfaction, function
     consistency of parameters, and leaf instance uniqueness.  Raises
-    InvalidTree on any mismatch.
+    InvalidTree on the first mismatch; nodes are checked children before
+    parents, left to right, so on a tree with several faults the one
+    raised is the first that order meets.
     """
     if tree.root.node != g.start:
         raise InvalidTree(f"root is {tree.root.node!r}, expected start {g.start!r}")
@@ -399,28 +404,8 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
         if key not in or_rule_prob or rule.prob > or_rule_prob[key]:
             or_rule_prob[key] = rule.prob
 
-    values: list[float] = []  # log probabilities of the subtrees checked so far
-    todo: list = [tree.root]  # nodes to check, then (node, rule or log prob) to finish
-    while todo:
-        node = todo.pop()
-        if isinstance(node, tuple):  # every child of the node is checked
-            node, rule = node
-            if not isinstance(rule, AndRule):
-                values.append(rule + values.pop())
-                continue
-            first = len(values) - len(node.children)
-            total = sum(values[first:])
-            del values[first:]
-            params = tuple(child.param for child in node.children)
-            if not g.domain.relation(rule.relation, len(params))(*params):
-                raise InvalidTree(f"children of {node.node!r} violate {rule.relation.key!r}")
-            expected = g.domain.function(rule.function, len(params))(*params)
-            if node.param != expected:
-                raise InvalidTree(
-                    f"{node.node!r} parameter {node.param!r} differs from computed {expected!r}"
-                )
-            values.append(total)
-            continue
+    values: list[float] = []  # log probabilities of the subtrees not yet folded
+    for node in tree.root.postorder():
         try:
             kind = g.kind(node.node)
         except KeyError:
@@ -436,8 +421,16 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             rule = g.and_rule_of.get(node.node)
             if rule is None or tuple(c.node for c in node.children) != rule.children:
                 raise InvalidTree(f"And-node {node.node!r} children do not match its rule")
-            todo.append((node, rule))
-            todo.extend(reversed(node.children))
+            params = tuple(child.param for child in node.children)
+            if not g.domain.relation(rule.relation, len(params))(*params):
+                raise InvalidTree(f"children of {node.node!r} violate {rule.relation.key!r}")
+            expected = g.domain.function(rule.function, len(params))(*params)
+            if node.param != expected:
+                raise InvalidTree(
+                    f"{node.node!r} parameter {node.param!r} differs from computed {expected!r}"
+                )
+            first = len(values) - len(params)
+            values[first:] = [sum(values[first:])]
         else:
             if len(node.children) != 1:
                 raise InvalidTree(f"Or-node {node.node!r} must have exactly one child")
@@ -447,8 +440,7 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
                 raise InvalidTree(f"no Or-rule {node.node!r} -> {child.node!r}")
             if child.param != node.param:
                 raise InvalidTree(f"Or-node {node.node!r} parameter differs from its child")
-            todo.append((node, math.log(prob)))
-            todo.append(child)
+            values.append(math.log(prob) + values.pop())
     return values[0]
 
 

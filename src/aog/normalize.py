@@ -246,15 +246,18 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
     Synthesized start/alternate wrappers are spliced out, binarization
     chains are flattened back to wide And-rules (dropping the packed tuple
     parameters), and merged unit chains are re-expanded along their most
-    probable recorded path.  The result is re-scored against the original
-    grammar, which also verifies it.
+    probable recorded path.  One fold over the tree, children before
+    parents, so a tree with several faults raises the first that order
+    meets.  The result is re-scored against the original grammar, which
+    also verifies it.
     """
     known = original.terminals | original.and_nodes | original.or_nodes
     original_edges = {(rule.head, rule.child) for rule in original.or_rules}
 
-    def check_known(name: str) -> None:
+    def known_kind(name: str) -> NodeKind:
         if name not in known:
             raise MapMismatch(f"tree node {name!r} is not in the original grammar")
+        return original.kind(name)
 
     root = tree.root
     if node_map.start_node is not None:
@@ -263,53 +266,35 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
                 f"tree root {root.node!r} is not the recorded start wrapper"
             )
         root = root.children[0]
-    built: list[TreeNode] = []  # projected subtrees, left to right
-    todo: list = [root]  # nodes to project, then (node, child count, chain) to assemble
-    while todo:
-        node = todo.pop()
-        if isinstance(node, tuple):  # the node's projected children end `built`
-            node, count, chain = node
-            first = len(built) - count
-            children = tuple(built[first:])
-            del built[first:]
-            for inner in chain:
-                check_known(inner)
-                children = (TreeNode(inner, node.param, children),)
-            built.append(TreeNode(node.node, node.param, children))
+    built: list[TreeNode] = []  # projected subtrees not yet placed under a parent
+    for node in root.postorder():
+        first = len(built) - len(node.children)
+        children = built[first:]
+        del built[first:]
+        if node.node in node_map.alt_nodes:  # a wrapper passes its child through
+            built.append(children[0])
             continue
-        while node.node in node_map.alt_nodes:
-            node = node.children[0]
-        check_known(node.node)
-        kind = original.kind(node.node)
-        if kind is NodeKind.TERMINAL:
+        # a binarization chain node packs the original children of its head
+        kind = NodeKind.AND if node.node in node_map.bin_nodes else known_kind(node.node)
+        if kind is NodeKind.AND:
+            parts: list[TreeNode] = []
+            for child in children:
+                parts += child.children if child.node in node_map.bin_nodes else (child,)
+            built.append(TreeNode(node.node, node.param, tuple(parts)))
+        elif kind is NodeKind.TERMINAL:
             built.append(TreeNode(node.node, node.param, instance=node.instance))
-        elif kind is NodeKind.AND:
-            # a binarization chain hangs off the left child: collect the
-            # wide rule's children right to left, so the leftmost pops first
-            parts, pair = [], node
-            while True:
-                left, right = pair.children
-                parts.append(right)
-                inner = left.children[0] if left.node in node_map.alt_nodes else None
-                if inner is None or inner.node not in node_map.bin_nodes:
-                    break
-                pair = inner
-            parts.append(left)
-            todo.append((node, len(parts), ()))
-            todo.extend(parts)
         else:
-            child = node.children[0]
-            edge = (node.node, child.node)
+            edge = (node.node, node.children[0].node)
             chains = node_map.unit_chains.get(edge)
-            if chains is None:
-                if edge not in original_edges:
-                    raise MapMismatch(f"no original Or-rule or recorded chain for {edge}")
-                chain = ()
-            else:
+            if not chains and edge not in original_edges:
+                raise MapMismatch(f"no original Or-rule or recorded chain for {edge}")
+            child = children[0]
+            if chains:
                 best = max(chains, key=lambda c: (c.prob, c.nodes))
-                chain = reversed(best.nodes[1:-1])
-            todo.append((node, 1, chain))
-            todo.append(child)
+                for inner in reversed(best.nodes[1:-1]):
+                    known_kind(inner)
+                    child = TreeNode(inner, node.param, (child,))
+            built.append(TreeNode(node.node, node.param, (child,)))
     projected = built[0]
     if projected.node != original.start:
         raise MapMismatch(f"projected root {projected.node!r} is not the original start")

@@ -394,14 +394,16 @@ def load_node_map(path: str | Path) -> NodeMap:
 
 
 def tree_to_json_dict(tree: ParseTree, domain: DomainBinding) -> dict:
-    nodes = list(tree.root.walk())
-    params = [domain.encode_param(t.param) for t in nodes]  # encoded in pre-order
-    built: list[dict] = []
-    for t, param in zip(reversed(nodes), reversed(params)):  # children before parents
-        out: dict[str, Any] = {"node": t.node, "param": param}
+    """The tree's log_prob and nested nodes, built children before parents
+    (parameters are encoded in that order), so a tree of any depth is written."""
+    built: list[dict] = []  # the subtrees not yet placed under a parent
+    for t in tree.root.postorder():
+        out: dict[str, Any] = {"node": t.node, "param": domain.encode_param(t.param)}
         if t.instance is not None:
             out["instance"] = t.instance
         if t.children:
-            out["children"] = [built.pop() for _ in t.children]
+            first = len(built) - len(t.children)
+            out["children"] = built[first:]
+            del built[first:]
         built.append(out)
     return {"log_prob": tree.log_prob, "root": built.pop()}

@@ -15,8 +15,10 @@ from aog import (
     Grammar,
     InvalidTree,
     OrRule,
+    ParseTree,
     RelationRef,
     TerminalInstance,
+    TreeNode,
     grid_domain,
     null_domain,
     sample,
@@ -26,6 +28,7 @@ from aog import (
     tree_sample,
     validate_grammar,
 )
+from aog.serialize import canonical_dumps, tree_to_json_dict
 from helpers import random_aog
 
 
@@ -209,3 +212,46 @@ def test_sample_log_prob_is_tree_probability(kind):
                 except DomainError:  # an interval too narrow to split
                     continue
                 assert tree.log_prob == tree_probability(grammar, tree)
+
+
+def test_postorder_lists_children_before_parents_left_to_right():
+    a, b, c, d = (TreeNode(name, None) for name in "abcd")
+    inner = TreeNode("B", None, (b, c))
+    root = TreeNode("R", None, (a, inner, d))
+    assert root.postorder() == [a, b, c, inner, d, root]
+    assert a.postorder() == [a]
+
+
+def test_tree_probability_reports_child_faults_first():
+    # two faults: the root's parameter differs from its child's, and the
+    # leaf below lacks an instance id; the leaf's is met first
+    g = Grammar(
+        domain=null_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset(),
+        or_nodes=frozenset({"S"}),
+        start="S",
+        and_rules=(),
+        or_rules=(OrRule("S", "t", 1.0),),
+    )
+    tree = ParseTree(TreeNode("S", "root", (TreeNode("t", None),)), 0.0)
+    with pytest.raises(InvalidTree, match="'t' lacks a fresh instance id"):
+        tree_probability(g, tree)
+
+
+def test_and_start_over_terminals_scores_float_zero():
+    # S -> a b with no Or-rule: every factor is 1, and the score is the
+    # float 0.0, so aog sample prints 0.0 and not 0
+    g = Grammar(
+        domain=string_span_domain(),
+        terminals=frozenset({"a", "b"}),
+        and_nodes=frozenset({"S"}),
+        or_nodes=frozenset(),
+        start="S",
+        and_rules=(AndRule("S", ("a", "b"), RelationRef("adjacent"), FunctionRef("concat")),),
+        or_rules=(),
+    )
+    tree, _ = sample(g, seed=0)
+    assert type(tree.log_prob) is float and tree.log_prob == 0.0
+    assert type(tree_probability(g, tree)) is float
+    assert '"log_prob": 0.0,' in canonical_dumps(tree_to_json_dict(tree, g.domain))

@@ -131,6 +131,9 @@ def test_deep_tree_walks():
     nodes = list(tree.root.walk())
     assert len(nodes) == 4 * 750 - 2
     assert nodes[0] is tree.root
+    folded = tree.root.postorder()
+    assert len(folded) == len(nodes)
+    assert folded[0].instance == "t0" and folded[-1] is tree.root
     assert [leaf.instance for leaf in tree.leaves()] == [f"t{i}" for i in range(750)]
     assert tree_sample(g, tree).ids == frozenset(f"t{i}" for i in range(750))
     assert tree_probability(g, tree) == pytest.approx(tree.log_prob, rel=1e-12)

@@ -15,9 +15,11 @@ from aog import (
     MapMismatch,
     NodeMap,
     OrRule,
+    ParseTree,
     ParserBudget,
     RelationRef,
     TerminalInstance,
+    TreeNode,
     UnitCycleError,
     enumerate_parses,
     gcnf_violations,
@@ -158,6 +160,24 @@ def test_projection_rejects_foreign_tree(line_drawing, wide_string_grammar):
     tree = parse(gcnf_a, x, "viterbi").tree
     with pytest.raises(MapMismatch):
         project_parse(tree, map_b, wide_string_grammar)
+
+
+def test_projection_reports_child_faults_first():
+    # two faults: the root's edge S -> T is no Or-rule of the grammar, and
+    # the node below T is unknown; the unknown node is met first
+    g = Grammar(
+        domain=null_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset(),
+        or_nodes=frozenset({"S", "T"}),
+        start="S",
+        and_rules=(),
+        or_rules=(OrRule("S", "t", 1.0), OrRule("T", "t", 1.0)),
+    )
+    leaf = TreeNode("zzz", None, instance="t0")
+    tree = ParseTree(TreeNode("S", None, (TreeNode("T", None, (leaf,)),)), 0.0)
+    with pytest.raises(MapMismatch, match="tree node 'zzz' is not in the original grammar"):
+        project_parse(tree, NodeMap(original_start="S"), g)
 
 
 def test_node_map_json_roundtrip(wide_string_grammar):
