@@ -70,38 +70,6 @@ class NodeMap:
     bin_nodes: dict[str, str] = field(default_factory=dict)  # chain And-node -> original head
     unit_chains: dict[tuple[str, str], list[UnitChain]] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "original_start": self.original_start,
-            "start_node": self.start_node,
-            "alt_nodes": dict(sorted(self.alt_nodes.items())),
-            "bin_nodes": dict(sorted(self.bin_nodes.items())),
-            "unit_chains": [
-                {
-                    "head": head,
-                    "child": child,
-                    "chains": [{"prob": c.prob, "nodes": list(c.nodes)} for c in chains],
-                }
-                for (head, child), chains in sorted(self.unit_chains.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: dict) -> "NodeMap":
-        chains = {
-            (entry["head"], entry["child"]): [
-                UnitChain(c["prob"], list(c["nodes"])) for c in entry["chains"]
-            ]
-            for entry in raw.get("unit_chains", [])
-        }
-        return cls(
-            original_start=raw["original_start"],
-            start_node=raw.get("start_node"),
-            alt_nodes=dict(raw.get("alt_nodes", {})),
-            bin_nodes=dict(raw.get("bin_nodes", {})),
-            unit_chains=chains,
-        )
-
 
 def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     """Convert a valid grammar to normal form; probabilities are preserved

@@ -106,7 +106,7 @@ class ParserBudget:
     def __post_init__(self) -> None:
         if self.max_entries < 0:
             raise ValueError(f"max_entries is {self.max_entries}; 0 or more")
-        # monotonic() > nan is never true, so a nan limit would never fire
+        # monotonic() >= nan is never true, so a nan limit would never fire
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise ValueError(f"max_seconds is {self.max_seconds}; 0 or more, None: no limit")
 
@@ -322,6 +322,8 @@ def build_table(
     entry_count = sum(map(len, seeded.values()))
     if entry_count > max_entries:
         raise BudgetExceeded(f"chart exceeded {max_entries} entries")
+    if deadline is not None and time.monotonic() >= deadline:  # also on one instance
+        raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
 
     # per size, the instance sets derived, stored or not (size 1: instances under an Or-rule)
     compositions = [0] * (n + 1)
@@ -336,6 +338,8 @@ def build_table(
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
     left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
+        if deadline is not None and time.monotonic() >= deadline:  # also bounds the previous count
+            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
         if i > 2:
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
@@ -362,7 +366,7 @@ def build_table(
                         keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
                     next_key = iter(keys).__next__
                 for (lparam, lmask), (lscore, _) in lefts.items():
-                    if deadline is not None and time.monotonic() > deadline:
+                    if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
                     if join is None:
                         candidates = rights.items()

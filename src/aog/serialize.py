@@ -30,7 +30,7 @@ from .grammar import (
     TerminalInstance,
     validate_grammar,
 )
-from .normalize import NodeMap
+from .normalize import NodeMap, UnitChain
 
 FORMAT_VERSION = 1
 
@@ -372,7 +372,17 @@ def load_sample(path: str | Path, domain: DomainBinding) -> DataSample:
 
 
 def save_node_map(node_map: NodeMap, path: str | Path) -> None:
-    payload = {"format_version": FORMAT_VERSION, **node_map.to_json_dict()}
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "original_start": node_map.original_start,
+        "start_node": node_map.start_node,
+        "alt_nodes": node_map.alt_nodes,
+        "bin_nodes": node_map.bin_nodes,
+        "unit_chains": [
+            {"head": head, "child": child, "chains": [vars(chain) for chain in chains]}
+            for (head, child), chains in sorted(node_map.unit_chains.items())
+        ],
+    }
     Path(path).write_text(canonical_dumps(payload))
 
 
@@ -384,10 +394,37 @@ def load_node_map(path: str | Path) -> NodeMap:
         "node map",
     )
     _version(top)
-    try:
-        return NodeMap.from_json_dict(top)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"node map: {exc}") from None
+    names = {}
+    for key in ("alt_nodes", "bin_nodes"):  # synthesized node -> original node
+        pairs = top.get(key, {})
+        if not isinstance(pairs, dict):
+            raise FormatError(f"{key}: expected an object")
+        names[key] = {_string(k, key): _string(v, f"{key}.{k}") for k, v in pairs.items()}
+    entries = top.get("unit_chains", [])
+    if not isinstance(entries, list):
+        raise FormatError("unit_chains: expected a list")
+    unit_chains: dict[tuple[str, str], list[UnitChain]] = {}
+    for i, entry in enumerate(entries):
+        where = f"unit_chains[{i}]"
+        edge = _require_keys(entry, {"head", "child", "chains"}, set(), where)
+        if not isinstance(edge["chains"], list) or not edge["chains"]:
+            raise FormatError(f"{where}.chains: expected a non-empty list")
+        key = (_string(edge["head"], f"{where}.head"), _string(edge["child"], f"{where}.child"))
+        unit_chains[key] = []
+        for j, raw in enumerate(edge["chains"]):
+            at = f"{where}.chains[{j}]"
+            chain = _require_keys(raw, {"prob", "nodes"}, set(), at)
+            nodes = chain["nodes"]
+            if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+                raise FormatError(f"{at}: nodes must be a list of node ids")
+            unit_chains[key].append(UnitChain(_number(chain["prob"], f"{at}.prob"), nodes))
+    start_node = top.get("start_node")
+    return NodeMap(
+        original_start=_string(top["original_start"], "original_start"),
+        start_node=None if start_node is None else _string(start_node, "start_node"),
+        unit_chains=unit_chains,
+        **names,
+    )
 
 
 # ----------------------------------------------------------------------- trees

@@ -458,13 +458,22 @@ def test_nan_budget_seconds_exits_2(capsys, tmp_path, grammar_file, line_drawing
 
 @pytest.mark.parametrize("flag", ["--budget-seconds", "--budget-entries"])
 def test_negative_budget_exits_2(capsys, tmp_path, grammar_file, line_drawing, flag):
-    # one instance and two: the deadline is checked only in the combine loop
+    # one instance and two: a parse with no combine step and one with
     for points in ([(2, 2)], [(2, 2), (2, 3)]):
         xp = sample_file(tmp_path, line_drawing, points)
         code, out = run(capsys, ["parse", grammar_file, xp, flag, "-1"])
         assert code == 2 and "-1" in json.loads(out)["error"]
         code, _ = run(capsys, ["parse", grammar_file, xp, flag, "0"])
         assert code in (0, 4)  # zero is a budget: the parse ends or runs out
+
+
+def test_zero_budget_seconds_exits_4_on_one_token(capsys, tmp_path):
+    g = scfg_to_aog(parse_scfg("X -> X X [0.4]\nX -> a [0.6]\n"))
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    save_grammar(g, gpath)
+    save_sample(string_sample(["a"]), g.domain, xpath)
+    code, out = run(capsys, ["parse", str(gpath), str(xpath), "--budget-seconds", "0"])
+    assert code == 4 and "0.0 seconds" in json.loads(out)["error"]
 
 
 def test_negative_sample_count_exits_2(capsys, grammar_file):

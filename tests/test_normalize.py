@@ -23,10 +23,12 @@ from aog import (
     UnitCycleError,
     enumerate_parses,
     gcnf_violations,
+    load_node_map,
     null_domain,
     parse,
     project_parse,
     sample,
+    save_node_map,
     to_gcnf,
     tree_probability,
     tree_sample,
@@ -180,9 +182,10 @@ def test_projection_reports_child_faults_first():
         project_parse(tree, NodeMap(original_start="S"), g)
 
 
-def test_node_map_json_roundtrip(wide_string_grammar):
+def test_node_map_json_roundtrip(tmp_path, wide_string_grammar):
     _, node_map = to_gcnf(wide_string_grammar)
-    restored = NodeMap.from_json_dict(node_map.to_json_dict())
+    save_node_map(node_map, tmp_path / "map.json")
+    restored = load_node_map(tmp_path / "map.json")
     assert restored == node_map
 
 

@@ -180,6 +180,17 @@ def test_negative_budgets_are_refused(field):
     ParserBudget(**{field: 0})  # zero stays valid: nothing may be stored, or no time spent
 
 
+def test_passed_deadline_fires_on_one_instance():
+    # one instance has no combine step; the deadline is checked after seeding
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    x = string_sample(["a"])
+    with pytest.raises(BudgetExceeded, match="parse exceeded 0.0 seconds"):
+        parse(gcnf, x, budget=ParserBudget(max_seconds=0.0))
+    for limit in (math.inf, None):
+        result = parse(gcnf, x, budget=ParserBudget(max_seconds=limit))
+        assert result.score == pytest.approx(math.log(0.6))
+
+
 def test_backtrack_does_not_recurse_per_tree_level():
     # a left-branching tree over 60 tokens is about 120 levels deep; rebuilt
     # under a recursion limit of 50 it must equal the tree parse returns

@@ -212,6 +212,47 @@ def test_node_map_file_roundtrip(tmp_path, wide_string_grammar):
     assert load_node_map(path) == node_map
 
 
+def good_node_map() -> dict:
+    chains = [{"prob": 0.6, "nodes": ["S", "A", "t"]}, {"prob": 0.4, "nodes": ["S", "t"]}]
+    return {
+        "format_version": 1,
+        "original_start": "S",
+        "start_node": None,
+        "alt_nodes": {"t#alt": "t"},
+        "bin_nodes": {},
+        "unit_chains": [{"head": "S", "child": "t", "chains": chains}],
+    }
+
+
+def test_good_node_map_loads(tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(good_node_map()))
+    node_map = load_node_map(path)
+    assert node_map.alt_nodes == {"t#alt": "t"}
+    assert [c.nodes for c in node_map.unit_chains["S", "t"]] == [["S", "A", "t"], ["S", "t"]]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        ("prob", lambda m: m["unit_chains"][0]["chains"][0].update(prob="x")),
+        ("nodes", lambda m: m["unit_chains"][0]["chains"][0].update(nodes="Sa")),
+        ("alt_target", lambda m: m.update(alt_nodes={"x": 5})),
+        ("original_start", lambda m: m.update(original_start=5)),
+        ("chain_key", lambda m: m["unit_chains"][0]["chains"][0].update(extra=1)),
+        ("alt_pairs", lambda m: m.update(alt_nodes=[["a", "b"]])),
+    ],
+    ids=lambda defect: defect[0],
+)
+def test_load_node_map_rejects_malformed(tmp_path, defect):
+    payload = good_node_map()
+    defect[1](payload)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError):
+        load_node_map(path)
+
+
 def test_tree_serialization(line_drawing):
     tree, x = sample(line_drawing, seed=2)
     payload = tree_to_json_dict(tree, line_drawing.domain)
