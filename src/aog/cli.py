@@ -100,11 +100,9 @@ def tree_to_dot(tree: ParseTree) -> str:
             continue
         name = f"n{counter}"
         counter += 1
-        label = node.node
-        if node.param is not None:
-            label += f"\\n{node.param}"
-        if node.instance is not None:
-            label += f"\\n@{node.instance}"
+        at = None if node.instance is None else f"@{node.instance}"
+        text = (str(part) for part in (node.node, node.param, at) if part is not None)
+        label = "\\n".join(t.replace("\\", "\\\\").replace('"', '\\"') for t in text)
         lines.append(f'  {name} [label="{label}"];')
         if parent is not None:
             todo.append((name, parent))

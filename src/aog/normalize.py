@@ -227,12 +227,15 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
             raise MapMismatch(f"tree node {name!r} is not in the original grammar")
         return original.kind(name)
 
+    def one_child(node: TreeNode) -> None:  # for a wrapper or an Or-node
+        if len(node.children) != 1:
+            raise MapMismatch(f"tree node {node.node!r} must have exactly one child")
+
     root = tree.root
     if node_map.start_node is not None:
         if root.node != node_map.start_node:
-            raise MapMismatch(
-                f"tree root {root.node!r} is not the recorded start wrapper"
-            )
+            raise MapMismatch(f"tree root {root.node!r} is not the recorded start wrapper")
+        one_child(root)
         root = root.children[0]
     built: list[TreeNode] = []  # projected subtrees not yet placed under a parent
     for node in root.postorder():
@@ -240,6 +243,7 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
         children = built[first:]
         del built[first:]
         if node.node in node_map.alt_nodes:  # a wrapper passes its child through
+            one_child(node)
             built.append(children[0])
             continue
         # a binarization chain node packs the original children of its head
@@ -249,9 +253,10 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
             for child in children:
                 parts += child.children if child.node in node_map.bin_nodes else (child,)
             built.append(TreeNode(node.node, node.param, tuple(parts)))
-        elif kind is NodeKind.TERMINAL:
-            built.append(TreeNode(node.node, node.param, instance=node.instance))
+        elif kind is NodeKind.TERMINAL:  # children kept for the re-score to reject
+            built.append(TreeNode(node.node, node.param, tuple(children), node.instance))
         else:
+            one_child(node)
             edge = (node.node, node.children[0].node)
             chains = node_map.unit_chains.get(edge)
             if not chains and edge not in original_edges:

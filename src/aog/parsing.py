@@ -9,11 +9,12 @@ viterbi keeps the larger, marginal log-adds (semiring parsing, Goodman
 general grammars that serves as an independent reference.
 
 Chart layout.  Each cell is one (score, back) pair, score a log score:
-scores[size][or_node][(param, mask)], where bit i of mask stands for
-instance i of the sample.  Only cells a later step reads are stored: below
-the top size n those of And-rule children, read by the combine step, and
-at n the start's, read by root_entries.  No stored cell derives from any
-other, so scores, trees and ties are the full chart's.  The stats still
+scores[size][or_node][(param, mask)], bit i of mask standing for instance
+i of the sample and size being mask.bit_count(); CompositionKey names a
+cell by (or_node, param, mask).  Only cells a later step reads are stored:
+below the top size n those of And-rule children, read by the combine step,
+and at n the start's, read by root_entries.  No stored cell derives from
+any other, so scores, trees and ties are the full chart's.  The stats also
 count the compositions of cells not stored, each size's once its stratum
 is final, so a parse holds its chart plus the mask set of one stratum.
 back is None in a marginal table; in a viterbi table it records how the
@@ -86,10 +87,11 @@ def log_add(a: float, b: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class CompositionKey:
-    size: int
+    """A chart cell: bit i of mask is instance i of the sample; its size is mask.bit_count()."""
+
     or_node: str
     param: Any
-    terminals: frozenset[str]
+    mask: int
 
 
 class RootEntry(NamedTuple):
@@ -218,29 +220,23 @@ class CompositionTable:
     scores: list[dict[str, dict[tuple, tuple[float, tuple | None]]]]
     stats: CompositionStats
 
-    def _cell(self, key: CompositionKey) -> tuple[int, tuple]:
-        """The instance mask and the (score, back) pair of an existing cell."""
-        mask = 0
-        for i, inst in enumerate(self.sample.instances):
-            if inst.instance_id in key.terminals:
-                mask |= 1 << i
-        if 0 <= key.size < len(self.scores) and mask.bit_count() == len(key.terminals):
-            cell = self.scores[key.size].get(key.or_node, {}).get((key.param, mask))
+    def _cell(self, key: CompositionKey) -> tuple:
+        """The (score, back) pair of a stored cell."""
+        if 0 < key.mask < 1 << len(self.sample):  # bits name instances only
+            cell = self.scores[key.mask.bit_count()].get(key.or_node, {}).get((key.param, key.mask))
             if cell is not None:
-                return mask, cell
+                return cell
         raise MissingEntry(f"no chart entry for {key}")
 
     def lookup(self, key: CompositionKey) -> float:
         """The score of a stored cell; MissingEntry when the chart has none,
         as for a cell no later step reads (module docstring)."""
-        return self._cell(key)[1][0]
+        return self._cell(key)[0]
 
     def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
-        n = len(self.sample)
-        start = self.grammar.start
         out = [
-            (CompositionKey(n, start, param, self.sample.ids), RootEntry(score))
-            for (param, _), (score, _) in self.scores[n].get(start, {}).items()
+            (CompositionKey(self.grammar.start, param, mask), RootEntry(score))
+            for (param, mask), (score, _) in self.scores[-1].get(self.grammar.start, {}).items()
         ]
         return sorted(out, key=lambda kv: param_order_key(kv[0].param))
 
@@ -417,8 +413,8 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
     scores = table.scores
-    top, (score, back) = table._cell(root)  # raises MissingEntry for unknown keys
-    order = [(root.param, top, back)]
+    score, back = table._cell(root)  # raises MissingEntry for unknown keys
+    order = [(root.param, root.mask, back)]
     for _, _, back in order:  # grows while it is walked
         if len(back) == 6:
             and_idx, lparam, lmask, rparam, rmask, _ = back
@@ -436,7 +432,7 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
             children = (built.pop(lmask), built.pop(rmask))
             child = TreeNode(g.and_rules[and_idx].head, param, children)
         built[mask] = TreeNode(g.or_rules[or_idx].head, param, (child,))
-    return ParseTree(built[top], score)
+    return ParseTree(built[root.mask], score)
 
 
 def parse(

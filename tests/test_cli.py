@@ -17,6 +17,8 @@ import pytest
 
 import aog
 from aog import (
+    ParseTree,
+    TreeNode,
     gcnf_violations,
     grammar_to_json_dict,
     parse,
@@ -29,7 +31,7 @@ from aog import (
     string_sample,
     to_gcnf,
 )
-from aog.cli import main
+from aog.cli import main, tree_to_dot
 from aog.serialize import canonical_dumps, tree_to_json_dict
 from helpers import random_aog
 
@@ -412,6 +414,14 @@ def test_file_that_is_not_utf8(capsys, tmp_path, grammar_file, line_drawing):
     # convert reads source text, not a file of this package: malformed text exits 2
     code, out = run(capsys, ["convert", "scfg", str(latin1), "-o", str(tmp_path / "g.json")])
     assert code == 2 and "error" in json.loads(out)
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    leaf = TreeNode("t\\", 'p"q', instance='w"0')
+    dot = tree_to_dot(ParseTree(TreeNode('S"x', None, (leaf,)), 0.0)).splitlines()
+    assert dot[2] == r'  n0 [label="S\"x"];'
+    # the separator stays a DOT \n after a label part that ends in a backslash
+    assert dot[3] == r'  n1 [label="t\\\np\"q\n@w\"0"];'
 
 
 # a locale whose preferred encoding is ASCII: no UTF-8 mode, no C-locale coercion

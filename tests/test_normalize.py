@@ -12,6 +12,7 @@ from aog import (
     DomainError,
     FunctionRef,
     Grammar,
+    InvalidTree,
     MapMismatch,
     NodeMap,
     OrRule,
@@ -180,6 +181,48 @@ def test_projection_reports_child_faults_first():
     tree = ParseTree(TreeNode("S", None, (TreeNode("T", None, (leaf,)),)), 0.0)
     with pytest.raises(MapMismatch, match="tree node 'zzz' is not in the original grammar"):
         project_parse(tree, NodeMap(original_start="S"), g)
+
+
+def single_terminal_grammar():
+    return Grammar(
+        domain=null_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset(),
+        or_nodes=frozenset({"S"}),
+        start="S",
+        and_rules=(),
+        or_rules=(OrRule("S", "t", 1.0),),
+    )
+
+
+def leaf(k):
+    return TreeNode("t", None, instance=f"w{k}")
+
+
+@pytest.mark.parametrize(
+    "root, node_map, error",
+    [
+        (TreeNode("S", None), NodeMap("S"), MapMismatch),
+        (TreeNode("S#start", None), NodeMap("S", start_node="S#start"), MapMismatch),
+        (
+            TreeNode("S", None, (TreeNode("t#alt", None),)),
+            NodeMap("S", alt_nodes={"t#alt": "t"}),
+            MapMismatch,
+        ),
+        # with all but the first child dropped this would project to a valid tree over w0
+        (TreeNode("S", None, (leaf(0), leaf(1))), NodeMap("S"), MapMismatch),
+        # a terminal's children are kept, so the re-score rejects them
+        (
+            TreeNode("S", None, (TreeNode("t", None, (leaf(1),), instance="w0"),)),
+            NodeMap("S"),
+            InvalidTree,
+        ),
+    ],
+    ids=["or-node", "start-wrapper", "alt-wrapper", "two-children", "terminal-with-child"],
+)
+def test_projection_rejects_a_wrongly_shaped_node(root, node_map, error):
+    with pytest.raises(error, match="exactly one child|has children"):
+        project_parse(ParseTree(root, 0.0), node_map, single_terminal_grammar())
 
 
 def test_node_map_json_roundtrip(tmp_path, wide_string_grammar):

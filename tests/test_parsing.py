@@ -313,9 +313,13 @@ def test_backtrack_requires_viterbi_table():
     with pytest.raises(ValueError):
         backtrack(table, table.root_entries()[0][0])
     table = build_table(gcnf, x, "viterbi")
-    unknown_instance = CompositionKey(1, "X", (9, 10), frozenset({"w9"}))
-    size_out_of_range = CompositionKey(7, "X", (0, 2), x.ids)
-    for key in (unknown_instance, size_out_of_range):
+    n = len(x)
+    unknown_instance = CompositionKey("X", (9, 10), 1 << 9)
+    size_out_of_range = CompositionKey("X", (0, 2), (1 << 7) - 1)
+    empty = CompositionKey("X", (0, 2), 0)
+    past_the_sample = CompositionKey("X", (0, 2), 1 << n)
+    one_bit_too_many = CompositionKey("X", (0, 2), (1 << n + 1) - 1)
+    for key in (unknown_instance, size_out_of_range, empty, past_the_sample, one_bit_too_many):
         with pytest.raises(MissingEntry):
             backtrack(table, key)
         with pytest.raises(MissingEntry):
@@ -433,12 +437,13 @@ def assert_every_cell_backtracks(gcnf, x):
         for node, node_cells in stratum.items():
             rooted_here = dataclasses.replace(gcnf, start=node)
             for param, mask in node_cells:
-                terminals = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-                key = CompositionKey(size, node, param, terminals)
+                assert mask.bit_count() == size
+                key = CompositionKey(node, param, mask)
                 tree = backtrack(table, key)
                 assert tree.log_prob == table.lookup(key)
                 assert (tree.root.node, tree.root.param) == (node, param)
-                assert sorted(leaf.instance for leaf in tree.leaves()) == sorted(terminals)
+                instances = [ids[i] for i in range(len(ids)) if mask >> i & 1]
+                assert sorted(leaf.instance for leaf in tree.leaves()) == sorted(instances)
                 # the tree is a derivation of the grammar that scores as the cell
                 assert tree_probability(rooted_here, tree) == pytest.approx(
                     tree.log_prob, rel=1e-12, abs=1e-12
@@ -635,8 +640,8 @@ def test_start_cells_below_the_top_size_are_not_stored():
     assert table.stats.per_size_compositions == [0, 3, 2, 0]
     assert table.stats.per_size_entries == [0, 6, 0, 0]
     for key in (
-        CompositionKey(2, gcnf.start, (0, 2), frozenset({"w0", "w1"})),
-        CompositionKey(2, gcnf.start, (1, 3), frozenset({"w1", "w2"})),
+        CompositionKey(gcnf.start, (0, 2), 0b011),  # w0 w1
+        CompositionKey(gcnf.start, (1, 3), 0b110),  # w1 w2
     ):
         with pytest.raises(MissingEntry):
             table.lookup(key)
