@@ -62,6 +62,22 @@ class Grammar:
     and_rules: tuple[AndRule, ...]
     or_rules: tuple[OrRule, ...]
 
+    @classmethod
+    def from_rules(
+        cls,
+        domain: DomainBinding,
+        terminals: Iterable[str],
+        start: str,
+        and_rules: Iterable[AndRule],
+        or_rules: Iterable[OrRule],
+    ) -> Grammar:
+        """The grammar whose And-nodes and Or-nodes are the heads of its rules,
+        as in every valid grammar; the frontends and to_gcnf build with it."""
+        and_rules, or_rules = tuple(and_rules), tuple(or_rules)
+        and_nodes = frozenset(rule.head for rule in and_rules)
+        or_nodes = frozenset(rule.head for rule in or_rules)
+        return cls(domain, frozenset(terminals), and_nodes, or_nodes, start, and_rules, or_rules)
+
     def kind(self, node: str) -> NodeKind:
         if node in self.terminals:
             return NodeKind.TERMINAL

@@ -78,19 +78,15 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     if not report.ok:
         raise ValueError(f"cannot normalize an invalid grammar:\n{report}")
 
-    terminals = set(g.terminals)
-    and_nodes = set(g.and_nodes)
-    or_nodes = set(g.or_nodes)
     and_rules = list(g.and_rules)
     or_rules = list(g.or_rules)
     start = g.start
     node_map = NodeMap(original_start=g.start)
-    existing = terminals | and_nodes | or_nodes
+    existing = {*g.terminals, *g.and_nodes, *g.or_nodes}  # fresh names join it
 
     # start wrapper: the parser's root entries live at an Or-node
-    if start in and_nodes:
+    if start in g.and_nodes:
         wrapper = fresh_name(f"{start}#start", existing)
-        or_nodes.add(wrapper)
         or_rules.append(OrRule(wrapper, start, 1.0))
         node_map.start_node = wrapper
         start = wrapper
@@ -98,7 +94,7 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     # unit elimination: collapse Or -> Or chains onto their non-Or endpoints
     unit_edges: dict[str, list[str]] = {}
     for rule in or_rules:
-        if rule.child in or_nodes:
+        if rule.child in g.or_nodes:
             unit_edges.setdefault(rule.head, []).append(rule.child)
     if unit_edges:
         try:  # Or-nodes ordered so every unit child precedes its heads
@@ -115,7 +111,7 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
         for head in sorted(grouped, key=lambda h: (rank.get(h, -1), h)):
             merged: dict[str, list[UnitChain]] = {}
             for rule in grouped[head]:
-                if rule.child in or_nodes:
+                if rule.child in g.or_nodes:
                     for target, chains in chains_of[rule.child].items():
                         merged.setdefault(target, []).extend(
                             UnitChain(rule.prob * chain.prob, [head] + chain.nodes)
@@ -144,14 +140,12 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
             arity = len(rule.children)
             true_rel = RelationRef("true", {})
             prev = fresh_name(f"{rule.head}#bin1", existing)
-            and_nodes.add(prev)
             node_map.bin_nodes[prev] = rule.head
             and_rules.append(
                 AndRule(prev, rule.children[:2], true_rel, FunctionRef("pack", {}))
             )
             for i in range(2, arity - 1):
                 node = fresh_name(f"{rule.head}#bin{i}", existing)
-                and_nodes.add(node)
                 node_map.bin_nodes[node] = rule.head
                 and_rules.append(
                     AndRule(node, (prev, rule.children[i]), true_rel, FunctionRef("extend", {}))
@@ -179,29 +173,20 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     for rule in and_rules:
         children = []
         for child in rule.children:
-            if child in or_nodes:
+            if child in g.or_nodes:
                 children.append(child)
                 continue
             alt = alt_of.get(child)
             if alt is None:
                 alt = fresh_name(f"{child}#alt", existing)
                 alt_of[child] = alt
-                or_nodes.add(alt)
                 or_rules.append(OrRule(alt, child, 1.0))
                 node_map.alt_nodes[alt] = child
             children.append(alt)
         rewritten.append(replace(rule, children=tuple(children)))
     and_rules = rewritten
 
-    out = Grammar(
-        domain=domain,
-        terminals=frozenset(terminals),
-        and_nodes=frozenset(and_nodes),
-        or_nodes=frozenset(or_nodes),
-        start=start,
-        and_rules=tuple(and_rules),
-        or_rules=tuple(or_rules),
-    )
+    out = Grammar.from_rules(domain, g.terminals, start, and_rules, or_rules)
     check = validate_grammar(out)
     if not check.ok:
         raise AssertionError(f"normalization produced an invalid grammar:\n{check}")

@@ -196,8 +196,6 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
     true_rel = RelationRef("true")
     null_fn = FunctionRef("null")
     terminals = frozenset(f"c{j}" for j in range(1, k + 1))
-    and_nodes: set[str] = set()
-    or_nodes: set[str] = set()
     and_rules: list[AndRule] = []
     or_rules: list[OrRule] = []
 
@@ -205,7 +203,6 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
         if kind == "terminal" or not live(node):
             continue
         if kind == "or":
-            or_nodes.add(node)
             for child, p in or_edges[node]:
                 if child == _EPS or not live(child):
                     continue
@@ -214,24 +211,20 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
             continue
         children = and_children[node]
         if len(children) == 1:
-            or_nodes.add(node)
             or_rules.append(OrRule(node, children[0], 1.0))
             continue
         left, right = children
         eps_left, eps_right = eps_mass[left], eps_mass[right]
         if eps_left == 0.0 and eps_right == 0.0:
-            and_nodes.add(node)
             and_rules.append(AndRule(node, (left, right), true_rel, null_fn))
             continue
         # one side may stay silent: condition on at least one speaking
-        or_nodes.add(node)
         denom = 1.0 - eps_left * eps_right
         both = (1.0 - eps_left) * (1.0 - eps_right) / denom
         left_only = (1.0 - eps_left) * eps_right / denom
         right_only = eps_left * (1.0 - eps_right) / denom
         if both > 0.0:
             pair = f"{node}#pair"
-            and_nodes.add(pair)
             and_rules.append(AndRule(pair, (left, right), true_rel, null_fn))
             or_rules.append(OrRule(node, pair, both))
         if left_only > 0.0:
@@ -239,15 +232,7 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
         if right_only > 0.0:
             or_rules.append(OrRule(node, right, right_only))
 
-    grammar = Grammar(
-        domain=null_domain(),
-        terminals=terminals,
-        and_nodes=frozenset(and_nodes),
-        or_nodes=frozenset(or_nodes),
-        start="S",
-        and_rules=tuple(and_rules),
-        or_rules=tuple(or_rules),
-    )
+    grammar = Grammar.from_rules(null_domain(), terminals, "S", and_rules, or_rules)
     sample = DataSample(
         tuple(TerminalInstance(f"i{j}", f"c{j}", None) for j in range(1, k + 1))
     )

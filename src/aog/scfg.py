@@ -167,28 +167,18 @@ def scfg_to_aog(g: Scfg) -> Grammar:
     if not report.ok:
         raise ValueError(f"invalid grammar:\n{report}")
     shaped = and_or_form(g)
-    and_nodes: set[str] = set()
-    or_nodes: set[str] = set()
     and_rules: list[AndRule] = []
     or_rules: list[OrRule] = []
     for head, rules in shaped.rules_of.items():
         if _head_kind(rules) is NodeKind.AND:
-            and_nodes.add(head)
             and_rules.append(
                 AndRule(head, rules[0].body, RelationRef("adjacent"), FunctionRef("concat"))
             )
         else:
-            or_nodes.add(head)
             for rule in rules:
                 or_rules.append(OrRule(head, rule.body[0], rule.prob))
-    return Grammar(
-        domain=string_span_domain(),
-        terminals=shaped.terminals,
-        and_nodes=frozenset(and_nodes),
-        or_nodes=frozenset(or_nodes),
-        start=shaped.start,
-        and_rules=tuple(and_rules),
-        or_rules=tuple(or_rules),
+    return Grammar.from_rules(
+        string_span_domain(), shaped.terminals, shaped.start, and_rules, or_rules
     )
 
 

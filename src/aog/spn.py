@@ -11,6 +11,7 @@ by its partition constant, which is returned alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Union
@@ -170,8 +171,8 @@ def validate_spn(s: Spn) -> ValidationReport:
             if len(node.children) != len(node.weights):
                 report.add("weights", f"sum {name!r} weight count mismatch")
                 continue
-            if any(not (w > 0.0) for w in node.weights):
-                report.add("weights", f"sum {name!r} has a non-positive weight")
+            if any(not 0.0 < w < math.inf for w in node.weights):
+                report.add("weights", f"sum {name!r} has a weight that is not positive and finite")
             first = scopes[node.children[0]]
             for child in node.children[1:]:
                 if scopes[child] != first:
@@ -230,7 +231,9 @@ class SpnAog:
 
 
 def spn_to_aog(s: Spn) -> SpnAog:
-    """Compile a complete, decomposable SPN to a grammar on the null domain."""
+    """Compile a complete, decomposable SPN to a grammar on the null domain.
+    Raises InvalidSpn on an invalid network and when the mass of a node the
+    root reaches underflows to 0 or overflows, leaving no Or-rule probability."""
     report = validate_spn(s)
     if not report.ok:
         raise InvalidSpn(str(report))
@@ -262,18 +265,15 @@ def spn_to_aog(s: Spn) -> SpnAog:
                 out *= masses[child]
             masses[name] = out
             mapped[name] = mapped[node.children[0]] if len(node.children) == 1 else name
+        if not 0.0 < masses[name] < math.inf:
+            raise InvalidSpn(f"node {name!r} has mass {masses[name]}, outside float range")
 
-    and_nodes: set[str] = set()
-    or_nodes: set[str] = set()
     and_rules: list[AndRule] = []
     or_rules: list[OrRule] = []
-    terminals = frozenset(literals.values())
-
     for name, node in s.nodes.items():
         if mapped.get(name) != name:
             continue
         if isinstance(node, SumNode):
-            or_nodes.add(name)
             merged: dict[str, float] = {}
             for child, weight in zip(node.children, node.weights):
                 prob = weight * masses[child] / masses[name]
@@ -282,7 +282,6 @@ def spn_to_aog(s: Spn) -> SpnAog:
             for child_node, prob in merged.items():
                 or_rules.append(OrRule(name, child_node, prob))
         elif isinstance(node, ProductNode):
-            and_nodes.add(name)
             and_rules.append(
                 AndRule(
                     name,
@@ -293,21 +292,12 @@ def spn_to_aog(s: Spn) -> SpnAog:
             )
 
     start = mapped[s.root]
-    if start in terminals:
+    if start in literals.values():
         wrapper = fresh_name("S", taken)  # taken holds the literal names too
-        or_nodes.add(wrapper)
         or_rules.append(OrRule(wrapper, start, 1.0))
         start = wrapper
 
-    grammar = Grammar(
-        domain=null_domain(),
-        terminals=terminals,
-        and_nodes=frozenset(and_nodes),
-        or_nodes=frozenset(or_nodes),
-        start=start,
-        and_rules=tuple(and_rules),
-        or_rules=tuple(or_rules),
-    )
+    grammar = Grammar.from_rules(null_domain(), literals.values(), start, and_rules, or_rules)
     return SpnAog(grammar, masses[s.root], literals)
 
 

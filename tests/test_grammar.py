@@ -42,6 +42,15 @@ def test_line_drawing_is_valid(line_drawing):
     assert str(report) == "ok"
 
 
+def test_from_rules_reads_node_kinds_from_rule_heads(line_drawing):
+    g = line_drawing
+    # lists and a generator, in place of the tuples and frozensets
+    built = Grammar.from_rules(
+        g.domain, iter(["dot"]), g.start, list(g.and_rules), list(g.or_rules)
+    )
+    assert built == g
+
+
 def test_validation_catches_unknown_start(line_drawing):
     broken = replace(line_drawing, start="nope")
     assert "start-missing" in issue_codes(validate_grammar(broken))

@@ -552,6 +552,41 @@ def test_unit_chain_grammars_preserve_marginal(trial):
     assert tree_sample(g, projected).ids == x.ids
 
 
+def counting(g: Grammar) -> Grammar:
+    """g with every Or-rule probability 1.0: build_table does not check the
+    sums, so a parse's marginal is then its number of derivations."""
+    ones = tuple(dataclasses.replace(rule, prob=1.0) for rule in g.or_rules)
+    return dataclasses.replace(g, or_rules=ones)
+
+
+def derivation_count(g: Grammar, x: DataSample) -> int:
+    return round(math.exp(parse(g, x, "marginal").score))
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["tree", "or-chains"])
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_chart_counts_every_derivation(kind, chains):
+    # the chart holds each derivation of the normal form exactly once
+    parses = 0
+    for trial in range(16):
+        g = random_aog(random.Random(7000 + trial), allow_or_chains=chains, kind=kind)
+        ones = counting(to_gcnf(g)[0])
+        for seed in range(4):
+            _, x = aog.sample(g, seed=seed)
+            if len(x) <= 6:
+                assert derivation_count(ones, x) == len(enumerate_parses(ones, x))
+                parses += 1
+    assert parses > 30
+
+
+def test_chart_counts_catalan_many_bracketings():
+    # X -> X X | a derives a x n in Catalan(n - 1) ways
+    ones = counting(to_gcnf(scfg_to_aog(AMBIGUOUS))[0])
+    for n in range(1, 17):
+        catalan = math.comb(2 * n - 2, n - 1) // n
+        assert derivation_count(ones, string_sample(["a"] * n)) == catalan
+
+
 @pytest.mark.parametrize("trial", range(20))
 def test_random_grammars_agree_on_mutated_samples(trial):
     # mutations may break parseability; engine and reference must agree either way

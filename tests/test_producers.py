@@ -1,0 +1,71 @@
+"""The grammars that scfg_to_aog, spn_to_aog, sat_to_aog and to_gcnf build,
+pinned over a fixed sweep of random inputs.
+
+Each digest is sha256 over the canonical JSON of every output of a 40-seed
+sweep, in sweep order.  A float is written by its repr, which round-trips,
+so a change of any node, rule, rule order or last bit of a probability
+changes the digest.  A change that means to alter these outputs must say
+so and re-pin them.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from aog import sat_to_aog, scfg_to_aog, spn_to_aog, to_gcnf
+from aog.serialize import canonical_dumps, grammar_to_json_dict
+from helpers import random_3sat, random_aog, random_cnf_pcfg, random_spn
+
+SEEDS = range(40)
+
+
+def node_map_json(node_map) -> dict:
+    chains = [[*edge, [vars(c) for c in cs]] for edge, cs in node_map.unit_chains.items()]
+    return {**vars(node_map), "unit_chains": chains}
+
+
+def scfg_outputs():
+    for seed in SEEDS:
+        yield grammar_to_json_dict(scfg_to_aog(random_cnf_pcfg(random.Random(seed))))
+
+
+def spn_outputs():
+    for seed in SEEDS:
+        conv = spn_to_aog(random_spn(random.Random(seed), 1 + seed % 6))
+        yield grammar_to_json_dict(conv.grammar)
+        yield {"partition": conv.partition, "literals": sorted(conv.literals.items())}
+
+
+def sat_outputs():
+    for seed in SEEDS:
+        g, x = sat_to_aog(random_3sat(random.Random(seed)))
+        yield grammar_to_json_dict(g)
+        yield [vars(inst) for inst in x.instances]
+
+
+def gcnf_outputs():
+    for seed in SEEDS:
+        for kind in ("string", "grid", "null", "interval"):
+            for chains in (False, True):
+                g = random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
+                gcnf, node_map = to_gcnf(g)
+                yield grammar_to_json_dict(gcnf)
+                yield node_map_json(node_map)
+
+
+@pytest.mark.parametrize(
+    "outputs, digest",
+    [
+        (scfg_outputs, "ceede0a0e32ab3ac903d15252ee5d392923faa0b9843ca5c39f57d2cde581b87"),
+        (spn_outputs, "5dcc9205c611d28f48c01edf71d3e03945249a9b553c69de37c20a5ede515cd5"),
+        (sat_outputs, "ccae604f007c89687b4f94c38001b6c1f05fb400ddc566964e6c1d04efdd9304"),
+        (gcnf_outputs, "a99eb0957c3434a9ecf33153afc7f94b519368815f86e3ad473ad107b654093d"),
+    ],
+    ids=["scfg", "spn", "sat", "gcnf"],
+)
+def test_producer_outputs_are_pinned(outputs, digest):
+    h = hashlib.sha256()
+    for payload in outputs():
+        h.update(canonical_dumps(payload).encode())
+    assert h.hexdigest() == digest

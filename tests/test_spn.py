@@ -1,6 +1,7 @@
 """Sum-product network frontend: listings, validity, evaluation, compilation."""
 
 import itertools
+import json
 import math
 import random
 
@@ -241,6 +242,63 @@ def test_unreachable_node_outside_root_scope_is_left_out(capsys, tmp_path):
     src.write_text(format_spn_listing(s))
     assert main(["convert", "spn", str(src), "-o", str(tmp_path / "g.json")]) == 2
     assert "expected exactly one root, found ['r', 'u']" in capsys.readouterr().out
+
+
+# networks whose weights or masses leave float range
+INF_WEIGHT = """
+r sum a inf b 1.0
+a ind 1 +
+b ind 1 -
+"""
+
+# each product's mass is (2e-200)**2, which underflows to 0.0
+MASS_UNDERFLOW = """
+r sum p 1.0 q 1.0
+p prod s1 s2
+q prod s3 s4
+s1 sum x1 1e-200 y1 1e-200
+s2 sum x2 1e-200 y2 1e-200
+s3 sum x1 1e-200 y1 1e-200
+s4 sum x2 1e-200 y2 1e-200
+x1 ind 1 +
+y1 ind 1 -
+x2 ind 2 +
+y2 ind 2 -
+"""
+
+# the root's mass is (2e200)**2, which overflows to inf
+MASS_OVERFLOW = """
+r prod s t
+s sum x1 1e200 y1 1e200
+t sum x2 1e200 y2 1e200
+x1 ind 1 +
+y1 ind 1 -
+x2 ind 2 +
+y2 ind 2 -
+"""
+
+
+@pytest.mark.parametrize(
+    "listing, named",
+    [
+        (INF_WEIGHT, "sum 'r' has a weight that is not positive and finite"),
+        (MASS_UNDERFLOW, "node 'p' has mass 0.0"),
+        (MASS_OVERFLOW, "node 'r' has mass inf"),
+    ],
+    ids=["inf-weight", "mass-underflow", "mass-overflow"],
+)
+def test_network_outside_float_range_is_rejected(capsys, tmp_path, listing, named):
+    # once: the infinite weight validated and converted to a grammar with
+    # prob nan, the underflow raised a bare ZeroDivisionError, and the
+    # overflow converted with partition inf
+    with pytest.raises(InvalidSpn, match=named):
+        spn_to_aog(parse_spn_listing(listing))
+    src, out = tmp_path / "net.spn", tmp_path / "g.json"
+    src.write_text(listing)
+    assert main(["convert", "spn", str(src), "-o", str(out)]) == 2
+    printed = capsys.readouterr().out
+    assert "error" in json.loads(printed) and named in printed
+    assert not out.exists()
 
 
 def test_assignment_sample_rejects_foreign_variable():
