@@ -13,8 +13,10 @@ logger's level, handlers and propagation are restored when main returns.
 The argument parser is built on the first call and reused for the rest
 of the process.  JSON documents are written by
 `serialize.canonical_dumps`, which takes any nesting depth; `aog
-sample`'s one-line records use json.dumps and stop near the
-interpreter's recursion limit (about 495 tree levels).
+sample` writes its one-line records with json.dumps, and with
+canonical_dumps' one-line form for a tree too deep for json.
+The frontends and logic export are imported by the commands that use
+them (convert, emit), so the other commands never load them.
 
 Exit codes: 0 success (for parse: a parse was found), 1 no parse or
 sampling failure, 2 validation or conversion rejected the input (for
@@ -42,11 +44,8 @@ from pathlib import Path
 from .errors import AogError, BudgetExceeded, DepthExceeded, DomainError, FormatError
 from .grammar import DataSample, Grammar, ParseTree, TreeNode, validate_grammar
 from .grammar import sample as draw_sample
-from .logic_export import emit_fol, emit_slp
 from .normalize import gcnf_violations, project_parse, to_gcnf
 from .parsing import NEG_INF, ParserBudget, parse
-from .sat import parse_dimacs, sat_to_aog
-from .scfg import parse_scfg, scfg_to_aog, validate_scfg
 from .serialize import (
     canonical_dumps,
     load_grammar,
@@ -57,7 +56,6 @@ from .serialize import (
     save_sample,
     tree_to_json_dict,
 )
-from .spn import parse_spn_listing, spn_to_aog, validate_spn
 
 log = logging.getLogger("aog")
 
@@ -204,7 +202,11 @@ def cmd_sample(args: argparse.Namespace, g: Grammar, _: None) -> int:
             "sample": sample_to_json_dict(x, g.domain),
             "tree": tree_to_json_dict(tree, g.domain),
         }
-        sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
+        try:
+            line = json.dumps(record, sort_keys=True)
+        except RecursionError:  # json recurses once per tree level
+            line = canonical_dumps(record, one_line=True)
+        sys.stdout.write(line + "\n")
     return 0
 
 
@@ -222,6 +224,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     text = Path(args.input).read_text(encoding="utf-8")
     try:
         if args.kind == "scfg":
+            from .scfg import parse_scfg, scfg_to_aog, validate_scfg
             source = parse_scfg(text)
             report = validate_scfg(source)
             if not report.ok:
@@ -230,6 +233,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
             g = scfg_to_aog(source)
             audit = {"kind": "scfg", "source_rules": len(source.rules)}
         elif args.kind == "spn":
+            from .spn import parse_spn_listing, spn_to_aog, validate_spn
             network = parse_spn_listing(text)
             report = validate_spn(network)
             if not report.ok:
@@ -243,6 +247,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
                 "partition": conv.partition,
             }
         else:
+            from .sat import parse_dimacs, sat_to_aog
             formula = parse_dimacs(text)
             g, x = sat_to_aog(formula)
             sample_path = args.sample_out or f"{args.output}.sample.json"
@@ -264,6 +269,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 @_with_grammar
 def cmd_emit(args: argparse.Namespace, g: Grammar, _: None) -> int:
+    from .logic_export import emit_fol, emit_slp
     doc = emit_fol(g) if args.dialect == "fol" else emit_slp(g)
     if args.output:
         Path(args.output).write_text(doc.text)

@@ -10,7 +10,8 @@ canonical_dumps writes every file and every `aog` JSON document.  Its
 text is exactly json.dumps(payload, indent=2, sort_keys=True) + "\n",
 and it refuses what json refuses with the same exception, but it walks
 the payload with a loop: a parse tree of any depth is written, where
-json's indented writer raises RecursionError near 495 tree levels.
+json's writers raise RecursionError near 495 tree levels.  Its one-line
+form is the text of json.dumps(payload, sort_keys=True).
 """
 
 from __future__ import annotations
@@ -76,15 +77,16 @@ def _key_text(key: Any) -> str:
     return _ESCAPE(text) + ": "
 
 
-def canonical_dumps(payload: Any) -> str:
+def canonical_dumps(payload: Any, one_line: bool = False) -> str:
     """payload as json.dumps(payload, indent=2, sort_keys=True) + "\\n" writes it.
 
     The same bytes for every payload json accepts (ASCII escapes, NaN and
     Infinity, int and float subclasses by their base repr, tuples as lists,
     key coercion), and the same TypeError or circular-payload ValueError
-    for one it refuses.  Containers are walked with an explicit stack, so
-    any nesting depth is written; json's indented writer recurses once per
-    level and stops near the recursion limit.
+    for one it refuses.  With one_line, the text is json.dumps(payload,
+    sort_keys=True) instead.  Containers are walked with an explicit stack,
+    so any nesting depth is written; json's writers recurse once per level
+    and stop near the recursion limit.
     """
     parts: list[str] = []
     write = parts.append
@@ -92,7 +94,7 @@ def canonical_dumps(payload: Any) -> str:
     # open containers, innermost last: (entries left, entries are (key, value)
     # pairs, id, text before each entry but the first, text after the last).
     # The outermost holds the payload alone; its closing text is the final newline.
-    frames: list[tuple] = [(iter((payload,)), False, None, ",\n", "\n")]
+    frames: list[tuple] = [(iter((payload,)), False, None, ",\n", "" if one_line else "\n")]
     first = True  # the innermost container has written no entry yet
     while frames:
         entries, pairs, ident, sep, close = frames[-1]
@@ -122,15 +124,15 @@ def canonical_dumps(payload: Any) -> str:
             if id(value) in open_ids:
                 raise ValueError("Circular reference detected")
             open_ids.add(id(value))
-            indent = sep[1:]
-            inner = indent + "  "
+            indent = "" if one_line else sep[1:]
+            inner = "" if one_line else indent + "  "
             write(("{" if is_dict else "[") + inner)
             frames.append(
                 (
                     iter(sorted(value.items()) if is_dict else value),
                     is_dict,
                     id(value),
-                    "," + inner,
+                    ", " if one_line else "," + inner,
                     indent + ("}" if is_dict else "]"),
                 )
             )

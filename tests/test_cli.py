@@ -700,6 +700,33 @@ def test_parse_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):
     assert out.count('"node": "S"') == 400
 
 
+def test_sample_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):
+    # S -> S A [0.999] draws trees thousands of levels deep, where the
+    # one-line json.dumps raises RecursionError
+    scfg_path, gpath = tmp_path / "g.scfg", tmp_path / "g.json"
+    scfg_path.write_text("S -> S A [0.999]\nS -> a [0.001]\nA -> a [1.0]\n")
+    assert run(capsys, ["convert", "scfg", str(scfg_path), "-o", str(gpath)])[0] == 0
+    g = scfg_to_aog(parse_scfg(scfg_path.read_text()))
+
+    argv = ["sample", str(gpath), "--max-depth", "100000", "--seed", "1", "--count", "4"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 4
+    for seed, line in enumerate(lines, start=1):
+        tree, x = draw_sample(g, seed=seed, max_depth=100000)
+        record = {
+            "seed": seed,
+            "log_prob": tree.log_prob,
+            "sample": sample_to_json_dict(x, g.domain),
+            "tree": tree_to_json_dict(tree, g.domain),
+        }
+        with pytest.raises(RecursionError):
+            json.dumps(record, sort_keys=True)
+        # compared as text: json.loads would recurse as deep as the tree
+        assert line == canonical_dumps(record, one_line=True)
+
+
 # ------------------------------------------------------------ malformed values
 
 

@@ -373,3 +373,59 @@ def test_canonical_dumps_refuses_circular_payloads():
     shared = [1, 2]
     payload = [shared, shared, {"s": shared}]
     assert canonical_dumps(payload) == json_text(payload)
+
+
+def json_line(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
+
+
+def one_line(payload) -> str:
+    return canonical_dumps(payload, one_line=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_one_line_canonical_dumps_matches_json(payload):
+    assert one_line(payload) == json_line(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    PAYLOADS,
+    st.sampled_from(
+        [
+            {1, 2},
+            b"bytes",
+            1j,
+            Opaque(),
+            {(1, 2): "tuple key"},
+            {frozenset(): 0},
+            {"a": 1, 2: "mixed keys"},
+            {None: 1, "b": 2},
+        ]
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_one_line_canonical_dumps_refuses_as_json(payload, bad, where):
+    payload = [payload, bad] if where == 0 else {"k": [bad] * where, "a": payload}
+    expected = outcome(json_line, payload)
+    assert isinstance(expected, tuple)
+    assert outcome(one_line, payload) == expected
+
+
+def test_one_line_canonical_dumps_refuses_circular_payloads():
+    loop: list = [1]
+    loop.append(loop)
+    for payload in (loop, {"x": [loop]}):
+        assert outcome(json_line, payload) == (ValueError, "Circular reference detected")
+        assert outcome(one_line, payload) == outcome(json_line, payload)
+
+
+def test_one_line_canonical_dumps_writes_any_depth():
+    deep: list = []
+    for _ in range(5000):
+        deep = [{"k": deep}]
+    with pytest.raises(RecursionError):
+        json_line(deep)
+    text = one_line(deep)
+    assert text == '[{"k": ' * 5000 + "[]" + "}]" * 5000
