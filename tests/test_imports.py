@@ -83,6 +83,7 @@ def test_star_import_and_dir_list_every_public_name():
         """
         import aog
         before = loaded()
+        missing_from_dir = sorted(set(aog.__all__) - set(dir(aog)))
         names = {}
         exec("from aog import *", names)
         public = sorted(n for n in names if n != "__builtins__")
@@ -91,7 +92,7 @@ def test_star_import_and_dir_list_every_public_name():
             "all": sorted(aog.__all__),
             "bound": public,
             "same": all(names[n] is getattr(aog, n) for n in public),
-            "dir": sorted(set(aog.__all__) - set(dir(aog))),
+            "dir": missing_from_dir,
             "after": loaded(),
         }))
         """

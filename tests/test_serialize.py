@@ -335,23 +335,23 @@ class Opaque:
     pass
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    PAYLOADS,
-    st.sampled_from(
-        [
-            {1, 2},
-            b"bytes",
-            1j,
-            Opaque(),
-            {(1, 2): "tuple key"},
-            {frozenset(): 0},
-            {"a": 1, 2: "mixed keys"},
-            {None: 1, "b": 2},
-        ]
-    ),
-    st.integers(min_value=0, max_value=3),
+# values json refuses, each placed inside a drawn payload
+REFUSED = st.sampled_from(
+    [
+        {1, 2},
+        b"bytes",
+        1j,
+        Opaque(),
+        {(1, 2): "tuple key"},
+        {frozenset(): 0},
+        {"a": 1, 2: "mixed keys"},
+        {None: 1, "b": 2},
+    ]
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS, REFUSED, st.integers(min_value=0, max_value=3))
 def test_canonical_dumps_refuses_as_json(payload, bad, where):
     # bad is placed inside a drawn payload; both writers meet the same first refusal
     payload = [payload, bad] if where == 0 else {"k": [bad] * where, "a": payload}
@@ -390,22 +390,7 @@ def test_one_line_canonical_dumps_matches_json(payload):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    PAYLOADS,
-    st.sampled_from(
-        [
-            {1, 2},
-            b"bytes",
-            1j,
-            Opaque(),
-            {(1, 2): "tuple key"},
-            {frozenset(): 0},
-            {"a": 1, 2: "mixed keys"},
-            {None: 1, "b": 2},
-        ]
-    ),
-    st.integers(min_value=0, max_value=3),
-)
+@given(PAYLOADS, REFUSED, st.integers(min_value=0, max_value=3))
 def test_one_line_canonical_dumps_refuses_as_json(payload, bad, where):
     payload = [payload, bad] if where == 0 else {"k": [bad] * where, "a": payload}
     expected = outcome(json_line, payload)
