@@ -8,7 +8,7 @@ viterbi keeps the larger, marginal log-adds (semiring parsing, Goodman
 1999).  enumerate_parses is a deliberately naive top-down enumerator over
 general grammars that serves as an independent reference.
 
-Chart layout.  Each cell is one (score, back) pair, score a log score:
+Chart layout.  Each cell is one flat tuple, its first field a log score:
 scores[size][or_node][(param, mask)], bit i of mask standing for instance
 i of the sample and size being mask.bit_count(); CompositionKey names a
 cell by (or_node, param, mask).  Only cells a later step reads are stored:
@@ -17,17 +17,17 @@ and at n the start's, read by root_entries.  No stored cell derives from
 any other, so scores, trees and ties are the full chart's.  The stats also
 count the compositions of cells not stored, each size's once its stratum
 is final, so a parse holds its chart plus the mask set of one stratum.
-back is None in a marginal table; in a viterbi table it records how the
-cell got its score:
+A marginal cell is (score,); a viterbi cell also records how it got its score:
 
-- (or rule, instance id) at size 1, an Or-rule over a terminal instance;
-- (and rule, left param, left mask, right param, right mask, or rule)
-  above, an Or-rule over an And-rule applied to two child cells: their
-  nodes are the And-rule's children, their sizes their masks' popcounts.
+- (score, or rule, instance id) at size 1, an Or-rule over a terminal instance;
+- (score, and rule, left key, right key, or rule) above, an Or-rule over an
+  And-rule applied to two child cells, each named by its own (param, mask)
+  key object of the chart: their nodes are the And-rule's children, their
+  sizes their masks' popcounts, so backtrack finds each in one lookup.
 
 Tie rule: when two derivations of a viterbi cell score the same, the
-smaller backpointer wins, compared as (or rule, instance id) at size 1 and
-above as (and rule, (size, node, param_order_key(param), mask) of the left
+smaller cell wins, compared past the score as (or rule, instance id) at size 1
+and above as (and rule, (size, node, param_order_key(param), mask) of the left
 child, the same of the right child, or rule).  One And-rule fixes both
 child nodes, so back_precedes compares sizes, params and masks, building
 param_order_keys only for differing params after tied fields.
@@ -61,6 +61,7 @@ candidates examined.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import time
@@ -106,8 +107,8 @@ class ParserBudget:
     max_seconds: float | None = None  # None or inf: no time limit
 
     def __post_init__(self) -> None:
-        if self.max_entries < 0:
-            raise ValueError(f"max_entries is {self.max_entries}; 0 or more")
+        if type(self.max_entries) is not int or self.max_entries < 0:
+            raise ValueError(f"max_entries is {self.max_entries!r}; an int, 0 or more")
         # monotonic() >= nan is never true, so a nan limit would never fire
         if self.max_seconds is not None and not self.max_seconds >= 0:
             raise ValueError(f"max_seconds is {self.max_seconds}; 0 or more, None: no limit")
@@ -217,15 +218,14 @@ class CompositionTable:
     grammar: Grammar
     sample: DataSample
     mode: str
-    scores: list[dict[str, dict[tuple, tuple[float, tuple | None]]]]
+    scores: list[dict[str, dict[tuple, tuple]]]
     stats: CompositionStats
 
     def _cell(self, key: CompositionKey) -> tuple:
-        """The (score, back) pair of a stored cell."""
-        if 0 < key.mask < 1 << len(self.sample):  # bits name instances only
-            cell = self.scores[key.mask.bit_count()].get(key.or_node, {}).get((key.param, key.mask))
-            if cell is not None:
-                return cell
+        """A stored cell; MissingEntry for a key that names none."""
+        if type(key.mask) is int and 0 < key.mask < 1 << len(self.sample):  # bits: instances
+            with contextlib.suppress(KeyError, TypeError):  # TypeError: an unhashable param
+                return self.scores[key.mask.bit_count()][key.or_node][key.param, key.mask]
         raise MissingEntry(f"no chart entry for {key}")
 
     def lookup(self, key: CompositionKey) -> float:
@@ -235,8 +235,8 @@ class CompositionTable:
 
     def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
         out = [
-            (CompositionKey(self.grammar.start, param, mask), RootEntry(score))
-            for (param, mask), (score, _) in self.scores[-1].get(self.grammar.start, {}).items()
+            (CompositionKey(self.grammar.start, param, mask), RootEntry(cell[0]))
+            for (param, mask), cell in self.scores[-1].get(self.grammar.start, {}).items()
         ]
         return sorted(out, key=lambda kv: param_order_key(kv[0].param))
 
@@ -249,21 +249,20 @@ class ParseResult:
     stats: CompositionStats
 
 
-def back_precedes(back: tuple, other: tuple) -> bool:
-    """Whether backpointer back wins an exact viterbi tie against other,
-    by the tie rule's order (module docstring), compared lazily."""
-    if len(back) == 2 or back[0] != other[0]:
-        return back < other  # size 1, or the And-rules differ
-    for at in (1, 3):  # the left child's (param, mask), then the right's
-        param, mask = back[at], back[at + 1]
-        oparam, omask = other[at], other[at + 1]
+def back_precedes(cell: tuple, other: tuple) -> bool:
+    """Whether viterbi cell wins an exact score tie against other by the tie
+    rule's order (module docstring), compared lazily past the scores; a
+    child's param and mask are read from its key."""
+    if len(cell) == 3 or cell[1] != other[1]:
+        return cell[1:] < other[1:]  # size 1, or the And-rules differ
+    for (param, mask), (oparam, omask) in ((cell[2], other[2]), (cell[3], other[3])):
         if mask.bit_count() != omask.bit_count():
             return mask.bit_count() < omask.bit_count()
         if param != oparam:
             return param_order_key(param) < param_order_key(oparam)
         if mask != omask:
             return mask < omask
-    return back[5] < other[5]
+    return cell[4] < other[4]
 
 
 def build_table(
@@ -291,7 +290,7 @@ def build_table(
     max_entries = budget.max_entries
     viterbi = mode == "viterbi"
 
-    def add(stratum: dict, head: str, ikey: tuple, score: float, back: tuple | None) -> None:
+    def add(stratum: dict, head: str, ikey: tuple, cell: tuple) -> None:
         # the one place a chart cell is created or updated; ikey is (param, mask)
         nonlocal entry_count
         # a node's dict holds a cell from its creation on, so it is truthy
@@ -301,20 +300,20 @@ def build_table(
             entry_count += 1
             if entry_count > max_entries:
                 raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-            cells[ikey] = (score, back)
+            cells[ikey] = cell
         elif not viterbi:
-            cells[ikey] = (log_add(cur[0], score), None)
-        elif score > cur[0] or (score == cur[0] and back_precedes(back, cur[1])):
-            cells[ikey] = (score, back)
+            cells[ikey] = (log_add(cur[0], cell[0]),)
+        elif cell[0] > cur[0] or (cell[0] == cur[0] and back_precedes(cell, cur)):
+            cells[ikey] = cell
 
     seeded = scores[1]
     for index, inst in enumerate(x.instances):
         ikey = (inst.param, 1 << index)
         for or_idx, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
             cells = seeded.get(head) or seeded.setdefault(head, {})
-            cell = (logp, (or_idx, inst.instance_id) if viterbi else None)
+            cell = (logp, or_idx, inst.instance_id) if viterbi else (logp,)
             if cells.setdefault(ikey, cell) is not cell:  # a second Or-rule over head and terminal
-                add(seeded, head, ikey, *cell)
+                add(seeded, head, ikey, cell)
     entry_count = sum(map(len, seeded.values()))
     if entry_count > max_entries:
         raise BudgetExceeded(f"chart exceeded {max_entries} entries")
@@ -325,7 +324,6 @@ def build_table(
     compositions = [0] * (n + 1)
     compositions[1] = sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)
     pair_tests = 0
-    back = None  # stays None in marginal mode; viterbi sets it per derivation
     # size -> positions of the child pairs whose left (right) child has
     # cells of that size, listed once the stratum is final (size 1: compiled)
     with_left, with_right = ([set(), set().union(*map(s.get, terminals))] for s in compiled.seeds)
@@ -361,7 +359,7 @@ def build_table(
                     if keys is None:
                         keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
                     next_key = iter(keys).__next__
-                for (lparam, lmask), (lscore, _) in lefts.items():
+                for lkey, lcell in lefts.items():
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
                     if join is None:
@@ -369,10 +367,12 @@ def build_table(
                     else:
                         candidates = bucket.get(next_key(), ())
                     pair_tests += len(candidates)
-                    for (rparam, rmask), (rscore, _) in candidates:
+                    (lparam, lmask), lscore = lkey, lcell[0]
+                    for rkey, rcell in candidates:
+                        rparam, rmask = rkey
                         if lmask & rmask:
                             continue
-                        pair_score = lscore + rscore
+                        pair_score = lscore + rcell[0]
                         umask = lmask | rmask
                         for and_idx, rel, fn, or_rules in rules:
                             if not rel(lparam, rparam):
@@ -384,8 +384,10 @@ def build_table(
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for or_idx, logp, or_head in or_rules:
                                 if viterbi:
-                                    back = (and_idx, lparam, lmask, rparam, rmask, or_idx)
-                                add(stratum, or_head, ikey, logp + pair_score, back)
+                                    cell = (logp + pair_score, and_idx, lkey, rkey, or_idx)
+                                else:
+                                    cell = (logp + pair_score,)
+                                add(stratum, or_head, ikey, cell)
         for cells in stratum.values():
             for _, mask in cells:
                 comps.add(mask)
@@ -405,7 +407,7 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     """Reconstruct the derivation recorded at a chart entry (viterbi tables).
 
     Iterative, so the depth of the tree is not bounded by the recursion
-    limit: cells are listed parents first as (param, mask, back), then
+    limit: cells are listed parents first as ((param, mask), cell), then
     built in reverse.  The cells of one tree cover distinct instance
     sets, so a built subtree is found by its mask.
     """
@@ -413,26 +415,24 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
     scores = table.scores
-    score, back = table._cell(root)  # raises MissingEntry for unknown keys
-    order = [(root.param, root.mask, back)]
-    for _, _, back in order:  # grows while it is walked
-        if len(back) == 6:
-            and_idx, lparam, lmask, rparam, rmask, _ = back
-            left, right = g.and_rules[and_idx].children
-            for node, param, mask in ((left, lparam, lmask), (right, rparam, rmask)):
-                order.append((param, mask, scores[mask.bit_count()][node][param, mask][1]))
+    order = [((root.param, root.mask), table._cell(root))]  # MissingEntry for unknown keys
+    for _, cell in order:  # grows while it is walked
+        if len(cell) == 5:
+            left, right = g.and_rules[cell[1]].children
+            for node, key in ((left, cell[2]), (right, cell[3])):
+                order.append((key, scores[key[1].bit_count()][node][key]))
     built: dict[int, TreeNode] = {}
-    for param, mask, back in reversed(order):
-        if len(back) == 2:
-            or_idx, instance = back
+    for (param, mask), cell in reversed(order):
+        if len(cell) == 3:
+            _, or_idx, instance = cell
             inst = table.sample.by_id[instance]
             child = TreeNode(inst.terminal, inst.param, instance=instance)
         else:
-            and_idx, _, lmask, _, rmask, or_idx = back
+            _, and_idx, (_, lmask), (_, rmask), or_idx = cell
             children = (built.pop(lmask), built.pop(rmask))
             child = TreeNode(g.and_rules[and_idx].head, param, children)
         built[mask] = TreeNode(g.or_rules[or_idx].head, param, (child,))
-    return ParseTree(built[root.mask], score)
+    return ParseTree(built[root.mask], order[0][1][0])  # the root cell's score
 
 
 def parse(

@@ -36,15 +36,28 @@ def logsumexp(values) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
+def flat_back(cell):
+    """How a chart cell got its score as one flat tuple: None for a marginal
+    cell, (or rule, instance id) at size 1, and above (and rule, left param,
+    left mask, right param, right mask, or rule)."""
+    if len(cell) == 1:
+        return None
+    if len(cell) == 3:
+        return cell[1:]
+    _, and_idx, (lparam, lmask), (rparam, rmask), or_idx = cell
+    return (and_idx, lparam, lmask, rparam, rmask, or_idx)
+
+
 def chart_fingerprint(table) -> str:
     """sha256 over every stored cell of a chart in insertion order, each as
-    (size, node, param, mask, score.hex(), back): equal fingerprints mean
-    the same cells, order, scores and backpointers."""
+    (size, node, param, mask, score.hex(), flat_back(cell)): equal
+    fingerprints mean the same cells, order, scores and backpointers."""
     digest = hashlib.sha256()
     for size, stratum in enumerate(table.scores):
         for node, cells in stratum.items():
-            for (param, mask), (score, back) in cells.items():
-                digest.update(repr((size, node, param, mask, score.hex(), back)).encode())
+            for (param, mask), cell in cells.items():
+                back = flat_back(cell)
+                digest.update(repr((size, node, param, mask, cell[0].hex(), back)).encode())
     return digest.hexdigest()
 
 

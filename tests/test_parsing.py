@@ -408,6 +408,14 @@ flat_backs = st.tuples(
 size_one_backs = st.tuples(st.integers(0, 2), st.sampled_from(["w0", "w1", "w10"]))
 
 
+def as_cell(back):
+    """The viterbi cell, scored 0, whose flat backpointer is back."""
+    if len(back) == 2:
+        return (0.0, *back)
+    and_idx, lparam, lmask, rparam, rmask, or_idx = back
+    return (0.0, and_idx, (lparam, lmask), (rparam, rmask), or_idx)
+
+
 def sharing_prefix(first, second, shared):
     """first, and second with its first `shared` fields taken from first."""
     return first, first[:shared] + second[shared:]
@@ -423,7 +431,9 @@ def sharing_prefix(first, second, shared):
 def test_lazy_tie_rule_matches_full_keys(pair):
     first, second = pair
     for back, other in ((first, second), (second, first)):
-        assert back_precedes(back, other) == (full_tie_key(back) < full_tie_key(other))
+        assert back_precedes(as_cell(back), as_cell(other)) == (
+            full_tie_key(back) < full_tie_key(other)
+        )
 
 
 def assert_every_cell_backtracks(gcnf, x):
@@ -901,7 +911,7 @@ def test_duplicate_or_rules_fold_at_seeding(p, r):
         assert tree_probability(g, viterbi.tree) == pytest.approx(best, abs=1e-12)
         table = build_table(g, x, "viterbi")
         assert table.stats.per_size_entries[1] == len(tokens)
-        assert table.scores[1][node][(0, 1), 1] == (math.log(max(probs)), (or_rule, "w0"))
+        assert table.scores[1][node][(0, 1), 1] == (math.log(max(probs)), or_rule, "w0")
 
 
 def test_budget_entries_bind_during_seeding():
