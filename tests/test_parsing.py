@@ -180,6 +180,13 @@ def test_negative_budgets_are_refused(field):
     ParserBudget(**{field: 0})  # zero stays valid: nothing may be stored, or no time spent
 
 
+@pytest.mark.parametrize("value", [math.nan, 2.5, "5"])
+def test_max_entries_must_be_an_int(value):
+    # nan would never fire and 2.5 would report a fractional limit
+    with pytest.raises(ValueError, match=f"max_entries is {value!r}; an int"):
+        ParserBudget(max_entries=value)
+
+
 def test_passed_deadline_fires_on_one_instance():
     # one instance has no combine step; the deadline is checked after seeding
     gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
@@ -324,6 +331,26 @@ def test_backtrack_requires_viterbi_table():
             backtrack(table, key)
         with pytest.raises(MissingEntry):
             table.lookup(key)
+
+
+def test_keys_of_the_wrong_type_are_missing_entries():
+    # S -> S A | a over a x 3: a mask that is not an int, or an unhashable
+    # param, names no cell
+    gcnf, _ = to_gcnf(scfg_to_aog(LEFT_BRANCHING))
+    x = string_sample(["a"] * 3)
+    tables = {mode: build_table(gcnf, x, mode) for mode in ("viterbi", "marginal")}
+    root = tables["viterbi"].root_entries()[0][0]
+    assert (root.param, root.mask) == ((0, 3), 0b111)
+    for key in (
+        dataclasses.replace(root, mask="7"),
+        dataclasses.replace(root, mask=7.0),
+        dataclasses.replace(root, param=[0, 3]),
+    ):
+        for table in tables.values():
+            with pytest.raises(MissingEntry):
+                table.lookup(key)
+        with pytest.raises(MissingEntry):
+            backtrack(tables["viterbi"], key)
 
 
 def test_stats_count_string_compositions():
@@ -863,6 +890,49 @@ def test_chart_fingerprint_is_pinned(name):
         gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
     for mode, fingerprint in CHART_FINGERPRINTS[name].items():
         assert chart_fingerprint(build_table(gcnf, x, mode)) == fingerprint
+
+
+@pytest.mark.parametrize("name", ["sat 44008", "all-spans a8"])
+def test_cells_are_flat_and_name_their_children_by_stored_keys(name):
+    if name in UNREAD_PINS:
+        gcnf, x = pinned_input(name)
+    else:
+        gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+    seeds = {inst.instance_id: (inst, 1 << i) for i, inst in enumerate(x.instances)}
+    for mode in ("viterbi", "marginal"):
+        table = build_table(gcnf, x, mode)
+        # (size, node) -> each stored key mapped to itself, to reach the key object
+        stored = {
+            (size, node): {key: key for key in cells}
+            for size, stratum in enumerate(table.scores)
+            for node, cells in stratum.items()
+        }
+        lengths = collections.Counter()
+        for size, stratum in enumerate(table.scores):
+            for node, cells in stratum.items():
+                for key, cell in cells.items():
+                    assert type(cell) is tuple and type(cell[0]) is float
+                    lengths[len(cell)] += 1
+                    if mode == "marginal":
+                        continue
+                    or_rule = gcnf.or_rules[cell[-1] if size > 1 else cell[1]]
+                    assert or_rule.head == node
+                    if size == 1:
+                        _, _, instance = cell
+                        inst, mask = seeds[instance]
+                        assert (or_rule.child, key) == (inst.terminal, (inst.param, mask))
+                        continue
+                    _, and_idx, lkey, rkey, _ = cell
+                    and_rule = gcnf.and_rules[and_idx]
+                    assert or_rule.child == and_rule.head
+                    assert lkey[1] | rkey[1] == key[1] and not lkey[1] & rkey[1]
+                    for child, child_key in zip(and_rule.children, (lkey, rkey)):
+                        assert stored[child_key[1].bit_count(), child][child_key] is child_key
+        if mode == "marginal":
+            assert set(lengths) == {1}
+        else:
+            assert set(lengths) == {3, 5} and lengths[3] == table.stats.per_size_entries[1]
+        assert lengths.total() == table.stats.table_entries > len(x)
 
 
 def duplicate_or_rule_grammar(p, r):
