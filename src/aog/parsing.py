@@ -8,7 +8,7 @@ viterbi keeps the larger, marginal log-adds (semiring parsing, Goodman
 1999).  enumerate_parses is a deliberately naive top-down enumerator over
 general grammars that serves as an independent reference.
 
-Chart layout.  Each cell is one flat tuple, its first field a log score:
+Chart layout.  Each cell is a bare float, its log score:
 scores[size][or_node][(param, mask)], bit i of mask standing for instance
 i of the sample and size being mask.bit_count(); CompositionKey names a
 cell by (or_node, param, mask).  Only cells a later step reads are stored:
@@ -17,30 +17,40 @@ and at n the start's, read by root_entries.  No stored cell derives from
 any other, so scores, trees and ties are the full chart's.  The stats also
 count the compositions of cells not stored, each size's once its stratum
 is final, so a parse holds its chart plus the mask set of one stratum.
-A marginal cell is (score,); a viterbi cell also records how it got its score:
+The chart keeps no backpointers: CompositionTable.derivation finds how a
+viterbi cell got its score again, top-down, from the stored scores of its
+children, with the combine step's own float expression, so the winner's
+score is bit-identical to the cell's.  It names the winner as one flat tuple:
 
 - (score, or rule, instance id) at size 1, an Or-rule over a terminal instance;
 - (score, and rule, left key, right key, or rule) above, an Or-rule over an
   And-rule applied to two child cells, each named by its own (param, mask)
   key object of the chart: their nodes are the And-rule's children, their
-  sizes their masks' popcounts, so backtrack finds each in one lookup.
+  sizes their masks' popcounts.
 
 Tie rule: when two derivations of a viterbi cell score the same, the
-smaller cell wins, compared past the score as (or rule, instance id) at size 1
+smaller one wins, compared past the score as (or rule, instance id) at size 1
 and above as (and rule, (size, node, param_order_key(param), mask) of the left
-child, the same of the right child, or rule).  One And-rule fixes both
-child nodes, so back_precedes compares sizes, params and masks, building
+child, the same of the right child, or rule).  derivation applies it: it
+visits the candidates by And-rule, then left size, and stops at the first
+such group that holds the cell's score, as that group holds the winner.
+Within a group the right cells inside the cell's mask are hashed by the
+left mask each leaves, so a split costs each of its cells once; each pair
+found has its score checked before the relation and function, and
+back_precedes keeps the winner.  One And-rule fixes both child nodes,
+so back_precedes compares sizes, params and masks, building
 param_order_keys only for differing params after tied fields.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: the kept Or-rules by child with
 their log probs, the And-rules grouped by (left child, right child) pair
 with their relation and function callables, per pair an equality join key
-where the domain declares one (see domains.py), and per terminal the pairs
-a size-1 cell over it is a child of.  Grammar.compiled caches it on the
-grammar instance, so a grammar parsed many times resolves each relation
-and function once.  Seeding writes size-1 cells without add, as each has
-one derivation unless two Or-rules share its head and terminal: add folds it.
+where the domain declares one (see domains.py), per terminal the pairs
+a size-1 cell over it is a child of, and per head the And-rules and
+Or-rules that derive its cells above size 1, for derivation.
+Grammar.compiled caches it on the grammar instance, so a grammar parsed
+many times resolves each relation and function once.  Seeding writes size-1 cells without add, folding the
+score of a second Or-rule over the same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
@@ -53,10 +63,9 @@ pair tries every right cell.  The relation is still called on each
 candidate, and a key never drops a pair the relation accepts, so the
 derivations are those of trying every pair.  Buckets and key lists keep
 the chart's insertion order, so each cell receives its derivations in the
-same order as when every left x right pair is tried: viterbi ties (whose
-rule does not depend on order anyway) and the floating-point log_add sums
-of marginal cells stay bit-identical.  stats.pair_tests counts the
-candidates examined.
+same order as when every left x right pair is tried, and the
+floating-point log_add sums of marginal cells stay bit-identical.
+stats.pair_tests counts the candidates examined.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, NamedTuple
@@ -110,8 +120,10 @@ class ParserBudget:
         if type(self.max_entries) is not int or self.max_entries < 0:
             raise ValueError(f"max_entries is {self.max_entries!r}; an int, 0 or more")
         # monotonic() >= nan is never true, so a nan limit would never fire
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise ValueError(f"max_seconds is {self.max_seconds}; 0 or more, None: no limit")
+        seconds = self.max_seconds
+        real = isinstance(seconds, numbers.Real) and type(seconds) is not bool
+        if seconds is not None and not (real and seconds >= 0):
+            raise ValueError(f"max_seconds is {seconds!r}; a number, 0 or more, None: no limit")
 
 
 @dataclass
@@ -157,6 +169,9 @@ class CompiledGrammar:
     by_right map a node to the positions in pairs of the pairs with that
     left or right child, and seeds[right] a terminal to the sorted positions
     of the pairs whose left (right) child heads an or_by_child[0] rule over it.
+    feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
+    order, each (And-rule index, left child, right child, relation, function,
+    ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
     """
 
     or_by_child: tuple[dict[str, list[tuple[int, float, str]]], ...]
@@ -164,6 +179,7 @@ class CompiledGrammar:
     by_left: dict[str, list[int]]
     by_right: dict[str, list[int]]
     seeds: tuple[dict[str, tuple[int, ...]], ...]
+    feeding: dict[str, list[tuple]]
 
 
 def positions_of(by_node: dict[str, list[int]], nodes) -> set[int]:
@@ -179,8 +195,10 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
     read = {child for rule in g.and_rules for child in rule.children}
     below: dict[str, list[tuple[int, float, str]]] = {}
     at_top: dict[str, list[tuple[int, float, str]]] = {}
+    over: dict[str, list[tuple[int, float, str]]] = {}
     for idx, rule in enumerate(g.or_rules):
         entry = (idx, math.log(rule.prob), rule.head)
+        over.setdefault(rule.child, []).append(entry)
         kept = below.setdefault(rule.child, [])
         if rule.head in read:
             kept.append(entry)
@@ -188,9 +206,15 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         if rule.head == g.start:
             kept.append(entry)
     by_pair: dict[tuple[str, ...], tuple[list, list]] = {}
+    feeding: dict[str, list[tuple]] = {}
     for idx, rule in enumerate(g.and_rules):
         rel = g.domain.relation(rule.relation, 2)
         fn = g.domain.function(rule.function, 2)
+        fed: dict[str, list[tuple[int, float]]] = {}
+        for or_idx, logp, head in over.get(rule.head, ()):
+            fed.setdefault(head, []).append((or_idx, logp))
+        for head, or_rules in fed.items():
+            feeding.setdefault(head, []).append((idx, *rule.children, rel, fn, tuple(or_rules)))
         rules = by_pair.setdefault(rule.children, ([], []))
         rules[0].append((idx, rel, fn, below.get(rule.head)))
         rules[1].append((idx, rel, fn, at_top.get(rule.head)))
@@ -208,7 +232,7 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
         for by in (by_left, by_right)
     )
-    return CompiledGrammar((below, at_top), pairs, by_left, by_right, seeds)
+    return CompiledGrammar((below, at_top), pairs, by_left, by_right, seeds, feeding)
 
 
 @dataclass
@@ -218,27 +242,32 @@ class CompositionTable:
     grammar: Grammar
     sample: DataSample
     mode: str
-    scores: list[dict[str, dict[tuple, tuple]]]
+    scores: list[dict[str, dict[tuple, float]]]
     stats: CompositionStats
 
-    def _cell(self, key: CompositionKey) -> tuple:
-        """A stored cell; MissingEntry for a key that names none."""
+    def lookup(self, key: CompositionKey) -> float:
+        """The score of a stored cell; MissingEntry for a key that names none,
+        as for a cell no later step reads (module docstring)."""
         if type(key.mask) is int and 0 < key.mask < 1 << len(self.sample):  # bits: instances
             with contextlib.suppress(KeyError, TypeError):  # TypeError: an unhashable param
                 return self.scores[key.mask.bit_count()][key.or_node][key.param, key.mask]
         raise MissingEntry(f"no chart entry for {key}")
 
-    def lookup(self, key: CompositionKey) -> float:
-        """The score of a stored cell; MissingEntry when the chart has none,
-        as for a cell no later step reads (module docstring)."""
-        return self._cell(key)[0]
-
     def root_entries(self) -> list[tuple[CompositionKey, RootEntry]]:
         out = [
-            (CompositionKey(self.grammar.start, param, mask), RootEntry(cell[0]))
-            for (param, mask), cell in self.scores[-1].get(self.grammar.start, {}).items()
+            (CompositionKey(self.grammar.start, param, mask), RootEntry(score))
+            for (param, mask), score in self.scores[-1].get(self.grammar.start, {}).items()
         ]
         return sorted(out, key=lambda kv: param_order_key(kv[0].param))
+
+    def derivation(self, key: CompositionKey) -> tuple:
+        """How a stored viterbi cell got its score, as the flat tuple of the
+        module docstring, found again from the stored scores of its children
+        and picked among equal scores by the tie rule."""
+        if self.mode != "viterbi":
+            raise ValueError("derivation needs a viterbi table")
+        self.lookup(key)  # MissingEntry for unknown keys
+        return deriver(self)(key.or_node, (key.param, key.mask))
 
 
 @dataclass
@@ -249,9 +278,60 @@ class ParseResult:
     stats: CompositionStats
 
 
+def deriver(table: CompositionTable):
+    """derive(node, (param, mask)): the derivation of a stored cell of a
+    viterbi table, as CompositionTable.derivation returns it."""
+    scores = table.scores
+    instances = table.sample.instances
+    compiled = table.grammar.compiled
+    by_terminal = compiled.or_by_child[len(instances) == 1]
+    feeding = compiled.feeding
+
+    def derive(node: str, ikey: tuple) -> tuple:
+        param, mask = ikey
+        size = mask.bit_count()
+        score = scores[size][node][ikey]
+        if size == 1:
+            inst = instances[mask.bit_length() - 1]
+            for or_idx, logp, head in by_terminal[inst.terminal]:
+                if head == node and logp == score:  # the first in rule order wins a tie
+                    return (score, or_idx, inst.instance_id)
+        for and_idx, left, right, rel, fn, or_rules in feeding.get(node, ()):
+            for j in range(1, size):
+                lefts, rights = scores[j].get(left), scores[size - j].get(right)
+                if not lefts or not rights:
+                    continue
+                # the right cells inside mask, by the left mask each leaves
+                by_rest: dict[int, list] = {}
+                for rkey, rscore in rights.items():
+                    if rkey[1] | mask == mask:
+                        by_rest.setdefault(mask ^ rkey[1], []).append((rkey, rscore))
+                if not by_rest:
+                    continue
+                best = None
+                for lkey, lscore in lefts.items():
+                    for rkey, rscore in by_rest.get(lkey[1], ()):
+                        pair_score = lscore + rscore
+                        for or_idx, logp in or_rules:
+                            if (
+                                logp + pair_score == score  # the combine step's expression
+                                and rel(lkey[0], rkey[0])
+                                and fn(lkey[0], rkey[0]) == param
+                            ):
+                                derived = (score, and_idx, lkey, rkey, or_idx)
+                                if best is None or back_precedes(derived, best):
+                                    best = derived
+                if best is not None:  # the first group with the score holds the winner
+                    return best
+        key = CompositionKey(node, param, mask)
+        raise MissingEntry(f"no stored cells derive {key} with score {score!r}")
+
+    return derive
+
+
 def back_precedes(cell: tuple, other: tuple) -> bool:
-    """Whether viterbi cell wins an exact score tie against other by the tie
-    rule's order (module docstring), compared lazily past the scores; a
+    """Whether derivation cell wins an exact score tie against other by the
+    tie rule's order (module docstring), compared lazily past the scores; a
     child's param and mask are read from its key."""
     if len(cell) == 3 or cell[1] != other[1]:
         return cell[1:] < other[1:]  # size 1, or the And-rules differ
@@ -286,11 +366,11 @@ def build_table(
     deadline = None if budget.max_seconds is None else started + budget.max_seconds
 
     n = len(x)
-    scores: list[dict[str, dict[tuple, tuple]]] = [{} for _ in range(n + 1)]
+    scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
     max_entries = budget.max_entries
-    viterbi = mode == "viterbi"
+    fold = max if mode == "viterbi" else log_add
 
-    def add(stratum: dict, head: str, ikey: tuple, cell: tuple) -> None:
+    def add(stratum: dict, head: str, ikey: tuple, score: float) -> None:
         # the one place a chart cell is created or updated; ikey is (param, mask)
         nonlocal entry_count
         # a node's dict holds a cell from its creation on, so it is truthy
@@ -300,20 +380,17 @@ def build_table(
             entry_count += 1
             if entry_count > max_entries:
                 raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-            cells[ikey] = cell
-        elif not viterbi:
-            cells[ikey] = (log_add(cur[0], cell[0]),)
-        elif cell[0] > cur[0] or (cell[0] == cur[0] and back_precedes(cell, cur)):
-            cells[ikey] = cell
+            cells[ikey] = score
+        else:
+            cells[ikey] = fold(cur, score)
 
     seeded = scores[1]
     for index, inst in enumerate(x.instances):
         ikey = (inst.param, 1 << index)
-        for or_idx, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
+        for _, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
             cells = seeded.get(head) or seeded.setdefault(head, {})
-            cell = (logp, or_idx, inst.instance_id) if viterbi else (logp,)
-            if cells.setdefault(ikey, cell) is not cell:  # a second Or-rule over head and terminal
-                add(seeded, head, ikey, cell)
+            cur = cells.get(ikey)  # set by a second Or-rule over head and terminal
+            cells[ikey] = logp if cur is None else fold(cur, logp)
     entry_count = sum(map(len, seeded.values()))
     if entry_count > max_entries:
         raise BudgetExceeded(f"chart exceeded {max_entries} entries")
@@ -359,7 +436,7 @@ def build_table(
                     if keys is None:
                         keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
                     next_key = iter(keys).__next__
-                for lkey, lcell in lefts.items():
+                for (lparam, lmask), lscore in lefts.items():
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
                     if join is None:
@@ -367,14 +444,12 @@ def build_table(
                     else:
                         candidates = bucket.get(next_key(), ())
                     pair_tests += len(candidates)
-                    (lparam, lmask), lscore = lkey, lcell[0]
-                    for rkey, rcell in candidates:
-                        rparam, rmask = rkey
+                    for (rparam, rmask), rscore in candidates:
                         if lmask & rmask:
                             continue
-                        pair_score = lscore + rcell[0]
+                        pair_score = lscore + rscore
                         umask = lmask | rmask
-                        for and_idx, rel, fn, or_rules in rules:
+                        for _, rel, fn, or_rules in rules:
                             if not rel(lparam, rparam):
                                 continue
                             if not or_rules:  # no kept cell over the head
@@ -382,12 +457,8 @@ def build_table(
                                     comps.add(umask)
                                 continue
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
-                            for or_idx, logp, or_head in or_rules:
-                                if viterbi:
-                                    cell = (logp + pair_score, and_idx, lkey, rkey, or_idx)
-                                else:
-                                    cell = (logp + pair_score,)
-                                add(stratum, or_head, ikey, cell)
+                            for _, logp, or_head in or_rules:
+                                add(stratum, or_head, ikey, logp + pair_score)
         for cells in stratum.values():
             for _, mask in cells:
                 comps.add(mask)
@@ -404,23 +475,25 @@ def build_table(
 
 
 def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
-    """Reconstruct the derivation recorded at a chart entry (viterbi tables).
+    """The best tree of a chart entry (viterbi tables), each node's
+    derivation found again by CompositionTable.derivation.
 
     Iterative, so the depth of the tree is not bounded by the recursion
-    limit: cells are listed parents first as ((param, mask), cell), then
-    built in reverse.  The cells of one tree cover distinct instance
+    limit: cells are listed parents first as ((param, mask), derivation),
+    then built in reverse.  The cells of one tree cover distinct instance
     sets, so a built subtree is found by its mask.
     """
     if table.mode != "viterbi":
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
-    scores = table.scores
-    order = [((root.param, root.mask), table._cell(root))]  # MissingEntry for unknown keys
+    table.lookup(root)  # MissingEntry for unknown keys
+    derive = deriver(table)
+    order = [((root.param, root.mask), derive(root.or_node, (root.param, root.mask)))]
     for _, cell in order:  # grows while it is walked
         if len(cell) == 5:
             left, right = g.and_rules[cell[1]].children
             for node, key in ((left, cell[2]), (right, cell[3])):
-                order.append((key, scores[key[1].bit_count()][node][key]))
+                order.append((key, derive(node, key)))
     built: dict[int, TreeNode] = {}
     for (param, mask), cell in reversed(order):
         if len(cell) == 3:

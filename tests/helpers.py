@@ -9,6 +9,7 @@ import random
 from aog import (
     AndRule,
     Cnf3Sat,
+    CompositionKey,
     FunctionRef,
     Grammar,
     IndicatorNode,
@@ -36,12 +37,13 @@ def logsumexp(values) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def flat_back(cell):
-    """How a chart cell got its score as one flat tuple: None for a marginal
-    cell, (or rule, instance id) at size 1, and above (and rule, left param,
+def flat_back(table, node, key):
+    """How a chart cell got its score as one flat tuple: None in a marginal
+    chart, (or rule, instance id) at size 1, and above (and rule, left param,
     left mask, right param, right mask, or rule)."""
-    if len(cell) == 1:
+    if table.mode == "marginal":
         return None
+    cell = table.derivation(CompositionKey(node, *key))
     if len(cell) == 3:
         return cell[1:]
     _, and_idx, (lparam, lmask), (rparam, rmask), or_idx = cell
@@ -50,14 +52,14 @@ def flat_back(cell):
 
 def chart_fingerprint(table) -> str:
     """sha256 over every stored cell of a chart in insertion order, each as
-    (size, node, param, mask, score.hex(), flat_back(cell)): equal
-    fingerprints mean the same cells, order, scores and backpointers."""
+    (size, node, param, mask, score.hex(), flat_back(...)): equal
+    fingerprints mean the same cells, order, scores and derivations."""
     digest = hashlib.sha256()
     for size, stratum in enumerate(table.scores):
         for node, cells in stratum.items():
-            for (param, mask), cell in cells.items():
-                back = flat_back(cell)
-                digest.update(repr((size, node, param, mask, cell[0].hex(), back)).encode())
+            for (param, mask), score in cells.items():
+                back = flat_back(table, node, (param, mask))
+                digest.update(repr((size, node, param, mask, score.hex(), back)).encode())
     return digest.hexdigest()
 
 

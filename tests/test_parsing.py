@@ -164,6 +164,18 @@ def test_budget_seconds_bound_a_single_stratum():
     assert time.monotonic() - started < 0.5
 
 
+@pytest.mark.parametrize("value", ["5", True, 1j])
+def test_max_seconds_must_be_a_number(value):
+    # True would be a one-second limit and "5" raised a bare TypeError
+    with pytest.raises(ValueError, match=f"max_seconds is {value!r}; a number"):
+        ParserBudget(max_seconds=value)
+
+
+@pytest.mark.parametrize("value", [None, 0, 0.5, math.inf])
+def test_max_seconds_takes_none_zero_or_a_positive_number(value):
+    assert ParserBudget(max_seconds=value).max_seconds == value
+
+
 def test_nan_budget_seconds_is_refused():
     # monotonic() > nan is never true: a nan deadline would never fire
     with pytest.raises(ValueError):
@@ -351,6 +363,23 @@ def test_keys_of_the_wrong_type_are_missing_entries():
                 table.lookup(key)
         with pytest.raises(MissingEntry):
             backtrack(tables["viterbi"], key)
+        with pytest.raises(MissingEntry):
+            tables["viterbi"].derivation(key)
+
+
+def test_derivations_come_from_a_viterbi_chart_and_its_scores():
+    gcnf, _ = to_gcnf(scfg_to_aog(LEFT_BRANCHING))
+    x = string_sample(["a"] * 3)
+    marginal, viterbi = (build_table(gcnf, x, mode) for mode in ("marginal", "viterbi"))
+    root = viterbi.root_entries()[0][0]
+    assert viterbi.derivation(root)[0] == viterbi.lookup(root)
+    # a marginal chart keeps the sum of a cell's derivations, not one of them
+    with pytest.raises(ValueError, match="derivation needs a viterbi table"):
+        marginal.derivation(root)
+    # a score that no stored children give has no derivation
+    viterbi.scores[3][root.or_node][root.param, root.mask] += 1.0
+    with pytest.raises(MissingEntry, match="no stored cells derive"):
+        backtrack(viterbi, root)
 
 
 def test_stats_count_string_compositions():
@@ -879,25 +908,55 @@ CHART_FINGERPRINTS = {
         "viterbi": "524f6dc767812bcaed1f352e4862bb0e3ebd9630c9c3fbcada95f74cc2038603",
         "marginal": "848c99968acd7fa3a0348cc1868a8748c3b0f55573974c83429c8b87ccd22475",
     },
+    # charts where one mask carries several params, so a derivation is told
+    # apart from others of the same masks and score by its function's value
+    "grid 5003": {
+        "viterbi": "4c4ccee3a60d914106aa82c4b2d1442cb4805db617bc2c4a800a0fec1cab4763",
+        "marginal": "c63cb1b82f4b0976fca2c16f45e9bebbb24099f5648d8e965b6fd9af144bbe6f",
+    },
+    "interval 5020": {
+        "viterbi": "e1d18eec04bc5e8b7f534c25d42feebe01fc9fa1bab7b1d1a4bea8dc408f1c54",
+        "marginal": "b05e757e08ea820a9d7552f608c38084b0345646e99c47e99a8ad4f248e84721",
+    },
+    "wide abab": {
+        "viterbi": "d345c1cad23f8efd52b78f1a379c50de446b8dcdc46e23fdda6421f5bbeb8cbb",
+        "marginal": "73f95bff11130e96ac974666e8970dcd4e7357e4d7694887c904e8dd737b098d",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHART_FINGERPRINTS))
-def test_chart_fingerprint_is_pinned(name):
+# random_aog charts of CHART_FINGERPRINTS: name (kind and grammar seed) -> sample seed
+RANDOM_PINS = {"grid 5003": 1, "interval 5020": 0}
+
+
+def fingerprinted_input(name, wide_string_grammar):
+    """The normal-form grammar and sample of a CHART_FINGERPRINTS chart."""
     if name in UNREAD_PINS:
-        gcnf, x = pinned_input(name)
-    else:
-        gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+        return pinned_input(name)
+    if name == "all-spans a8":
+        return to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+    if name == "wide abab":  # over the tuple domain
+        return to_gcnf(wide_string_grammar)[0], string_sample(list("abab"))
+    kind, seed = name.split()
+    g = random_aog(random.Random(int(seed)), kind=kind)
+    return to_gcnf(g)[0], aog.sample(g, seed=RANDOM_PINS[name])[1]
+
+
+@pytest.mark.parametrize("name", sorted(CHART_FINGERPRINTS))
+def test_chart_fingerprint_is_pinned(name, wide_string_grammar):
+    gcnf, x = fingerprinted_input(name, wide_string_grammar)
     for mode, fingerprint in CHART_FINGERPRINTS[name].items():
         assert chart_fingerprint(build_table(gcnf, x, mode)) == fingerprint
 
 
+def test_backtrack_from_every_wide_string_cell(wide_string_grammar):
+    gcnf, x = fingerprinted_input("wide abab", wide_string_grammar)
+    assert assert_every_cell_backtracks(gcnf, x) == 77
+
+
 @pytest.mark.parametrize("name", ["sat 44008", "all-spans a8"])
 def test_cells_are_flat_and_name_their_children_by_stored_keys(name):
-    if name in UNREAD_PINS:
-        gcnf, x = pinned_input(name)
-    else:
-        gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+    gcnf, x = fingerprinted_input(name, None)
     seeds = {inst.instance_id: (inst, 1 << i) for i, inst in enumerate(x.instances)}
     for mode in ("viterbi", "marginal"):
         table = build_table(gcnf, x, mode)
@@ -907,14 +966,18 @@ def test_cells_are_flat_and_name_their_children_by_stored_keys(name):
             for size, stratum in enumerate(table.scores)
             for node, cells in stratum.items()
         }
+        # lengths of the derivations of viterbi cells; marginal cells have none
         lengths = collections.Counter()
         for size, stratum in enumerate(table.scores):
             for node, cells in stratum.items():
-                for key, cell in cells.items():
-                    assert type(cell) is tuple and type(cell[0]) is float
-                    lengths[len(cell)] += 1
+                for key, score in cells.items():
+                    assert type(score) is float
                     if mode == "marginal":
+                        lengths[None] += 1
                         continue
+                    cell = table.derivation(CompositionKey(node, *key))
+                    assert cell[0] is score
+                    lengths[len(cell)] += 1
                     or_rule = gcnf.or_rules[cell[-1] if size > 1 else cell[1]]
                     assert or_rule.head == node
                     if size == 1:
@@ -929,7 +992,7 @@ def test_cells_are_flat_and_name_their_children_by_stored_keys(name):
                     for child, child_key in zip(and_rule.children, (lkey, rkey)):
                         assert stored[child_key[1].bit_count(), child][child_key] is child_key
         if mode == "marginal":
-            assert set(lengths) == {1}
+            assert set(lengths) == {None}
         else:
             assert set(lengths) == {3, 5} and lengths[3] == table.stats.per_size_entries[1]
         assert lengths.total() == table.stats.table_entries > len(x)
@@ -981,7 +1044,9 @@ def test_duplicate_or_rules_fold_at_seeding(p, r):
         assert tree_probability(g, viterbi.tree) == pytest.approx(best, abs=1e-12)
         table = build_table(g, x, "viterbi")
         assert table.stats.per_size_entries[1] == len(tokens)
-        assert table.scores[1][node][(0, 1), 1] == (math.log(max(probs)), or_rule, "w0")
+        assert table.scores[1][node][(0, 1), 1] == math.log(max(probs))
+        cell = table.derivation(CompositionKey(node, (0, 1), 1))
+        assert cell == (math.log(max(probs)), or_rule, "w0")
 
 
 def test_budget_entries_bind_during_seeding():
