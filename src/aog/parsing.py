@@ -49,8 +49,9 @@ where the domain declares one (see domains.py), per terminal the pairs
 a size-1 cell over it is a child of, and per head the And-rules and
 Or-rules that derive its cells above size 1, for derivation.
 Grammar.compiled caches it on the grammar instance, so a grammar parsed
-many times resolves each relation and function once.  Seeding writes size-1 cells without add, folding the
-score of a second Or-rule over the same head and terminal.
+many times resolves each relation and function once.  Seeding writes
+size-1 cells without add, folding the score of a second Or-rule over the
+same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
