@@ -16,7 +16,8 @@ below the top size n those of And-rule children, read by the combine step,
 and at n the start's, read by root_entries.  No stored cell derives from
 any other, so scores, trees and ties are the full chart's.  The stats also
 count the compositions of cells not stored, each size's once its stratum
-is final, so a parse holds its chart plus the mask set of one stratum.
+is final, so a parse holds its chart plus the mask set of one stratum; a
+pair that feeds only unread heads at a size just counts (Combine step).
 The chart keeps no backpointers: CompositionTable.derivation finds how a
 viterbi cell got its score again, top-down, from the stored scores of its
 children, with the combine step's own float expression, so the winner's
@@ -50,7 +51,7 @@ a size-1 cell over it is a child of, and per head the And-rules and
 Or-rules that derive its cells above size 1, for derivation.
 Grammar.compiled caches it on the grammar instance, so a grammar parsed
 many times resolves each relation and function once.  Seeding writes
-size-1 cells without add, folding the score of a second Or-rule over the
+size-1 cells directly, folding the score of a second Or-rule over the
 same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
@@ -66,7 +67,10 @@ derivations are those of trying every pair.  Buckets and key lists keep
 the chart's insertion order, so each cell receives its derivations in the
 same order as when every left x right pair is tried, and the
 floating-point log_add sums of marginal cells stay bit-identical.
-stats.pair_tests counts the candidates examined.
+stats.pair_tests counts the candidates examined.  A keyless pair whose
+heads are all unread at a size (CompiledGrammar.pairs) only counts there:
+per cell of its smaller side it adds lmask | rmask of each disjoint pair
+its relations accept, as rel(left param, right param), to the mask set.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .domains import param_order_key
-from .errors import BudgetExceeded, DepthExceeded, MissingEntry, NotInNormalForm
+from .errors import BudgetExceeded, DepthExceeded, DomainError, MissingEntry, NotInNormalForm
 from .grammar import DataSample, Grammar, NodeKind, ParseTree, TreeNode
 from .normalize import gcnf_violations
 
@@ -163,13 +167,15 @@ class CompiledGrammar:
     under some Or-rule to the Or-rules over it whose head is read there
     (module docstring), each (rule index, log prob, head).  pairs lists the
     child pairs of the And-rules in order of first use in and_rules, each
-    (left child, right child, join, rules): join is the pair's (left key,
-    right key) when all its rules share one relation that declares a join,
-    else None; rules[top] are (And-rule index, relation, function,
-    or_by_child[top] of the head or None) in and_rules order.  by_left and
-    by_right map a node to the positions in pairs of the pairs with that
-    left or right child, and seeds[right] a terminal to the sorted positions
-    of the pairs whose left (right) child heads an or_by_child[0] rule over it.
+    (left child, right child, join, rules, counted): join is the pair's (left
+    key, right key) when all its rules share one relation that declares a
+    join, else None; rules[top] are (And-rule index, relation, function,
+    or_by_child[top] of the head or None) in and_rules order; counted[top]
+    is their relations when join is None and each of those lists is empty
+    (the pair only counts), else None.  by_left and by_right map a node to
+    the positions in pairs of the pairs with that left or right child, and
+    seeds[right] a terminal to the sorted positions of the pairs whose left
+    (right) child heads an or_by_child[0] rule over it.
     feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
     order, each (And-rule index, left child, right child, relation, function,
     ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
@@ -228,7 +234,11 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         join = g.domain.join(relation) if shared else None
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
-        pairs.append((left, right, join, rules))
+        counted = tuple(  # per top: the relations when no head is read, else None
+            None if join is not None or any(r[3] != [] for r in kept) else tuple(r[1] for r in kept)
+            for kept in rules
+        )
+        pairs.append((left, right, join, rules, counted))
     seeds = tuple(
         {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
         for by in (by_left, by_right)
@@ -245,6 +255,7 @@ class CompositionTable:
     mode: str
     scores: list[dict[str, dict[tuple, float]]]
     stats: CompositionStats
+    deadline: float | None = None  # monotonic() time at which backtrack stops; None: no limit
 
     def lookup(self, key: CompositionKey) -> float:
         """The score of a stored cell; MissingEntry for a key that names none,
@@ -358,6 +369,11 @@ def build_table(
     compiled = g.compiled  # NotInNormalForm, or a rule that does not resolve
     if len(x) == 0:
         raise ValueError("cannot parse an empty sample")
+    for inst in x.instances:
+        try:
+            hash(inst.param)  # a chart key
+        except TypeError:
+            raise DomainError(f"instance {inst.instance_id!r} has an unhashable param") from None
     terminals = dict.fromkeys(inst.terminal for inst in x.instances)
     for terminal in terminals:
         if terminal not in g.terminals:
@@ -370,20 +386,6 @@ def build_table(
     scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
     max_entries = budget.max_entries
     fold = max if mode == "viterbi" else log_add
-
-    def add(stratum: dict, head: str, ikey: tuple, score: float) -> None:
-        # the one place a chart cell is created or updated; ikey is (param, mask)
-        nonlocal entry_count
-        # a node's dict holds a cell from its creation on, so it is truthy
-        cells = stratum.get(head) or stratum.setdefault(head, {})
-        cur = cells.get(ikey)
-        if cur is None:
-            entry_count += 1
-            if entry_count > max_entries:
-                raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-            cells[ikey] = score
-        else:
-            cells[ikey] = fold(cur, score)
 
     seeded = scores[1]
     for index, inst in enumerate(x.instances):
@@ -422,10 +424,26 @@ def build_table(
             if not left_nodes or not right_nodes:
                 continue
             for pos in sorted(with_left[j] & with_right[i - j]):
-                left_child, right_child, join, by_size = compiled.pairs[pos]
-                rules = by_size[i == n]
+                left_child, right_child, join, by_size, counted = compiled.pairs[pos]
                 lefts = left_nodes[left_child]
                 rights = right_nodes[right_child]
+                rels = counted[i == n]
+                if rels is not None:  # every head unread: only count the unions
+                    pair_tests += len(lefts) * len(rights)
+                    walk_left = len(lefts) <= len(rights)  # walk the smaller side
+                    for param, mask in lefts if walk_left else rights:
+                        if deadline is not None and time.monotonic() >= deadline:
+                            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+                        for rel in rels:
+                            comps.update(
+                                [mask | rmask for rparam, rmask in rights
+                                 if not mask & rmask and rel(param, rparam)]
+                                if walk_left
+                                else [lmask | mask for lparam, lmask in lefts
+                                      if not lmask & mask and rel(lparam, param)]
+                            )
+                    continue
+                rules = by_size[i == n]
                 if join is not None:
                     join_left, join_right = join
                     bucket = buckets.get((i - j, pos))
@@ -459,7 +477,17 @@ def build_table(
                                 continue
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for _, logp, or_head in or_rules:
-                                add(stratum, or_head, ikey, logp + pair_score)
+                                # the one place a cell above size 1 is created or updated;
+                                # a node's dict holds a cell from its creation on, so it is truthy
+                                cells = stratum.get(or_head) or stratum.setdefault(or_head, {})
+                                cur = cells.get(ikey)
+                                if cur is not None:
+                                    cells[ikey] = fold(cur, logp + pair_score)
+                                    continue
+                                entry_count += 1
+                                if entry_count > max_entries:
+                                    raise BudgetExceeded(f"chart exceeded {max_entries} entries")
+                                cells[ikey] = logp + pair_score
         for cells in stratum.values():
             for _, mask in cells:
                 comps.add(mask)
@@ -472,7 +500,7 @@ def build_table(
         pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,
     )
-    return CompositionTable(g, x, mode, scores, stats)
+    return CompositionTable(g, x, mode, scores, stats, deadline)
 
 
 def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
@@ -489,8 +517,11 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     g = table.grammar
     table.lookup(root)  # MissingEntry for unknown keys
     derive = deriver(table)
+    deadline = table.deadline
     order = [((root.param, root.mask), derive(root.or_node, (root.param, root.mask)))]
     for _, cell in order:  # grows while it is walked
+        if deadline is not None and time.monotonic() >= deadline:  # once per derived node
+            raise BudgetExceeded("parse exceeded its time limit in backtrack")
         if len(cell) == 5:
             left, right = g.and_rules[cell[1]].children
             for node, key in ((left, cell[2]), (right, cell[3])):

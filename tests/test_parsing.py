@@ -10,6 +10,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from aog import (
     BudgetExceeded,
     CompositionKey,
     DataSample,
+    DomainError,
     FunctionRef,
     Grammar,
     MissingEntry,
@@ -48,6 +50,8 @@ from aog import (
     tree_sample,
     validate_grammar,
 )
+from aog import parsing
+from aog.cli import main
 from aog.parsing import back_precedes, positions_of
 from helpers import NEG_INF, chart_fingerprint, logsumexp, random_3sat, random_aog, random_spn
 
@@ -787,14 +791,24 @@ def test_compositions_count_sets_derived_into_no_stored_cell(over_unread):
 
 # per_size_compositions, pair_tests and the root score's float.hex are
 # those of a chart that stores every cell it derives; table_entries counts
-# the stored cells only: 5009 of 12246 and 8248 of 16472 on the two
-# formulas, all 311 on the network
+# the stored cells only: 5009 of 12246 and 8248 of 16472 on two of the
+# formulas, all 311 on the network.  sat 44007 has the most derivations
+# that only count (the pair under the start below n), and on aabab the
+# wide-string grammar's pairs that only count walk their right side, so
+# passing a relation its arguments swapped would show there
 UNREAD_PINS = {
     "sat 44002": (
         [0, 13, 78, 285, 705, 1242, 1596, 1506, 1035, 505, 166, 33, 3, 0],
         27269,
         {"viterbi": "-inf", "marginal": "-inf"},
         5009,
+    ),
+    "sat 44007": (
+        [0, 19, 168, 917, 3456, 9530, 19877, 31966, 40029, 39127]
+        + [29722, 17337, 7598, 2412, 521, 68, 4, 0, 0, 0],
+        286485,
+        {"viterbi": "-inf", "marginal": "-inf"},
+        117988,
     ),
     "sat 44008": (
         [0, 12, 66, 220, 495, 792, 924, 792, 495, 220, 66, 12, 1],
@@ -808,10 +822,18 @@ UNREAD_PINS = {
         {"viterbi": "-0x1.3e071c1543164p+3", "marginal": "-0x1.a25f3cb714ab6p+2"},
         311,
     ),
+    "wide aabab": (
+        [0, 5, 10, 10, 5, 1],
+        1425,
+        {"viterbi": "-0x1.1a8d66c55faf0p+2", "marginal": "-0x1.1a8d66c55faf0p+2"},
+        286,
+    ),
 }
 
 
-def pinned_input(name):
+def pinned_input(name, wide_string_grammar=None):
+    if name.startswith("wide"):  # over the tuple domain
+        return to_gcnf(wide_string_grammar)[0], string_sample(list(name.split()[1]))
     if name.startswith("sat"):
         g, x = sat_formula(int(name.split()[1]))
     else:
@@ -823,9 +845,9 @@ def pinned_input(name):
 
 
 @pytest.mark.parametrize("name", sorted(UNREAD_PINS))
-def test_unread_cells_leave_scores_and_counts_exact(name):
+def test_unread_cells_leave_scores_and_counts_exact(name, wide_string_grammar):
     comps, pair_tests, scores, entries = UNREAD_PINS[name]
-    gcnf, x = pinned_input(name)
+    gcnf, x = pinned_input(name, wide_string_grammar)
     for mode, score in scores.items():
         result = parse(gcnf, x, mode)
         assert result.stats.per_size_compositions == comps
@@ -887,6 +909,79 @@ def test_budget_entries_count_stored_cells():
     assert parse(gcnf, x, budget=ParserBudget(max_entries=entries)).stats.table_entries == entries
     with pytest.raises(BudgetExceeded):
         parse(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
+
+
+def clock_calls(monkeypatch, expired):
+    """Replace parsing's clock by one that reads 10.0 when expired(caller) is
+    true, else 0.0; returns the list of (function, line) of its callers."""
+    calls = []
+
+    def monotonic():
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_lineno))
+        return 10.0 if expired(calls[-1]) else 0.0
+
+    monkeypatch.setattr(parsing, "time", types.SimpleNamespace(monotonic=monotonic))
+    return calls
+
+
+def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypatch):
+    gcnf, x = pinned_input("sat 44008")
+    table = build_table(gcnf, x)
+    # below n, the one pair that only counts walks the smaller of its cell dicts
+    [pair] = [pair for pair in gcnf.compiled.pairs if pair[4][0] is not None]
+    assert pair[:2] == ("v1", "v2") and pair[4][1] is None
+    sides = [[table.scores[j].get("v1", ()), table.scores[i - j].get("v2", ())]
+             for i in range(2, len(x)) for j in range(1, i)]
+    walked = sum(min(map(len, split)) for split in sides)
+    assert walked > 0
+    calls = clock_calls(monkeypatch, lambda call: False)
+    budget = ParserBudget(max_seconds=1.0)
+    parse(gcnf, x, budget=budget)
+    # the clock's callers: the only line of build_table called once per walked cell
+    [check] = [call for call, count in collections.Counter(calls).items() if count == walked]
+    assert check[0] == "build_table"
+    calls = clock_calls(monkeypatch, lambda call: call == check)
+    with pytest.raises(BudgetExceeded, match="1.0 seconds"):
+        parse(gcnf, x, budget=budget)
+    assert calls[-1] == check and calls.count(check) == 1
+
+
+def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path):
+    # the limit passes right after build_table returns, so only backtrack sees it
+    g = scfg_to_aog(parse_scfg("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]"))
+    gcnf, _ = to_gcnf(g)
+    x = string_sample(["a"] * 20)
+    built = []
+    real_build_table = parsing.build_table
+
+    def build_then_expire(*args):
+        built.append(real_build_table(*args))
+        return built[-1]
+
+    monkeypatch.setattr(parsing, "build_table", build_then_expire)
+    calls = clock_calls(monkeypatch, lambda call: bool(built))
+    assert parse(gcnf, x).tree is not None
+    assert "backtrack" not in dict(calls)  # no limit, no check
+    built.clear()
+    with pytest.raises(BudgetExceeded, match="in backtrack"):
+        parse(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    assert calls[-1][0] == "backtrack" and [c for c, _ in calls].count("backtrack") == 1
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    aog.save_grammar(g, gpath)
+    aog.save_sample(x, g.domain, xpath)
+    built.clear()
+    assert main(["parse", str(gpath), str(xpath), "--budget-seconds", "1"]) == 4
+
+
+@pytest.mark.parametrize("params", [[[0, 1]], [(0, 1), [1, 2]]], ids=["one", "two"])
+@pytest.mark.parametrize("entry", [parse, build_table])
+def test_unhashable_instance_param_is_a_domain_error(params, entry):
+    # a list-valued param raised a bare TypeError from seeding
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg("S -> a [1.0]")))
+    x = DataSample(tuple(TerminalInstance(f"w{i}", "a", p) for i, p in enumerate(params)))
+    with pytest.raises(DomainError, match=f"instance 'w{len(params) - 1}' has an unhashable"):
+        entry(gcnf, x)
 
 
 # sha256 of every stored cell in insertion order (helpers.chart_fingerprint),
