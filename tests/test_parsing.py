@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import json
 import math
 import os
 import random
@@ -947,7 +948,7 @@ def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypa
     assert calls[-1] == check and calls.count(check) == 1
 
 
-def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path):
+def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path, capsys):
     # the limit passes right after build_table returns, so only backtrack sees it
     g = scfg_to_aog(parse_scfg("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]"))
     gcnf, _ = to_gcnf(g)
@@ -972,6 +973,7 @@ def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path):
     aog.save_sample(x, g.domain, xpath)
     built.clear()
     assert main(["parse", str(gpath), str(xpath), "--budget-seconds", "1"]) == 4
+    assert "in backtrack" in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("params", [[[0, 1]], [(0, 1), [1, 2]]], ids=["one", "two"])
