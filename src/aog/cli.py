@@ -194,7 +194,7 @@ def cmd_sample(args: argparse.Namespace, g: Grammar, _: None) -> int:
         try:
             tree, x = draw_sample(g, seed=seed, max_depth=args.max_depth)
         except (DepthExceeded, DomainError) as exc:
-            _emit({"seed": seed, "error": str(exc)})
+            sys.stdout.write(json.dumps({"seed": seed, "error": str(exc)}, sort_keys=True) + "\n")
             return 1
         record = {
             "seed": seed,

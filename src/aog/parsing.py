@@ -25,22 +25,19 @@ score is bit-identical to the cell's.  It names the winner as one flat tuple:
 
 - (score, or rule, instance id) at size 1, an Or-rule over a terminal instance;
 - (score, and rule, left key, right key, or rule) above, an Or-rule over an
-  And-rule applied to two child cells, each named by its own (param, mask)
-  key object of the chart: their nodes are the And-rule's children, their
-  sizes their masks' popcounts.
+  And-rule applied to two child cells, each named by its (param, mask) key:
+  their nodes are the And-rule's children, their sizes their masks' popcounts.
 
-Tie rule: when two derivations of a viterbi cell score the same, the
-smaller one wins, compared past the score as (or rule, instance id) at size 1
-and above as (and rule, (size, node, param_order_key(param), mask) of the left
-child, the same of the right child, or rule).  derivation applies it: it
-visits the candidates by And-rule, then left size, and stops at the first
-such group that holds the cell's score, as that group holds the winner.
-Within a group the right cells inside the cell's mask are hashed by the
-left mask each leaves, so a split costs each of its cells once; each pair
-found has its score checked before the relation and function, and
-back_precedes keeps the winner.  One And-rule fixes both child nodes,
-so back_precedes compares sizes, params and masks, building
-param_order_keys only for differing params after tied fields.
+Tie rule: of the derivations of a viterbi cell that score the same, the one
+with the smallest tie_key wins, a total order on them past the score: (or
+rule, instance id) at size 1, and above (and rule, (size,
+param_order_key(param), mask) of the left child, the same of the right
+child, or rule).  derivation visits the candidates by And-rule, then left
+size, and stops at the first such group that holds the cell's score, as
+that group holds the winner.  Within a group the right cells inside the
+cell's mask are hashed by the left mask each leaves, so a split costs each
+of its cells once; each pair found has its score checked before the
+relation and function.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: the kept Or-rules by child with
@@ -320,41 +317,35 @@ def deriver(table: CompositionTable):
                         by_rest.setdefault(mask ^ rkey[1], []).append((rkey, rscore))
                 if not by_rest:
                     continue
-                best = None
-                for lkey, lscore in lefts.items():
-                    for rkey, rscore in by_rest.get(lkey[1], ()):
-                        pair_score = lscore + rscore
-                        for or_idx, logp in or_rules:
-                            if (
-                                logp + pair_score == score  # the combine step's expression
-                                and rel(lkey[0], rkey[0])
-                                and fn(lkey[0], rkey[0]) == param
-                            ):
-                                derived = (score, and_idx, lkey, rkey, or_idx)
-                                if best is None or back_precedes(derived, best):
-                                    best = derived
-                if best is not None:  # the first group with the score holds the winner
-                    return best
+                found = [
+                    (score, and_idx, lkey, rkey, or_idx)
+                    for lkey, lscore in lefts.items()
+                    for rkey, rscore in by_rest.get(lkey[1], ())
+                    for or_idx, logp in or_rules
+                    if logp + (lscore + rscore) == score  # the combine step's expression
+                    and rel(lkey[0], rkey[0])
+                    and fn(lkey[0], rkey[0]) == param
+                ]
+                if found:  # the first group with the score holds the winner
+                    return found[0] if len(found) == 1 else min(found, key=tie_key)
         key = CompositionKey(node, param, mask)
         raise MissingEntry(f"no stored cells derive {key} with score {score!r}")
 
     return derive
 
 
-def back_precedes(cell: tuple, other: tuple) -> bool:
-    """Whether derivation cell wins an exact score tie against other by the
-    tie rule's order (module docstring), compared lazily past the scores; a
-    child's param and mask are read from its key."""
-    if len(cell) == 3 or cell[1] != other[1]:
-        return cell[1:] < other[1:]  # size 1, or the And-rules differ
-    for (param, mask), (oparam, omask) in ((cell[2], other[2]), (cell[3], other[3])):
-        if mask.bit_count() != omask.bit_count():
-            return mask.bit_count() < omask.bit_count()
-        if param != oparam:
-            return param_order_key(param) < param_order_key(oparam)
-        if mask != omask:
-            return mask < omask
-    return cell[4] < other[4]
+def tie_key(cell: tuple) -> tuple:
+    """The tie rule (module docstring) as a sort key of a derivation, past
+    its score; a child's node is implied by the And-rule."""
+    if len(cell) == 3:
+        return cell[1:]  # (or rule, instance id)
+    _, and_idx, (lparam, lmask), (rparam, rmask), or_idx = cell
+    return (
+        and_idx,
+        (lmask.bit_count(), param_order_key(lparam), lmask),
+        (rmask.bit_count(), param_order_key(rparam), rmask),
+        or_idx,
+    )
 
 
 def build_table(
@@ -507,37 +498,34 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
     """The best tree of a chart entry (viterbi tables), each node's
     derivation found again by CompositionTable.derivation.
 
-    Iterative, so the depth of the tree is not bounded by the recursion
-    limit: cells are listed parents first as ((param, mask), derivation),
-    then built in reverse.  The cells of one tree cover distinct instance
-    sets, so a built subtree is found by its mask.
+    Built top-down in one loop, as sample builds a tree, so its depth is not
+    bounded by the recursion limit: each Or-node is made from its cell's key
+    and gets its children once that cell's derivation is found.
     """
     if table.mode != "viterbi":
         raise ValueError("backtrack needs a viterbi table")
     g = table.grammar
-    table.lookup(root)  # MissingEntry for unknown keys
+    score = table.lookup(root)  # MissingEntry for unknown keys
     derive = deriver(table)
     deadline = table.deadline
-    order = [((root.param, root.mask), derive(root.or_node, (root.param, root.mask)))]
-    for _, cell in order:  # grows while it is walked
+    tree = TreeNode(root.or_node, root.param)
+    todo = [(tree, root.mask)]
+    while todo:
         if deadline is not None and time.monotonic() >= deadline:  # once per derived node
             raise BudgetExceeded("parse exceeded its time limit in backtrack")
-        if len(cell) == 5:
-            left, right = g.and_rules[cell[1]].children
-            for node, key in ((left, cell[2]), (right, cell[3])):
-                order.append((key, derive(node, key)))
-    built: dict[int, TreeNode] = {}
-    for (param, mask), cell in reversed(order):
+        node, mask = todo.pop()
+        cell = derive(node.node, (node.param, mask))
         if len(cell) == 3:
-            _, or_idx, instance = cell
-            inst = table.sample.by_id[instance]
-            child = TreeNode(inst.terminal, inst.param, instance=instance)
+            inst = table.sample.by_id[cell[2]]
+            child = TreeNode(inst.terminal, inst.param, instance=inst.instance_id)
         else:
-            _, and_idx, (_, lmask), (_, rmask), or_idx = cell
-            children = (built.pop(lmask), built.pop(rmask))
-            child = TreeNode(g.and_rules[and_idx].head, param, children)
-        built[mask] = TreeNode(g.or_rules[or_idx].head, param, (child,))
-    return ParseTree(built[root.mask], order[0][1][0])  # the root cell's score
+            _, and_idx, (lparam, lmask), (rparam, rmask), _ = cell
+            rule = g.and_rules[and_idx]
+            left, right = TreeNode(rule.children[0], lparam), TreeNode(rule.children[1], rparam)
+            child = TreeNode(rule.head, node.param, (left, right))
+            todo += ((left, lmask), (right, rmask))
+        node.children = (child,)
+    return ParseTree(tree, score)
 
 
 def parse(

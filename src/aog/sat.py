@@ -215,9 +215,6 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
             continue
         left, right = children
         eps_left, eps_right = eps_mass[left], eps_mass[right]
-        if eps_left == 0.0 and eps_right == 0.0:
-            and_rules.append(AndRule(node, (left, right), true_rel, null_fn))
-            continue
         # one side may stay silent: condition on at least one speaking
         denom = 1.0 - eps_left * eps_right
         both = (1.0 - eps_left) * (1.0 - eps_right) / denom

@@ -21,6 +21,7 @@ from aog import (
     OrRule,
     RelationRef,
     grid_domain,
+    null_domain,
     string_span_domain,
 )
 
@@ -90,4 +91,19 @@ def wide_string_grammar() -> Grammar:
             OrRule("item", "b", 0.4),
             OrRule("letter", "a", 1.0),
         ),
+    )
+
+
+@pytest.fixture
+def and_start() -> Grammar:
+    """A -> B B over the null domain: the start is an And-node, so the
+    normal form wraps it."""
+    return Grammar(
+        domain=null_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset({"A"}),
+        or_nodes=frozenset({"B"}),
+        start="A",
+        and_rules=(AndRule("A", ("B", "B"), RelationRef("true"), FunctionRef("null")),),
+        or_rules=(OrRule("B", "t", 1.0),),
     )

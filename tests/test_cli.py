@@ -283,6 +283,56 @@ def test_sample_emits_json_lines(capsys, grammar_file):
     assert first["sample"]["instances"]
 
 
+def before_grammar() -> aog.Grammar:
+    """An interval grammar whose And-rule uses before, which has no
+    canonical child split, so no top-down draw of it succeeds."""
+    return aog.Grammar(
+        domain=aog.interval_domain(),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset({"S"}),
+        or_nodes=frozenset({"A"}),
+        start="S",
+        and_rules=(
+            aog.AndRule("S", ("A", "A"), aog.RelationRef("before"), aog.FunctionRef("hull")),
+        ),
+        or_rules=(aog.OrRule("A", "t", 1.0),),
+    )
+
+
+@pytest.mark.parametrize(
+    "grammar, flags, error",
+    [
+        (
+            lambda: scfg_to_aog(parse_scfg("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]")),
+            ["--max-depth", "2", "--count", "6"],
+            "exceeded depth 2",
+        ),
+        (before_grammar, ["--count", "2"], "no canonical child split"),
+    ],
+    ids=["depth-exceeded", "domain-error"],
+)
+def test_failed_draw_is_one_json_line(capsys, tmp_path, grammar, flags, error):
+    path = tmp_path / "g.json"
+    save_grammar(grammar(), path)
+    code, out = run(capsys, ["sample", str(path), *flags])
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert set(records[-1]) == {"seed", "error"} and error in records[-1]["error"]
+    assert all("error" not in record for record in records[:-1])
+
+
+def test_parse_through_the_start_wrapper(capsys, tmp_path, and_start):
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    save_grammar(and_start, gpath)
+    x = aog.DataSample(tuple(aog.TerminalInstance(f"t{i}", "t", None) for i in range(2)))
+    save_sample(x, and_start.domain, xpath)
+    code, out = run(capsys, ["parse", str(gpath), str(xpath)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["normalized"] is True
+    assert payload["tree"]["root"]["node"] == "A"
+
+
 def test_sample_of_normalized_top_down_grammar(capsys, tmp_path, grammar_file):
     # draws through the binarized hline rule split its packed parameters
     normalized = str(tmp_path / "n.json")

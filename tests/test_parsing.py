@@ -53,7 +53,7 @@ from aog import (
 )
 from aog import parsing
 from aog.cli import main
-from aog.parsing import back_precedes, positions_of
+from aog.parsing import positions_of, tie_key
 from helpers import NEG_INF, chart_fingerprint, logsumexp, random_3sat, random_aog, random_spn
 
 AMBIGUOUS = parse_scfg(
@@ -103,6 +103,28 @@ def test_viterbi_and_marginal_on_ambiguous_string():
     trees = enumerate_parses(g, x)
     assert len(trees) == 2
     assert logsumexp([lp for _, lp in trees]) == pytest.approx(marginal.score)
+
+
+@pytest.mark.parametrize("start", ["A", "hline"])
+def test_parse_through_the_start_wrapper(start, and_start, line_drawing):
+    # an And-node start is wrapped by to_gcnf and unwrapped by project_parse
+    if start == "A":
+        g = and_start
+        x = DataSample((TerminalInstance("t0", "t", None), TerminalInstance("t1", "t", None)))
+    else:
+        g = dataclasses.replace(line_drawing, start=start)
+        x = DataSample(tuple(TerminalInstance(f"d{i}", "dot", (i, 0)) for i in range(3)))
+    gcnf, node_map = to_gcnf(g)
+    assert node_map.start_node == gcnf.start != start
+    trees = enumerate_parses(g, x)
+    assert trees
+    assert parse(gcnf, x, "marginal").score == pytest.approx(logsumexp([lp for _, lp in trees]))
+    viterbi = parse(gcnf, x, "viterbi")
+    assert viterbi.score == pytest.approx(max(lp for _, lp in trees))
+    projected = project_parse(viterbi.tree, node_map, g)
+    assert projected.root.node == start
+    assert projected.log_prob == pytest.approx(viterbi.score)
+    assert projected.root in [tree.root for tree, _ in trees]
 
 
 def test_no_parse_returns_neg_infinity(line_drawing):
@@ -489,12 +511,36 @@ def sharing_prefix(first, second, shared):
         st.builds(sharing_prefix, flat_backs, flat_backs, st.integers(0, 6)),
     )
 )
-def test_lazy_tie_rule_matches_full_keys(pair):
+def test_tie_key_matches_full_keys(pair):
     first, second = pair
     for back, other in ((first, second), (second, first)):
-        assert back_precedes(as_cell(back), as_cell(other)) == (
+        assert (tie_key(as_cell(back)) < tie_key(as_cell(other))) == (
             full_tie_key(back) < full_tie_key(other)
         )
+
+
+def test_tie_rule_prefers_the_lower_and_rule():
+    # S -> A B and S -> B A derive a a with the same score
+    g = scfg_to_aog(parse_scfg("S -> A B [0.5]\nS -> B A [0.5]\nA -> a [1.0]\nB -> a [1.0]"))
+    gcnf, _ = to_gcnf(g)
+    table = build_table(gcnf, string_sample(["a", "a"]), "viterbi")
+    [(root, _)] = table.root_entries()
+    feeding = sorted(and_idx for and_idx, *_ in gcnf.compiled.feeding[root.or_node])
+    assert len(feeding) == 2
+    assert table.derivation(root)[1] == feeding[0]
+    assert gcnf.and_rules[feeding[0]].children == ("A", "B")
+
+
+def test_tie_rule_prefers_the_smaller_left_child():
+    # every bracketing of a x 4 scores the same, so each split takes left size 1
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    x = string_sample(["a"] * 4)
+    tree = parse(gcnf, x, "viterbi").tree
+    assert tree.log_prob == max(lp for _, lp in enumerate_parses(gcnf, x))
+    and_nodes = [node for node in tree.root.walk() if len(node.children) == 2]
+    assert len(and_nodes) == 3
+    for node in and_nodes:
+        assert sum(1 for leaf in node.children[0].walk() if not leaf.children) == 1
 
 
 def assert_every_cell_backtracks(gcnf, x):
