@@ -178,9 +178,10 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         if args.dot:
             Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
     if args.stats:
-        stats = result.stats
-        derived = [k for k, v in vars(type(stats)).items() if isinstance(v, property)]
-        out["stats"] = {**vars(stats), **{k: getattr(stats, k) for k in derived}}
+        stats = result.stats  # its fields but the counter, then the derived counts
+        shown = [k for k in vars(stats) if k != "compositions"]
+        shown += [k for k, v in vars(type(stats)).items() if isinstance(v, property)]
+        out["stats"] = {k: getattr(stats, k) for k in shown}
     _emit(out)
     return 0 if found else 1
 

@@ -15,9 +15,9 @@ cell by (or_node, param, mask).  Only cells a later step reads are stored:
 below the top size n those of And-rule children, read by the combine step,
 and at n the start's, read by root_entries.  No stored cell derives from
 any other, so scores, trees and ties are the full chart's.  The stats also
-count the compositions of cells not stored, each size's once its stratum
-is final, so a parse holds its chart plus the mask set of one stratum; a
-pair that feeds only unread heads at a size just counts (Combine step).
+count the compositions of cells not stored, but not while the chart fills:
+count_compositions takes them from the finished chart when they are first
+read (Counting), so a parse holds only its chart.
 The chart keeps no backpointers: CompositionTable.derivation finds how a
 viterbi cell got its score again, top-down, from the stored scores of its
 children, with the combine step's own float expression, so the winner's
@@ -64,21 +64,28 @@ derivations are those of trying every pair.  Buckets and key lists keep
 the chart's insertion order, so each cell receives its derivations in the
 same order as when every left x right pair is tried, and the
 floating-point log_add sums of marginal cells stay bit-identical.
-stats.pair_tests counts the candidates examined.  A keyless pair whose
-heads are all unread at a size (CompiledGrammar.pairs) only counts there:
-per cell of its smaller side it adds lmask | rmask of each disjoint pair
-its relations accept, as rel(left param, right param), to the mask set.
+stats.pair_tests counts the candidates examined.  A rule whose head keeps
+no cell at a size is skipped before its relation is called, and a keyless
+pair with no other rules only adds its candidates to pair_tests.
+
+Counting.  A size's compositions are the masks of its stored cells and the
+unions lmask | rmask of the disjoint child pairs that the relation of a
+count-only rule accepts, as rel(left param, right param): a rule whose
+head has Or-rules but keeps no cell at that size (CompiledGrammar.pairs).
+count_compositions walks the smaller side of each such pair and ignores
+its join key, which never drops a pair the relation accepts.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass
-from typing import Any, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from .domains import param_order_key
 from .errors import BudgetExceeded, DepthExceeded, DomainError, MissingEntry, NotInNormalForm
@@ -133,10 +140,18 @@ class CompositionStats:
     """Size of the chart, per composition size, and the work of filling it."""
 
     sample_size: int
-    per_size_compositions: list[int]  # sets derived, stored or not, per size, counted once final
     per_size_entries: list[int]  # stored chart cells, index = size
     pair_tests: int  # candidate (left, right) cell pairs the combine loop examined
-    elapsed_seconds: float
+    elapsed_seconds: float  # filling the chart; the compositions are counted later
+    # count_compositions over the chart until they are first read, then its result
+    compositions: Callable[[], list[int]] | list[int] = field(repr=False)
+
+    @property
+    def per_size_compositions(self) -> list[int]:
+        """Instance sets derived, stored or not, per size; counted when first read."""
+        if callable(self.compositions):
+            self.compositions = self.compositions()
+        return self.compositions
 
     @property
     def table_entries(self) -> int:
@@ -167,12 +182,12 @@ class CompiledGrammar:
     (left child, right child, join, rules, counted): join is the pair's (left
     key, right key) when all its rules share one relation that declares a
     join, else None; rules[top] are (And-rule index, relation, function,
-    or_by_child[top] of the head or None) in and_rules order; counted[top]
-    is their relations when join is None and each of those lists is empty
-    (the pair only counts), else None.  by_left and by_right map a node to
-    the positions in pairs of the pairs with that left or right child, and
-    seeds[right] a terminal to the sorted positions of the pairs whose left
-    (right) child heads an or_by_child[0] rule over it.
+    or_by_child[top] of the head) of its rules whose head keeps a cell, in
+    and_rules order, and counted[top] the relations of its count-only rules,
+    whose head has Or-rules but keeps no cell.  by_left and by_right map a
+    node to the positions in pairs of the pairs with that left or right
+    child, and seeds[right] a terminal to the sorted positions of the pairs
+    whose left (right) child heads an or_by_child[0] rule over it.
     feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
     order, each (And-rule index, left child, right child, relation, function,
     ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
@@ -231,11 +246,9 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         join = g.domain.join(relation) if shared else None
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
-        counted = tuple(  # per top: the relations when no head is read, else None
-            None if join is not None or any(r[3] != [] for r in kept) else tuple(r[1] for r in kept)
-            for kept in rules
-        )
-        pairs.append((left, right, join, rules, counted))
+        kept = tuple([r for r in by_top if r[3]] for by_top in rules)
+        counted = tuple(tuple(r[1] for r in by_top if r[3] == []) for by_top in rules)
+        pairs.append((left, right, join, kept, counted))
     seeds = tuple(
         {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
         for by in (by_left, by_right)
@@ -252,7 +265,8 @@ class CompositionTable:
     mode: str
     scores: list[dict[str, dict[tuple, float]]]
     stats: CompositionStats
-    deadline: float | None = None  # monotonic() time at which backtrack stops; None: no limit
+    # monotonic() time at which backtrack, derivation and the count stop; None: no limit
+    deadline: float | None = None
 
     def lookup(self, key: CompositionKey) -> float:
         """The score of a stored cell; MissingEntry for a key that names none,
@@ -276,6 +290,8 @@ class CompositionTable:
         if self.mode != "viterbi":
             raise ValueError("derivation needs a viterbi table")
         self.lookup(key)  # MissingEntry for unknown keys
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            raise BudgetExceeded("parse exceeded its time limit in derivation")
         return deriver(self)(key.or_node, (key.param, key.mask))
 
 
@@ -391,9 +407,6 @@ def build_table(
     if deadline is not None and time.monotonic() >= deadline:  # also on one instance
         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
 
-    # per size, the instance sets derived, stored or not (size 1: instances under an Or-rule)
-    compositions = [0] * (n + 1)
-    compositions[1] = sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)
     pair_tests = 0
     # size -> positions of the child pairs whose left (right) child has
     # cells of that size, listed once the stratum is final (size 1: compiled)
@@ -403,38 +416,24 @@ def build_table(
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
     left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
-        if deadline is not None and time.monotonic() >= deadline:  # also bounds the previous count
+        if deadline is not None and time.monotonic() >= deadline:  # once per stratum
             raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
         if i > 2:
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
         stratum = scores[i]
-        comps: set[int] = set()  # counted once stratum i is final, then dropped
         for j in range(1, i):
             left_nodes, right_nodes = scores[j], scores[i - j]
             if not left_nodes or not right_nodes:
                 continue
             for pos in sorted(with_left[j] & with_right[i - j]):
-                left_child, right_child, join, by_size, counted = compiled.pairs[pos]
+                left_child, right_child, join, by_size, _ = compiled.pairs[pos]
                 lefts = left_nodes[left_child]
                 rights = right_nodes[right_child]
-                rels = counted[i == n]
-                if rels is not None:  # every head unread: only count the unions
-                    pair_tests += len(lefts) * len(rights)
-                    walk_left = len(lefts) <= len(rights)  # walk the smaller side
-                    for param, mask in lefts if walk_left else rights:
-                        if deadline is not None and time.monotonic() >= deadline:
-                            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
-                        for rel in rels:
-                            comps.update(
-                                [mask | rmask for rparam, rmask in rights
-                                 if not mask & rmask and rel(param, rparam)]
-                                if walk_left
-                                else [lmask | mask for lparam, lmask in lefts
-                                      if not lmask & mask and rel(lparam, param)]
-                            )
-                    continue
                 rules = by_size[i == n]
+                if not rules and join is None:  # no head keeps a cell: only the tests count
+                    pair_tests += len(lefts) * len(rights)
+                    continue
                 if join is not None:
                     join_left, join_right = join
                     bucket = buckets.get((i - j, pos))
@@ -462,10 +461,6 @@ def build_table(
                         for _, rel, fn, or_rules in rules:
                             if not rel(lparam, rparam):
                                 continue
-                            if not or_rules:  # no kept cell over the head
-                                if or_rules is not None:
-                                    comps.add(umask)
-                                continue
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for _, logp, or_head in or_rules:
                                 # the one place a cell above size 1 is created or updated;
@@ -479,19 +474,45 @@ def build_table(
                                 if entry_count > max_entries:
                                     raise BudgetExceeded(f"chart exceeded {max_entries} entries")
                                 cells[ikey] = logp + pair_score
-        for cells in stratum.values():
-            for _, mask in cells:
-                comps.add(mask)
-        compositions[i] = len(comps)
 
     stats = CompositionStats(
         sample_size=n,
-        per_size_compositions=compositions,
         per_size_entries=[sum(map(len, stratum.values())) for stratum in scores],
         pair_tests=pair_tests,
         elapsed_seconds=time.monotonic() - started,
+        # closes over the chart's parts, not the table, so that no cycle keeps a table alive
+        compositions=functools.partial(count_compositions, compiled, x, scores, deadline),
     )
     return CompositionTable(g, x, mode, scores, stats, deadline)
+
+
+def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, deadline) -> list[int]:
+    """per_size_compositions of a filled chart (module docstring, Counting);
+    size 1 counts the instances under an Or-rule."""
+    n = len(x)
+    compositions = [0, sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)]
+    counting = [pair for pair in compiled.pairs if any(pair[4])]
+    for i in range(2, n + 1):
+        comps = {mask for cells in scores[i].values() for _, mask in cells}
+        for j in range(1, i):
+            for left, right, _, _, counted in counting:
+                rels, lefts, rights = counted[i == n], scores[j].get(left), scores[i - j].get(right)
+                if not rels or not lefts or not rights:
+                    continue
+                walk_left = len(lefts) <= len(rights)  # walk the smaller side
+                for param, mask in lefts if walk_left else rights:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise BudgetExceeded("parse exceeded its time limit in count_compositions")
+                    for rel in rels:
+                        comps.update(
+                            [mask | rmask for rparam, rmask in rights
+                             if not mask & rmask and rel(param, rparam)]
+                            if walk_left
+                            else [lmask | mask for lparam, lmask in lefts
+                                  if not lmask & mask and rel(lparam, param)]
+                        )
+        compositions.append(len(comps))
+    return compositions
 
 
 def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:

@@ -417,6 +417,30 @@ def test_convert_sat_writes_sample(capsys, tmp_path):
     assert code == 0
 
 
+STATS_KEYS = {
+    "sample_size", "per_size_compositions", "per_size_entries", "table_entries",
+    "total_compositions", "c_max", "worst_case_compositions", "pair_tests", "elapsed_seconds",
+}
+
+
+def test_parse_stats_prints_the_nine_keys_and_their_counts(capsys, tmp_path):
+    # the formula CI parses: below the full size the start's child pair only counts
+    src = tmp_path / "f.cnf"
+    src.write_text("p cnf 4 3\n1 -2 3 0\n2 3 -4 0\n-1 -3 4 0\n")
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    argv = ["convert", "sat", str(src), "-o", str(gpath), "--sample-out", str(xpath)]
+    assert run(capsys, argv)[0] == 0
+    code, out = run(capsys, ["parse", str(gpath), str(xpath), "--stats"])
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert set(stats) == STATS_KEYS
+    assert stats["per_size_compositions"] == [0, 3, 3, 1]
+    assert stats["per_size_entries"] == [0, 17, 7, 1]
+    assert (stats["pair_tests"], stats["c_max"], stats["total_compositions"]) == (38, 3, 7)
+    assert (stats["sample_size"], stats["table_entries"]) == (3, 25)
+    assert stats["worst_case_compositions"] == 3 and stats["elapsed_seconds"] >= 0
+
+
 def test_convert_missing_input_exits_3(capsys, tmp_path):
     code, _ = run(
         capsys, ["convert", "scfg", str(tmp_path / "absent"), "-o", str(tmp_path / "g")]

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import textwrap
 import time
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -931,8 +933,8 @@ def test_tiny_sample_counts_are_pinned(rules):
 
 @pytest.mark.parametrize("mode", ["viterbi", "marginal"])
 def test_build_table_peak_memory_stays_near_the_kept_chart(mode):
-    # a parse holds its chart plus the mask set of one stratum, so its
-    # traced peak stays within a tenth of the chart it returns
+    # build_table holds only its chart and counts nothing, so its traced
+    # peak stays within a tenth of the chart it returns
     gcnf, x = pinned_input("sat 44008")
     gcnf.compiled  # compile outside the traced span
     tracing = tracemalloc.is_tracing()
@@ -975,22 +977,23 @@ def clock_calls(monkeypatch, expired):
 def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypatch):
     gcnf, x = pinned_input("sat 44008")
     table = build_table(gcnf, x)
-    # below n, the one pair that only counts walks the smaller of its cell dicts
-    [pair] = [pair for pair in gcnf.compiled.pairs if pair[4][0] is not None]
-    assert pair[:2] == ("v1", "v2") and pair[4][1] is None
+    # below n, the one pair with count-only rules, and no other rules, walks
+    # the smaller of its cell dicts when the counts are read
+    [pair] = [pair for pair in gcnf.compiled.pairs if any(pair[4])]
+    assert pair[:2] == ("v1", "v2") and pair[4][0] and not pair[4][1] and not pair[3][0]
     sides = [[table.scores[j].get("v1", ()), table.scores[i - j].get("v2", ())]
              for i in range(2, len(x)) for j in range(1, i)]
     walked = sum(min(map(len, split)) for split in sides)
     assert walked > 0
     calls = clock_calls(monkeypatch, lambda call: False)
     budget = ParserBudget(max_seconds=1.0)
-    parse(gcnf, x, budget=budget)
-    # the clock's callers: the only line of build_table called once per walked cell
+    parse(gcnf, x, budget=budget).stats.per_size_compositions
+    # the clock's callers: the only line of count_compositions called once per walked cell
     [check] = [call for call, count in collections.Counter(calls).items() if count == walked]
-    assert check[0] == "build_table"
+    assert check[0] == "count_compositions"
     calls = clock_calls(monkeypatch, lambda call: call == check)
-    with pytest.raises(BudgetExceeded, match="1.0 seconds"):
-        parse(gcnf, x, budget=budget)
+    with pytest.raises(BudgetExceeded, match="in count_compositions"):
+        parse(gcnf, x, budget=budget).stats.per_size_compositions
     assert calls[-1] == check and calls.count(check) == 1
 
 
@@ -1020,6 +1023,58 @@ def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path, capsys):
     built.clear()
     assert main(["parse", str(gpath), str(xpath), "--budget-seconds", "1"]) == 4
     assert "in backtrack" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_derivation_checks_the_deadline_once_per_call(monkeypatch):
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg("X -> X X [0.4]\nX -> a [0.6]")))
+    x = string_sample(["a"] * 4)
+    expired = []
+    calls = clock_calls(monkeypatch, lambda call: bool(expired))
+    limited = build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))  # the clock reads 0.0
+    unlimited = build_table(gcnf, x)
+    [(root, _)] = limited.root_entries()
+    calls.clear()
+    cell = unlimited.derivation(root)
+    assert calls == []  # no limit, no check
+    assert limited.derivation(root) == cell and [c for c, _ in calls] == ["derivation"]
+    expired.append(True)
+    calls.clear()
+    with pytest.raises(BudgetExceeded, match="in derivation"):
+        limited.derivation(root)
+    assert [c for c, _ in calls] == ["derivation"]
+
+
+def test_unread_counts_cost_nothing_and_are_taken_once(monkeypatch):
+    gcnf, x = pinned_input("sat 44007")
+    comps = UNREAD_PINS["sat 44007"][0]
+    counted = []
+    count_compositions = parsing.count_compositions
+
+    def counting(*args):
+        counted.append(args)
+        return count_compositions(*args)
+
+    monkeypatch.setattr(parsing, "count_compositions", counting)
+    stats = parse(gcnf, x).stats
+    assert counted == []
+    assert stats.c_max == max(comps) and stats.per_size_compositions == comps
+    assert stats.total_compositions == sum(comps) and len(counted) == 1
+    # the counter, and the chart it closes over, are dropped once it has run
+    assert stats.compositions is stats.per_size_compositions
+
+
+def test_a_dropped_table_is_freed_without_the_cycle_collector():
+    # the stats' counter closes over the chart, not the table, so no
+    # table <-> stats cycle outlives the last reference to the table
+    gcnf, x = pinned_input("sat 44008")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = weakref.ref(build_table(gcnf, x))
+        assert table() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("params", [[[0, 1]], [(0, 1), [1, 2]]], ids=["one", "two"])
