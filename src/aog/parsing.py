@@ -65,15 +65,15 @@ the chart's insertion order, so each cell receives its derivations in the
 same order as when every left x right pair is tried, and the
 floating-point log_add sums of marginal cells stay bit-identical.
 stats.pair_tests counts the candidates examined.  A rule whose head keeps
-no cell at a size is skipped before its relation is called, and a keyless
-pair with no other rules only adds its candidates to pair_tests.
+no cell at a size is skipped before its relation is called, and a pair with
+no other rules there only adds its candidates to pair_tests, walking no cell.
 
 Counting.  A size's compositions are the masks of its stored cells and the
 unions lmask | rmask of the disjoint child pairs that the relation of a
 count-only rule accepts, as rel(left param, right param): a rule whose
 head has Or-rules but keeps no cell at that size (CompiledGrammar.pairs).
-count_compositions walks the smaller side of each such pair and ignores
-its join key, which never drops a pair the relation accepts.
+count_compositions walks each such pair's smaller side as its left one,
+swapping the relation's arguments if need be, and ignores its join key.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ class CompositionTable:
     mode: str
     scores: list[dict[str, dict[tuple, float]]]
     stats: CompositionStats
-    # monotonic() time at which backtrack, derivation and the count stop; None: no limit
+    # monotonic() time at which backtrack and derivation stop; None: no limit
     deadline: float | None = None
 
     def lookup(self, key: CompositionKey) -> float:
@@ -424,16 +424,10 @@ def build_table(
         stratum = scores[i]
         for j in range(1, i):
             left_nodes, right_nodes = scores[j], scores[i - j]
-            if not left_nodes or not right_nodes:
-                continue
             for pos in sorted(with_left[j] & with_right[i - j]):
                 left_child, right_child, join, by_size, _ = compiled.pairs[pos]
-                lefts = left_nodes[left_child]
-                rights = right_nodes[right_child]
+                lefts, rights = left_nodes[left_child], right_nodes[right_child]
                 rules = by_size[i == n]
-                if not rules and join is None:  # no head keeps a cell: only the tests count
-                    pair_tests += len(lefts) * len(rights)
-                    continue
                 if join is not None:
                     join_left, join_right = join
                     bucket = buckets.get((i - j, pos))
@@ -445,6 +439,10 @@ def build_table(
                     if keys is None:
                         keys = left_keys[j, pos] = [join_left(lparam) for lparam, _ in lefts]
                     next_key = iter(keys).__next__
+                if not rules:  # no head keeps a cell: only the tests count
+                    pair_tests += (len(lefts) * len(rights) if join is None
+                                   else sum(len(bucket.get(key, ())) for key in keys))
+                    continue
                 for (lparam, lmask), lscore in lefts.items():
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
@@ -475,20 +473,23 @@ def build_table(
                                     raise BudgetExceeded(f"chart exceeded {max_entries} entries")
                                 cells[ikey] = logp + pair_score
 
+    finished = time.monotonic()
+    seconds_left = None if deadline is None else deadline - finished  # the count re-arms it
     stats = CompositionStats(
         sample_size=n,
         per_size_entries=[sum(map(len, stratum.values())) for stratum in scores],
         pair_tests=pair_tests,
-        elapsed_seconds=time.monotonic() - started,
+        elapsed_seconds=finished - started,
         # closes over the chart's parts, not the table, so that no cycle keeps a table alive
-        compositions=functools.partial(count_compositions, compiled, x, scores, deadline),
+        compositions=functools.partial(count_compositions, compiled, x, scores, seconds_left),
     )
     return CompositionTable(g, x, mode, scores, stats, deadline)
 
 
-def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, deadline) -> list[int]:
-    """per_size_compositions of a filled chart (module docstring, Counting);
-    size 1 counts the instances under an Or-rule."""
+def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds) -> list[int]:
+    """per_size_compositions of a filled chart (module docstring, Counting); size 1 counts
+    the instances under an Or-rule, seconds is what the fill left of its time limit or None."""
+    deadline = None if seconds is None else time.monotonic() + seconds
     n = len(x)
     compositions = [0, sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)]
     counting = [pair for pair in compiled.pairs if any(pair[4])]
@@ -499,18 +500,15 @@ def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, deadlin
                 rels, lefts, rights = counted[i == n], scores[j].get(left), scores[i - j].get(right)
                 if not rels or not lefts or not rights:
                     continue
-                walk_left = len(lefts) <= len(rights)  # walk the smaller side
-                for param, mask in lefts if walk_left else rights:
+                if len(rights) < len(lefts):  # walk the smaller side, as the left one
+                    lefts, rights = rights, lefts
+                    rels = [lambda a, b, rel=rel: rel(b, a) for rel in rels]
+                for param, mask in lefts:
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded("parse exceeded its time limit in count_compositions")
                     for rel in rels:
-                        comps.update(
-                            [mask | rmask for rparam, rmask in rights
-                             if not mask & rmask and rel(param, rparam)]
-                            if walk_left
-                            else [lmask | mask for lparam, lmask in lefts
-                                  if not lmask & mask and rel(lparam, param)]
-                        )
+                        comps.update([mask | rmask for rparam, rmask in rights
+                                      if not mask & rmask and rel(param, rparam)])
         compositions.append(len(comps))
     return compositions
 

@@ -243,6 +243,21 @@ def test_parse_empty_sample_exits_2(capsys, tmp_path, grammar_file):
         assert json.loads(out) == {"error": "cannot parse an empty sample"}
 
 
+def test_duplicate_node_id_exits_3(capsys, tmp_path, grammar_file):
+    path = edited_grammar_file(tmp_path, grammar_file, lambda g: g["nodes"].append(g["nodes"][0]))
+    code, out = run(capsys, ["validate", path])
+    assert code == 3
+    assert json.loads(out) == {"error": "nodes[5]: duplicate node id 'dot'", "valid": False}
+
+
+def test_duplicate_instance_ids_exit_3(capsys, tmp_path, grammar_file, line_drawing):
+    xp = Path(sample_file(tmp_path, line_drawing, [(0, 0), (1, 0)]))
+    xp.write_text(xp.read_text().replace('"d1"', '"d0"'))
+    code, out = run(capsys, ["parse", grammar_file, str(xp)])
+    assert code == 3
+    assert json.loads(out) == {"error": "duplicate instance ids in sample"}
+
+
 def test_parse_or_rule_cycle_exits_2(capsys, tmp_path):
     from aog import DataSample, Grammar, OrRule, TerminalInstance, null_domain
 

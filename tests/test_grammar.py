@@ -180,25 +180,72 @@ def test_data_sample_rejects_duplicate_ids():
         )
 
 
-def test_tree_probability_checks_relations(line_drawing):
-    tree, _ = sample(line_drawing, seed=0)
-    # find a sampled hline and break one leaf parameter
+def hline_tree(line_drawing):
+    """A drawn tree figure -> hline -> (point -> dot) x 3."""
     for seed in range(30):
         tree, _ = sample(line_drawing, seed=seed)
-        leaves = tree.leaves()
-        if len(leaves) == 3:
-            break
-    assert len(leaves) == 3
-    leaves[1].param = (99, 99)
-    with pytest.raises(InvalidTree):
+        if len(tree.leaves()) == 3:
+            return tree
+    raise AssertionError("no hline drawn")
+
+
+def test_tree_probability_checks_relations(line_drawing):
+    tree = hline_tree(line_drawing)
+    # move the middle point and its dot together, so only the relation fails
+    point = tree.root.children[0].children[1]
+    point.param = point.children[0].param = (99, 99)
+    with pytest.raises(InvalidTree, match="children of 'hline' violate 'offset'"):
         tree_probability(line_drawing, tree)
 
 
 def test_tree_probability_requires_known_or_rule(line_drawing):
-    tree, _ = sample(line_drawing, seed=1)
-    tree.root.node = "point"  # point never heads these children
-    with pytest.raises(InvalidTree):
+    tree = hline_tree(line_drawing)
+    point = tree.root.children[0].children[0]
+    tree.root.children = (point,)  # figure -> point is no Or-rule
+    tree.root.param = point.param
+    with pytest.raises(InvalidTree, match="no Or-rule 'figure' -> 'point'"):
         tree_probability(line_drawing, tree)
+
+
+def rename_a_leaf(tree):
+    tree.leaves()[0].node = "blot"
+
+
+def drop_a_point(tree):
+    hline = tree.root.children[0]
+    hline.children = hline.children[:2]
+
+
+def move_the_hline(tree):
+    tree.root.param = tree.root.children[0].param = (99, 99)
+
+
+def strip_a_point(tree):
+    tree.root.children[0].children[0].children = ()
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        (rename_a_leaf, "unknown node 'blot'"),
+        (drop_a_point, "And-node 'hline' children do not match its rule"),
+        (move_the_hline, r"'hline' parameter \(99, 99\) differs from computed"),
+        (strip_a_point, "Or-node 'point' must have exactly one child"),
+    ],
+    ids=["unknown-node", "and-children", "computed-param", "or-children"],
+)
+def test_tree_probability_names_each_fault(line_drawing, fault, match):
+    tree = hline_tree(line_drawing)
+    fault(tree)
+    with pytest.raises(InvalidTree, match=match):
+        tree_probability(line_drawing, tree)
+
+
+def test_tree_sample_needs_an_instance_id_on_every_leaf(line_drawing):
+    tree = hline_tree(line_drawing)
+    tree.leaves()[1].instance = None
+    with pytest.raises(InvalidTree, match="terminal 'dot' has no instance id"):
+        tree_sample(line_drawing, tree)
 
 
 def test_tree_probability_exact_value(line_drawing):

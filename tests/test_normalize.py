@@ -165,10 +165,9 @@ def test_projection_rejects_foreign_tree(line_drawing, wide_string_grammar):
         project_parse(tree, map_b, wide_string_grammar)
 
 
-def test_projection_reports_child_faults_first():
-    # two faults: the root's edge S -> T is no Or-rule of the grammar, and
-    # the node below T is unknown; the unknown node is met first
-    g = Grammar(
+def two_or_grammar():
+    """S -> t and T -> t: S -> T is no Or-rule, and T is not the start."""
+    return Grammar(
         domain=null_domain(),
         terminals=frozenset({"t"}),
         and_nodes=frozenset(),
@@ -177,10 +176,41 @@ def test_projection_reports_child_faults_first():
         and_rules=(),
         or_rules=(OrRule("S", "t", 1.0), OrRule("T", "t", 1.0)),
     )
+
+
+def test_projection_reports_child_faults_first():
+    # two faults: the root's edge S -> T is no Or-rule of the grammar, and
+    # the node below T is unknown; the unknown node is met first
     leaf = TreeNode("zzz", None, instance="t0")
     tree = ParseTree(TreeNode("S", None, (TreeNode("T", None, (leaf,)),)), 0.0)
     with pytest.raises(MapMismatch, match="tree node 'zzz' is not in the original grammar"):
-        project_parse(tree, NodeMap(original_start="S"), g)
+        project_parse(tree, NodeMap(original_start="S"), two_or_grammar())
+
+
+@pytest.mark.parametrize(
+    "root, node_map, match",
+    [
+        (
+            TreeNode("S", None, (TreeNode("t", None, instance="w0"),)),
+            NodeMap("S", start_node="S#start"),
+            "tree root 'S' is not the recorded start wrapper",
+        ),
+        (
+            TreeNode("S", None, (TreeNode("T", None, (TreeNode("t", None, instance="w0"),)),)),
+            NodeMap("S"),
+            r"no original Or-rule or recorded chain for \('S', 'T'\)",
+        ),
+        (
+            TreeNode("T", None, (TreeNode("t", None, instance="w0"),)),
+            NodeMap("S"),
+            "projected root 'T' is not the original start",
+        ),
+    ],
+    ids=["no-start-wrapper", "unknown-or-edge", "subtree"],
+)
+def test_projection_names_each_mismatch(root, node_map, match):
+    with pytest.raises(MapMismatch, match=match):
+        project_parse(ParseTree(root, 0.0), node_map, two_or_grammar())
 
 
 def single_terminal_grammar():

@@ -991,9 +991,67 @@ def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypa
     # the clock's callers: the only line of count_compositions called once per walked cell
     [check] = [call for call, count in collections.Counter(calls).items() if count == walked]
     assert check[0] == "count_compositions"
+    # the count re-arms the 1.0 s the fill left at 0.0, and one cell's check reads 10.0
     calls = clock_calls(monkeypatch, lambda call: call == check)
     with pytest.raises(BudgetExceeded, match="in count_compositions"):
         parse(gcnf, x, budget=budget).stats.per_size_compositions
+    assert calls[-1] == check and calls.count(check) == 1
+
+
+def test_a_late_read_of_the_counts_gets_what_the_fill_left_of_the_limit(monkeypatch):
+    # the clock reads 0.0 while the chart fills and 10.0 once the counts are
+    # read, long after the limit: the count re-arms the 1.0 s the fill left
+    gcnf, x = pinned_input("sat 44008")
+    read = []
+    calls = clock_calls(monkeypatch, lambda call: bool(read))
+    stats = parse(gcnf, x, budget=ParserBudget(max_seconds=1.0)).stats
+    read.append(True)
+    assert stats.per_size_compositions == UNREAD_PINS["sat 44008"][0]
+    assert "count_compositions" in dict(calls)  # re-armed and checked, not unlimited
+
+
+# a keyed pair that only counts: S -> NP VP keeps no cell below the full size
+NP_VP = "S -> NP VP [1.0]\nNP -> NP NP [0.3]\nNP -> a [0.7]\nVP -> VP VP [0.3]\nVP -> b [0.7]"
+
+
+def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
+    x = string_sample(list("aabb"))
+    n = len(x)
+    scores = build_table(gcnf, x).scores
+    pairs = gcnf.compiled.pairs
+    assert all(pair[2] is not None for pair in pairs)  # keyed: adjacent declares a join
+    assert pairs[0][:2] == ("NP", "VP") and not pairs[0][3][0] and pairs[0][4][0]
+    # the left cells of every live pair with a rule whose head keeps a cell
+    walked = sum(
+        len(scores[j][left])
+        for i in range(2, n + 1)
+        for j in range(1, i)
+        for left, right, _, kept, _ in pairs
+        if kept[i == n] and left in scores[j] and right in scores[i - j]
+    )
+    assert walked == 11
+    calls = clock_calls(monkeypatch, lambda call: False)
+    stats = build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0)).stats
+    # per build_table line: the start, seeding, the end, once per stratum, once per left cell
+    checks = collections.Counter(call for call in calls if call[0] == "build_table")
+    assert sorted(checks.values()) == [1, 1, 1, n - 1, walked]
+    assert stats.per_size_compositions == [0, 4, 3, 2, 1]
+    assert stats.per_size_entries == [0, 4, 2, 0, 1]
+    assert (stats.pair_tests, stats.c_max, stats.total_compositions) == (6, 4, 10)
+
+
+def test_deadline_is_checked_once_per_stratum(monkeypatch):
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
+    x = string_sample(list("aabb"))
+    calls = clock_calls(monkeypatch, lambda call: False)
+    build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    counts = collections.Counter(calls)
+    [check] = [call for call, count in counts.items() if count == len(x) - 1]
+    assert check[0] == "build_table"
+    calls = clock_calls(monkeypatch, lambda call: call == check)
+    with pytest.raises(BudgetExceeded, match=r"^parse exceeded 1\.0 seconds$"):
+        build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
     assert calls[-1] == check and calls.count(check) == 1
 
 

@@ -253,6 +253,26 @@ def test_load_node_map_rejects_malformed(tmp_path, defect):
         load_node_map(path)
 
 
+@pytest.mark.parametrize(
+    "unit_chains, match",
+    [
+        ({"head": "S", "child": "t"}, r"^unit_chains: expected a list$"),
+        (
+            [{"head": "S", "child": "t", "chains": []}],
+            r"^unit_chains\[0\]\.chains: expected a non-empty list$",
+        ),
+    ],
+    ids=["not-a-list", "no-chains"],
+)
+def test_load_node_map_names_bad_unit_chains(tmp_path, unit_chains, match):
+    payload = good_node_map()
+    payload["unit_chains"] = unit_chains
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=match):
+        load_node_map(path)
+
+
 def test_tree_serialization(line_drawing):
     tree, x = sample(line_drawing, seed=2)
     payload = tree_to_json_dict(tree, line_drawing.domain)
