@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("viterbi", "marginal"), default="viterbi")
     p.add_argument("--stats", action="store_true", help="include chart statistics")
     p.add_argument("--dot", metavar="FILE", help="write the parse tree as graphviz")
-    p.add_argument("--budget-entries", type=int, default=10_000_000)
+    p.add_argument("--budget-entries", type=int, default=ParserBudget.max_entries)
     p.add_argument("--budget-seconds", type=float, default=None)
     add_renormalize(p)
     p.set_defaults(func=cmd_parse)

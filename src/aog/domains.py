@@ -199,17 +199,18 @@ def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
     return factory
 
 
-def _pair_decoder(what: str, ordered: bool) -> Callable[[Any], tuple[int, int]]:
-    """Decoder of an [a, b] value that _check_pair accepts as (a, b);
-    ordered also needs a < b, as span and interval [start, end] do."""
+def _decode_pair(raw: Any, what: str, ordered: bool = False) -> tuple[int, int]:
+    """The (a, b) of an [a, b] that _check_pair accepts; ordered needs a < b, as [start, end]."""
+    a, b = _check_pair(tuple(raw) if isinstance(raw, list) else raw, what)
+    if ordered and a >= b:
+        raise DomainError(f"{what} needs start < end, got {raw!r}")
+    return (a, b)
 
-    def decode(raw: Any) -> tuple[int, int]:
-        a, b = _check_pair(tuple(raw) if isinstance(raw, list) else raw, what)
-        if ordered and a >= b:
-            raise DomainError(f"{what} needs start < end, got {raw!r}")
-        return (a, b)
 
-    return decode
+def _pair_codec(what: str, ordered: bool) -> dict[str, Callable[[Any], Any]]:
+    """The encode_param and decode_param of a domain of pair values."""
+    return {"encode_param": lambda p: list(_check_pair(p, what)),
+            "decode_param": lambda raw: _decode_pair(raw, what, ordered)}
 
 
 # ---------------------------------------------------------------- string spans
@@ -227,8 +228,7 @@ def string_span_domain() -> DomainBinding:
         relations={"adjacent": _chain("adjacent", _ends_meet("span"))},
         functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]))},
         joins={"adjacent": _end_start_join("adjacent", "span")},
-        encode_param=lambda p: list(_check_pair(p, "span")),
-        decode_param=_pair_decoder("span", ordered=True),
+        **_pair_codec("span", ordered=True),
         leaf_param=lambda i: (i, i + 1),
     )
 
@@ -246,7 +246,7 @@ def _read_offsets(config: dict, arity: int) -> list[tuple[int, int]]:
 
 def _config_pair(raw: Any, what: str) -> tuple[int, int]:
     try:
-        return _check_pair(tuple(raw) if isinstance(raw, list) else raw, what)
+        return _decode_pair(raw, what)
     except DomainError:
         raise ConfigError(f"{what} must be [dx, dy], got {raw!r}") from None
 
@@ -307,8 +307,7 @@ def grid_domain() -> DomainBinding:
         relations={"offset": offset},
         functions={"anchor": anchor},
         joins={"offset": offset_join},
-        encode_param=lambda p: list(_check_pair(p, "grid point")),
-        decode_param=_pair_decoder("grid point", ordered=False),
+        **_pair_codec("grid point", ordered=False),
         root_default=lambda: (0, 0),
         realize_children=realize,
     )
@@ -373,8 +372,7 @@ def interval_domain() -> DomainBinding:
         },
         functions={"hull": _plain("hull", hull)},
         joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
-        encode_param=lambda p: list(_check_pair(p, "interval")),
-        decode_param=_pair_decoder("interval", ordered=True),
+        **_pair_codec("interval", ordered=True),
         root_default=lambda: (0, 1024),
         realize_children=realize,
     )
@@ -406,6 +404,24 @@ def null_domain() -> DomainBinding:
 # ---------------------------------------------------------------- tuple domain
 
 
+def packed_ref(ref: RelationRef | FunctionRef, arity: int) -> RelationRef | FunctionRef:
+    """ref, of a rule with arity children, as applied to its packed children (_applied)."""
+    return type(ref)("apply_packed", {"key": ref.key, "config": dict(ref.config), "arity": arity})
+
+
+def _applied(config: dict, ref_type: type) -> tuple[Any, int]:
+    """The base ref_type(key, config) and base arity of an apply_packed config."""
+    key = config.pop("key", None)
+    inner = config.pop("config", {})
+    base_arity = config.pop("arity", None)
+    _no_config(config, "apply_packed")
+    if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
+        raise ConfigError("apply_packed needs a base key and an arity of at least 2")
+    if not isinstance(inner, dict):
+        raise ConfigError(f"apply_packed config must be an object, got {inner!r}")
+    return ref_type(key, inner), base_arity
+
+
 def tuple_domain(base: DomainBinding) -> DomainBinding:
     """Wrap a base domain so rules can pass flat tuples of child parameters.
 
@@ -428,18 +444,6 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
         if len(flat) != base_arity:
             raise DomainError(f"packed arity {len(flat)} does not match configured {base_arity}")
         return flat
-
-    def _applied(config: dict, ref_type: type) -> tuple[Any, int]:
-        """The base ref_type(key, config) and base arity of an apply_packed config."""
-        key = config.pop("key", None)
-        inner = config.pop("config", {})
-        base_arity = config.pop("arity", None)
-        _no_config(config, "apply_packed")
-        if not isinstance(key, str) or not isinstance(base_arity, int) or base_arity < 2:
-            raise ConfigError("apply_packed needs a base key and an arity of at least 2")
-        if not isinstance(inner, dict):
-            raise ConfigError(f"apply_packed config must be an object, got {inner!r}")
-        return ref_type(key, inner), base_arity
 
     def apply_packed(resolve: Callable, ref_type: type) -> Callable[[dict, int], Callable]:
         """Factory of apply_packed over base.relation or base.function,

@@ -382,7 +382,8 @@ def sample(
                 tree.children[0].param = tree.param
             elif kind is NodeKind.AND:
                 rule = g.and_rule_of[tree.node]
-                assert g.domain.realize_children is not None
+                if g.domain.realize_children is None:
+                    raise DomainError(f"domain {g.domain.name!r} cannot split a parameter")
                 child_params = g.domain.realize_children(
                     rule.relation, rule.function, tree.param, len(rule.children)
                 )

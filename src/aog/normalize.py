@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .domains import FunctionRef, RelationRef, tuple_domain
+from .domains import FunctionRef, RelationRef, packed_ref, tuple_domain
 from .errors import MapMismatch, UnitCycleError
 from .grammar import (
     AndRule,
@@ -151,21 +151,8 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
                     AndRule(node, (prev, rule.children[i]), true_rel, FunctionRef("extend", {}))
                 )
                 prev = node
-            applied = {"arity": arity}
-            and_rules.append(
-                AndRule(
-                    rule.head,
-                    (prev, rule.children[-1]),
-                    RelationRef(
-                        "apply_packed",
-                        {"key": rule.relation.key, "config": dict(rule.relation.config), **applied},
-                    ),
-                    FunctionRef(
-                        "apply_packed",
-                        {"key": rule.function.key, "config": dict(rule.function.config), **applied},
-                    ),
-                )
-            )
+            relation, function = (packed_ref(ref, arity) for ref in (rule.relation, rule.function))
+            and_rules.append(AndRule(rule.head, (prev, rule.children[-1]), relation, function))
 
     # alternate wrappers: And-rule children must be Or-nodes
     alt_of: dict[str, str] = {}

@@ -72,8 +72,8 @@ Counting.  A size's compositions are the masks of its stored cells and the
 unions lmask | rmask of the disjoint child pairs that the relation of a
 count-only rule accepts, as rel(left param, right param): a rule whose
 head has Or-rules but keeps no cell at that size (CompiledGrammar.pairs).
-count_compositions walks each such pair's smaller side as its left one,
-swapping the relation's arguments if need be, and ignores its join key.
+count_compositions walks each such pair's smaller side, swapping arguments
+if need be, and takes a walked cell's candidates by its join key, as the fill.
 """
 
 from __future__ import annotations
@@ -496,18 +496,24 @@ def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds
     for i in range(2, n + 1):
         comps = {mask for cells in scores[i].values() for _, mask in cells}
         for j in range(1, i):
-            for left, right, _, _, counted in counting:
+            for left, right, join, _, counted in counting:
                 rels, lefts, rights = counted[i == n], scores[j].get(left), scores[i - j].get(right)
                 if not rels or not lefts or not rights:
                     continue
                 if len(rights) < len(lefts):  # walk the smaller side, as the left one
                     lefts, rights = rights, lefts
                     rels = [lambda a, b, rel=rel: rel(b, a) for rel in rels]
+                    join = join and join[::-1]
+                if join is not None:  # the other side's cells by their key, as the fill does
+                    bucket: dict[Any, list] = {}
+                    for cell in rights:
+                        bucket.setdefault(join[1](cell[0]), []).append(cell)
                 for param, mask in lefts:
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded("parse exceeded its time limit in count_compositions")
+                    candidates = rights if join is None else bucket.get(join[0](param), ())
                     for rel in rels:
-                        comps.update([mask | rmask for rparam, rmask in rights
+                        comps.update([mask | rmask for rparam, rmask in candidates
                                       if not mask & rmask and rel(param, rparam)])
         compositions.append(len(comps))
     return compositions

@@ -26,6 +26,7 @@ from .grammar import (
     AndRule,
     DataSample,
     Grammar,
+    NodeKind,
     OrRule,
     ParseTree,
     TerminalInstance,
@@ -34,6 +35,9 @@ from .grammar import (
 from .normalize import NodeMap, UnitChain
 
 FORMAT_VERSION = 1
+# each node kind's name in a grammar file, and the Grammar field that holds its nodes
+_KINDS = {NodeKind.TERMINAL.value: "terminals", NodeKind.AND.value: "and_nodes",
+          NodeKind.OR.value: "or_nodes"}
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii  # json's own string escaper
@@ -165,6 +169,15 @@ def _require_keys(obj: Any, required: set[str], optional: set[str], where: str) 
     return obj
 
 
+def _objects(value: Any, where: str, keys: set[str]):
+    """(where[i], object) of each object, with exactly keys, of the list value, in order."""
+    if not isinstance(value, list):
+        raise FormatError(f"{where}: expected a list")
+    for i, entry in enumerate(value):
+        at = f"{where}[{i}]"
+        yield at, _require_keys(entry, keys, set(), at)
+
+
 def _string(value: Any, where: str) -> str:
     if not isinstance(value, str) or not value:
         raise FormatError(f"{where}: expected a non-empty string")
@@ -201,9 +214,7 @@ def _config(value: Any, where: str) -> dict:
 
 
 def grammar_to_json_dict(g: Grammar) -> dict:
-    nodes = [{"id": n, "kind": "terminal"} for n in sorted(g.terminals)]
-    nodes += [{"id": n, "kind": "and"} for n in sorted(g.and_nodes)]
-    nodes += [{"id": n, "kind": "or"} for n in sorted(g.or_nodes)]
+    nodes = [{"id": n, "kind": kind} for kind, field in _KINDS.items() for n in getattr(g, field)]
     return {
         "format_version": FORMAT_VERSION,
         "domain": {"name": g.domain.name, "config": g.domain.config},
@@ -242,27 +253,21 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
     except (ConfigError, DomainError) as exc:
         raise FormatError(str(exc)) from None
 
-    kinds = {"terminal": set(), "and": set(), "or": set()}
-    if not isinstance(top["nodes"], list):
-        raise FormatError("nodes: expected a list")
+    kinds = {kind: set() for kind in _KINDS}
     seen: set[str] = set()
-    for i, entry in enumerate(top["nodes"]):
-        node = _require_keys(entry, {"id", "kind"}, set(), f"nodes[{i}]")
-        name = _string(node["id"], f"nodes[{i}].id")
+    for where, node in _objects(top["nodes"], "nodes", {"id", "kind"}):
+        name = _string(node["id"], f"{where}.id")
         if name in seen:
-            raise FormatError(f"nodes[{i}]: duplicate node id {name!r}")
+            raise FormatError(f"{where}: duplicate node id {name!r}")
         seen.add(name)
         kind = node["kind"]
-        if not isinstance(kind, str) or kind not in kinds:
-            raise FormatError(f"nodes[{i}]: unknown kind {kind!r}")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise FormatError(f"{where}: unknown kind {kind!r}")
         kinds[kind].add(name)
 
     and_rules = []
-    if not isinstance(top["and_rules"], list):
-        raise FormatError("and_rules: expected a list")
-    for i, entry in enumerate(top["and_rules"]):
-        where = f"and_rules[{i}]"
-        rule = _require_keys(entry, {"head", "children", "relation", "function"}, set(), where)
+    rules = _objects(top["and_rules"], "and_rules", {"head", "children", "relation", "function"})
+    for where, rule in rules:
         children = rule["children"]
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
             raise FormatError(f"{where}: children must be a list of node ids")
@@ -276,11 +281,7 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
         )
 
     or_rules = []
-    if not isinstance(top["or_rules"], list):
-        raise FormatError("or_rules: expected a list")
-    for i, entry in enumerate(top["or_rules"]):
-        where = f"or_rules[{i}]"
-        rule = _require_keys(entry, {"head", "child", "prob"}, set(), where)
+    for where, rule in _objects(top["or_rules"], "or_rules", {"head", "child", "prob"}):
         or_rules.append(
             OrRule(
                 _string(rule["head"], f"{where}.head"),
@@ -299,9 +300,7 @@ def grammar_from_json_dict(raw: Any, renormalize: bool = False, check: bool = Tr
 
     g = Grammar(
         domain=domain,
-        terminals=frozenset(kinds["terminal"]),
-        and_nodes=frozenset(kinds["and"]),
-        or_nodes=frozenset(kinds["or"]),
+        **{field: frozenset(kinds[kind]) for kind, field in _KINDS.items()},
         start=_string(top["start"], "start"),
         and_rules=tuple(and_rules),
         or_rules=tuple(or_rules),
@@ -339,12 +338,8 @@ def sample_to_json_dict(x: DataSample, domain: DomainBinding) -> dict:
 
 def sample_from_json_dict(raw: Any, domain: DomainBinding) -> DataSample:
     top = _require_keys(raw, {"instances"}, set(), "sample")
-    if not isinstance(top["instances"], list):
-        raise FormatError("instances: expected a list")
     instances = []
-    for i, entry in enumerate(top["instances"]):
-        where = f"instances[{i}]"
-        inst = _require_keys(entry, {"id", "terminal", "param"}, set(), where)
+    for where, inst in _objects(top["instances"], "instances", {"id", "terminal", "param"}):
         try:
             param = domain.decode_param(inst["param"])
         except DomainError as exc:
@@ -402,20 +397,14 @@ def load_node_map(path: str | Path) -> NodeMap:
         if not isinstance(pairs, dict):
             raise FormatError(f"{key}: expected an object")
         names[key] = {_string(k, key): _string(v, f"{key}.{k}") for k, v in pairs.items()}
-    entries = top.get("unit_chains", [])
-    if not isinstance(entries, list):
-        raise FormatError("unit_chains: expected a list")
     unit_chains: dict[tuple[str, str], list[UnitChain]] = {}
-    for i, entry in enumerate(entries):
-        where = f"unit_chains[{i}]"
-        edge = _require_keys(entry, {"head", "child", "chains"}, set(), where)
+    edges = _objects(top.get("unit_chains", []), "unit_chains", {"head", "child", "chains"})
+    for where, edge in edges:
         if not isinstance(edge["chains"], list) or not edge["chains"]:
             raise FormatError(f"{where}.chains: expected a non-empty list")
         key = (_string(edge["head"], f"{where}.head"), _string(edge["child"], f"{where}.child"))
         unit_chains[key] = []
-        for j, raw in enumerate(edge["chains"]):
-            at = f"{where}.chains[{j}]"
-            chain = _require_keys(raw, {"prob", "nodes"}, set(), at)
+        for at, chain in _objects(edge["chains"], f"{where}.chains", {"prob", "nodes"}):
             nodes = chain["nodes"]
             if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
                 raise FormatError(f"{at}: nodes must be a list of node ids")

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -942,3 +943,57 @@ def test_mutated_files_end_in_documented_exit_codes(tmp_path):
                     assert code in (0, 1, 2, 3, 4), argv
                 cases += 1
     assert cases == 600
+
+
+KINDS = ("string", "grid", "null", "interval")
+
+
+def test_mutated_node_maps_raise_only_format_errors(tmp_path):
+    rng = random.Random(2027)
+    path = tmp_path / "map.json"
+    cases = 0
+    for trial in range(8):
+        g = random_aog(random.Random(trial), allow_or_chains=True, kind=KINDS[trial % 4])
+        aog.save_node_map(to_gcnf(g)[1], path)
+        text = path.read_text()
+        for _ in range(60):
+            path.write_text(mutated(text, rng))
+            try:
+                aog.load_node_map(path)
+            except aog.FormatError:
+                pass
+            cases += 1
+    assert cases == 480
+
+SOURCES = {
+    "scfg": "S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]\nA -> A A B [0.0]\nB -> b [1.0]\n",
+    "spn": "r sum p 0.4 q 0.6\np prod a b\nq prod c b\na ind 1 +\nb ind 2 -\nc ind 1 -\n",
+    "sat": "c three clauses\np cnf 3 3\n1 -2 3 0\n2 3 -1 0\n-1 -3 2 0\n",
+}
+
+# small numbers only: a DIMACS header declares at most a few variables
+SOURCE_TOKENS = ("0", "1", "-1", "2", "3", "1.5", "-", "+", "->", "[0.5]", "[", "]", "p", "cnf",
+                 "c", "sum", "prod", "ind", "S", "a", "nan", "inf", "#", "é", "")
+
+
+def token_mutated(text: str, rng: random.Random) -> str:
+    """text with one token replaced by a token of SOURCE_TOKENS, or deleted."""
+    tokens = re.split(r"(\s+)", text)
+    at = rng.choice([i for i, token in enumerate(tokens) if token and not token.isspace()])
+    tokens[at] = rng.choice(SOURCE_TOKENS)
+    return "".join(tokens)
+
+
+def test_mutated_convert_sources_end_in_documented_exit_codes(tmp_path):
+    rng = random.Random(2028)
+    src, out = tmp_path / "source.txt", tmp_path / "g.json"
+    codes = set()
+    for kind, text in SOURCES.items():
+        for _ in range(120):
+            src.write_text(token_mutated(text, rng), encoding="utf-8")
+            argv = ["convert", kind, str(src), "-o", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2, 3), argv
+            codes.add(code)
+    assert codes == {0, 2}

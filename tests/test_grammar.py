@@ -159,6 +159,22 @@ def test_sample_depth_guard():
         sample(g, seed=0, max_depth=5)
 
 
+def test_sample_without_a_child_split_is_a_domain_error():
+    # a top-down domain (root_default, no leaf_param) that cannot split a
+    # parameter among an And-node's children
+    g = Grammar(
+        domain=replace(null_domain(), realize_children=None),
+        terminals=frozenset({"t"}),
+        and_nodes=frozenset({"A"}),
+        or_nodes=frozenset({"S"}),
+        start="S",
+        and_rules=(AndRule("A", ("t", "t"), RelationRef("true"), FunctionRef("null")),),
+        or_rules=(OrRule("S", "A", 1.0),),
+    )
+    with pytest.raises(DomainError, match="'null' cannot split a parameter"):
+        sample(g, seed=0)
+
+
 def test_sample_frequencies_match_probs(line_drawing):
     counts = {"hline": 0, "vpair": 0, "dot": 0}
     trials = 2000

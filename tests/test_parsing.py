@@ -1041,6 +1041,45 @@ def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
     assert (stats.pair_tests, stats.c_max, stats.total_compositions) == (6, 4, 10)
 
 
+@pytest.mark.parametrize("tokens", ["aabb", "a" * 8 + "b" * 8])
+def test_the_count_tries_a_keyed_pair_only_on_equal_keys(tokens):
+    calls = []
+    domain = string_span_domain()
+    adjacent = domain.relations["adjacent"]
+
+    def counted(config, arity):
+        rel = adjacent(config, arity)
+
+        def call(*params):
+            calls.append(params)
+            return rel(*params)
+
+        return call
+
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
+    counting = dataclasses.replace(domain, relations={**domain.relations, "adjacent": counted})
+    g = dataclasses.replace(gcnf, domain=counting)
+    x = string_sample(list(tokens))
+    n = len(x)
+    stats = build_table(g, x).stats
+    filled = len(calls)
+    assert stats.per_size_compositions  # the count runs when first read
+    counted_calls = len(calls) - filled
+    # the disjoint pairs of equal join keys of the pairs with count-only rules
+    scores, expected = build_table(gcnf, x).scores, 0
+    for left, right, (left_key, right_key), _, rels in gcnf.compiled.pairs:
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                pairs = [
+                    1
+                    for lparam, lmask in scores[j].get(left, ())
+                    for rparam, rmask in scores[i - j].get(right, ())
+                    if not lmask & rmask and left_key(lparam) == right_key(rparam)
+                ]
+                expected += len(rels[i == n]) * len(pairs)
+    assert counted_calls == expected > 0
+
+
 def test_deadline_is_checked_once_per_stratum(monkeypatch):
     gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
     x = string_sample(list("aabb"))

@@ -273,6 +273,47 @@ def test_load_node_map_names_bad_unit_chains(tmp_path, unit_chains, match):
         load_node_map(path)
 
 
+# each list of objects in a file: (its file, where it is named, the keys of its objects)
+OBJECT_LISTS = {
+    "nodes": ("grammar", "nodes", ["id", "kind"]),
+    "and_rules": ("grammar", "and_rules", ["children", "function", "head", "relation"]),
+    "or_rules": ("grammar", "or_rules", ["child", "head", "prob"]),
+    "instances": ("sample", "instances", ["id", "param", "terminal"]),
+    "chains": ("node map", "unit_chains[0].chains", ["nodes", "prob"]),
+}
+
+
+@pytest.mark.parametrize("fault", ["not-a-list", "missing-keys"])
+@pytest.mark.parametrize("name", sorted(OBJECT_LISTS))
+def test_object_lists_name_the_list_and_the_position(tmp_path, line_drawing, name, fault):
+    kind, where, keys = OBJECT_LISTS[name]
+    domain = line_drawing.domain
+    doc = {
+        "grammar": grammar_to_json_dict(line_drawing),
+        "sample": sample_to_json_dict(sample(line_drawing, seed=0)[1], domain),
+        "node map": good_node_map(),
+    }[kind]
+    holder = doc["unit_chains"][0] if name == "chains" else doc
+    if fault == "not-a-list":
+        holder[name] = {"0": holder[name][0]}
+        # an empty list of chains is refused too, with the same text
+        expected = f"{where}: expected a {'non-empty ' if name == 'chains' else ''}list"
+    else:
+        holder[name][0] = {}
+        holder[name].append([])  # a later fault is not the one raised
+        expected = f"{where}[0]: missing keys {keys}"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as caught:
+        if kind == "grammar":
+            grammar_from_json_dict(doc)
+        elif kind == "sample":
+            sample_from_json_dict(doc, domain)
+        else:
+            load_node_map(path)
+    assert str(caught.value) == expected
+
+
 def test_tree_serialization(line_drawing):
     tree, x = sample(line_drawing, seed=2)
     payload = tree_to_json_dict(tree, line_drawing.domain)
