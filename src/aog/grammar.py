@@ -327,6 +327,7 @@ def sample(
     domain cannot realize a parameter assignment for the sampled structure.
     The tree's log_prob is its tree_probability, which also checks it.
     """
+    TERMINAL, AND, OR = NodeKind.TERMINAL, NodeKind.AND, NodeKind.OR  # an Enum read is slow
     rng = random.Random(seed)
     root = TreeNode(g.start, None)
     todo = [(root, 0)]
@@ -335,10 +336,10 @@ def sample(
         if depth > max_depth:
             raise DepthExceeded(f"sampling exceeded depth {max_depth} at node {tree.node!r}")
         kind = g.kind(tree.node)
-        if kind is NodeKind.AND:
+        if kind is AND:
             rule = g.and_rule_of[tree.node]
             tree.children = tuple(TreeNode(child, None) for child in rule.children)
-        elif kind is NodeKind.OR:
+        elif kind is OR:
             rules = g.or_rules_of.get(tree.node, ())
             if not rules:
                 raise ValueError(f"Or-node {tree.node!r} has no rules")
@@ -357,10 +358,10 @@ def sample(
         counter = 0
         for tree in root.postorder():  # leaves numbered left to right
             kind = g.kind(tree.node)
-            if kind is NodeKind.TERMINAL:
+            if kind is TERMINAL:
                 tree.param = g.domain.leaf_param(counter)
                 counter += 1
-            elif kind is NodeKind.OR:
+            elif kind is OR:
                 tree.param = tree.children[0].param
             else:
                 params = tuple(child.param for child in tree.children)
@@ -378,9 +379,9 @@ def sample(
         root.param = root_param
         for tree in root.walk():  # a parent's parameter is set before its children's
             kind = g.kind(tree.node)
-            if kind is NodeKind.OR:
+            if kind is OR:
                 tree.children[0].param = tree.param
-            elif kind is NodeKind.AND:
+            elif kind is AND:
                 rule = g.and_rule_of[tree.node]
                 if g.domain.realize_children is None:
                     raise DomainError(f"domain {g.domain.name!r} cannot split a parameter")
@@ -391,7 +392,7 @@ def sample(
                     child.param = child_param
 
     instances = []
-    for leaf in (n for n in root.walk() if g.kind(n.node) is NodeKind.TERMINAL):
+    for leaf in (n for n in root.walk() if g.kind(n.node) is TERMINAL):
         leaf.instance = f"t{len(instances)}"
         instances.append(TerminalInstance(leaf.instance, leaf.node, leaf.param))
     drawn = ParseTree(root, 0.0)
@@ -422,19 +423,20 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             or_rule_prob[key] = rule.prob
 
     values: list[float] = []  # log probabilities of the subtrees not yet folded
+    TERMINAL, AND = NodeKind.TERMINAL, NodeKind.AND  # an Enum read is slow
     for node in tree.root.postorder():
         try:
             kind = g.kind(node.node)
         except KeyError:
             raise InvalidTree(f"unknown node {node.node!r}") from None
-        if kind is NodeKind.TERMINAL:
+        if kind is TERMINAL:
             if node.children:
                 raise InvalidTree(f"terminal {node.node!r} has children")
             if node.instance is None or node.instance in seen_instances:
                 raise InvalidTree(f"terminal {node.node!r} lacks a fresh instance id")
             seen_instances.add(node.instance)
             values.append(0.0)
-        elif kind is NodeKind.AND:
+        elif kind is AND:
             rule = g.and_rule_of.get(node.node)
             if rule is None or tuple(c.node for c in node.children) != rule.children:
                 raise InvalidTree(f"And-node {node.node!r} children do not match its rule")

@@ -210,6 +210,7 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
         one_child(root)
         root = root.children[0]
     built: list[TreeNode] = []  # projected subtrees not yet placed under a parent
+    TERMINAL, AND = NodeKind.TERMINAL, NodeKind.AND  # an Enum read is slow
     for node in root.postorder():
         first = len(built) - len(node.children)
         children = built[first:]
@@ -219,13 +220,13 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
             built.append(children[0])
             continue
         # a binarization chain node packs the original children of its head
-        kind = NodeKind.AND if node.node in node_map.bin_nodes else known_kind(node.node)
-        if kind is NodeKind.AND:
+        kind = AND if node.node in node_map.bin_nodes else known_kind(node.node)
+        if kind is AND:
             parts: list[TreeNode] = []
             for child in children:
                 parts += child.children if child.node in node_map.bin_nodes else (child,)
             built.append(TreeNode(node.node, node.param, tuple(parts)))
-        elif kind is NodeKind.TERMINAL:  # children kept for the re-score to reject
+        elif kind is TERMINAL:  # children kept for the re-score to reject
             built.append(TreeNode(node.node, node.param, tuple(children), node.instance))
         else:
             one_child(node)

@@ -36,8 +36,10 @@ child, or rule).  derivation visits the candidates by And-rule, then left
 size, and stops at the first such group that holds the cell's score, as
 that group holds the winner.  Within a group the right cells inside the
 cell's mask are hashed by the left mask each leaves, so a split costs each
-of its cells once; each pair found has its score checked before the
-relation and function.
+of its cells once; a pair found is tested by score, function value (that
+tells tied pack permutations apart), then relation.  The fill calls a
+function only on pairs its relation accepts, and a join key never drops
+one, so a DomainError from the function there means no match.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: the kept Or-rules by child with
@@ -74,6 +76,7 @@ count-only rule accepts, as rel(left param, right param): a rule whose
 head has Or-rules but keeps no cell at that size (CompiledGrammar.pairs).
 count_compositions walks each such pair's smaller side, swapping arguments
 if need be, and takes a walked cell's candidates by its join key, as the fill.
+A size is done, before its next pair, once it holds all C(n, i) sets.
 """
 
 from __future__ import annotations
@@ -339,8 +342,8 @@ def deriver(table: CompositionTable):
                     for rkey, rscore in by_rest.get(lkey[1], ())
                     for or_idx, logp in or_rules
                     if logp + (lscore + rscore) == score  # the combine step's expression
+                    and gives(fn, lkey[0], rkey[0], param)
                     and rel(lkey[0], rkey[0])
-                    and fn(lkey[0], rkey[0]) == param
                 ]
                 if found:  # the first group with the score holds the winner
                     return found[0] if len(found) == 1 else min(found, key=tie_key)
@@ -348,6 +351,14 @@ def deriver(table: CompositionTable):
         raise MissingEntry(f"no stored cells derive {key} with score {score!r}")
 
     return derive
+
+
+def gives(fn, lparam, rparam, param) -> bool:
+    """fn(lparam, rparam) == param, and False where fn raises DomainError (module docstring)."""
+    try:
+        return fn(lparam, rparam) == param
+    except DomainError:
+        return False
 
 
 def tie_key(cell: tuple) -> tuple:
@@ -497,6 +508,8 @@ def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds
         comps = {mask for cells in scores[i].values() for _, mask in cells}
         for j in range(1, i):
             for left, right, join, _, counted in counting:
+                if len(comps) == math.comb(n, i):  # every set of i instances: done
+                    break
                 rels, lefts, rights = counted[i == n], scores[j].get(left), scores[i - j].get(right)
                 if not rels or not lefts or not rights:
                     continue

@@ -975,13 +975,16 @@ def clock_calls(monkeypatch, expired):
 
 
 def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypatch):
-    gcnf, x = pinned_input("sat 44008")
+    gcnf, x = pinned_input("sat 44007")
     table = build_table(gcnf, x)
     # below n, the one pair with count-only rules, and no other rules, walks
-    # the smaller of its cell dicts when the counts are read
+    # the smaller of its cell dicts when the counts are read: no size of
+    # 44007 holds every instance set, so the count stops at none
     [pair] = [pair for pair in gcnf.compiled.pairs if any(pair[4])]
-    assert pair[:2] == ("v1", "v2") and pair[4][0] and not pair[4][1] and not pair[3][0]
-    sides = [[table.scores[j].get("v1", ()), table.scores[i - j].get("v2", ())]
+    assert pair[:2] == ("S#b10", "v12") and pair[4][0] and not pair[4][1] and not pair[3][0]
+    comps = UNREAD_PINS["sat 44007"][0]
+    assert all(comps[i] < math.comb(len(x), i) for i in range(2, len(x) + 1))
+    sides = [[table.scores[j].get("S#b10", ()), table.scores[i - j].get("v12", ())]
              for i in range(2, len(x)) for j in range(1, i)]
     walked = sum(min(map(len, split)) for split in sides)
     assert walked > 0
@@ -996,6 +999,14 @@ def test_deadline_is_checked_per_cell_walked_by_a_pair_that_only_counts(monkeypa
     with pytest.raises(BudgetExceeded, match="in count_compositions"):
         parse(gcnf, x, budget=budget).stats.per_size_compositions
     assert calls[-1] == check and calls.count(check) == 1
+    # the stored cells of 44008 hold every instance set of each size, so the
+    # count stops before its pair that only counts walks a cell
+    gcnf, x = pinned_input("sat 44008")
+    comps = UNREAD_PINS["sat 44008"][0]
+    assert comps[2:] == [math.comb(len(x), i) for i in range(2, len(x) + 1)]
+    calls = clock_calls(monkeypatch, lambda call: False)
+    assert parse(gcnf, x, budget=budget).stats.per_size_compositions == comps
+    assert "count_compositions" in dict(calls) and check not in calls
 
 
 def test_a_late_read_of_the_counts_gets_what_the_fill_left_of_the_limit(monkeypatch):
@@ -1041,24 +1052,30 @@ def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
     assert (stats.pair_tests, stats.c_max, stats.total_compositions) == (6, 4, 10)
 
 
+def counted_relations(g: Grammar, calls: list) -> Grammar:
+    """g over a copy of its domain whose relations append their arguments to calls."""
+
+    def counted(factory):
+        def make(config, arity):
+            rel = factory(config, arity)
+
+            def call(*params):
+                calls.append(params)
+                return rel(*params)
+
+            return call
+
+        return make
+
+    relations = {key: counted(factory) for key, factory in g.domain.relations.items()}
+    return dataclasses.replace(g, domain=dataclasses.replace(g.domain, relations=relations))
+
+
 @pytest.mark.parametrize("tokens", ["aabb", "a" * 8 + "b" * 8])
 def test_the_count_tries_a_keyed_pair_only_on_equal_keys(tokens):
     calls = []
-    domain = string_span_domain()
-    adjacent = domain.relations["adjacent"]
-
-    def counted(config, arity):
-        rel = adjacent(config, arity)
-
-        def call(*params):
-            calls.append(params)
-            return rel(*params)
-
-        return call
-
     gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
-    counting = dataclasses.replace(domain, relations={**domain.relations, "adjacent": counted})
-    g = dataclasses.replace(gcnf, domain=counting)
+    g = counted_relations(gcnf, calls)
     x = string_sample(list(tokens))
     n = len(x)
     stats = build_table(g, x).stats
@@ -1078,6 +1095,111 @@ def test_the_count_tries_a_keyed_pair_only_on_equal_keys(tokens):
                 ]
                 expected += len(rels[i == n]) * len(pairs)
     assert counted_calls == expected > 0
+
+
+@pytest.mark.parametrize("name", ["sat 44008", "wide aabab"])
+def test_the_count_walks_no_pair_at_a_size_its_stored_cells_fill(name, wide_string_grammar):
+    # every size of these charts holds all C(n, i) instance sets in stored
+    # cells, so no pair that only counts can add one
+    gcnf, x = pinned_input(name, wide_string_grammar)
+    comps = UNREAD_PINS[name][0]
+    assert comps[2:] == [math.comb(len(x), i) for i in range(2, len(x) + 1)]
+    assert any(any(pair[4]) for pair in gcnf.compiled.pairs)
+    calls = []
+    stats = build_table(counted_relations(gcnf, calls), x).stats
+    calls.clear()
+    assert stats.per_size_compositions == comps
+    assert calls == []
+
+
+def walked_counts(gcnf: Grammar, x: DataSample, scores) -> list[int]:
+    """per_size_compositions as every pair that only counts gives them at
+    every size, each tried on every left x right cell pair, with no stop."""
+    compiled, n = gcnf.compiled, len(x)
+    counts = [0, sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)]
+    for i in range(2, n + 1):
+        comps = {mask for cells in scores[i].values() for _, mask in cells}
+        for j in range(1, i):
+            for left, right, _, _, counted in compiled.pairs:
+                for rel in counted[i == n]:
+                    comps.update(
+                        lmask | rmask
+                        for lparam, lmask in scores[j].get(left, ())
+                        for rparam, rmask in scores[i - j].get(right, ())
+                        if not lmask & rmask and rel(lparam, rparam)
+                    )
+        counts.append(len(comps))
+    return counts
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["tree", "or-chains"])
+@pytest.mark.parametrize("kind", ["string", "grid", "interval", None])
+def test_the_count_equals_one_that_walks_every_pair(kind, chains):
+    # kind None: random_aog draws the domain; full counts the sizes that the
+    # count stops at while a pair only counts there
+    full = 0
+    for trial in range(24):
+        g = random_aog(random.Random(7100 + trial), allow_or_chains=chains, kind=kind)
+        gcnf = to_gcnf(g)[0]
+        for seed in range(4):
+            x = aog.sample(g, seed=seed)[1]
+            if len(x) > 7:
+                continue
+            for mode in ("viterbi", "marginal"):
+                table = build_table(gcnf, x, mode)
+                counts = walked_counts(gcnf, x, table.scores)
+                assert table.stats.per_size_compositions == counts
+                full += sum(
+                    counts[i] == math.comb(len(x), i)
+                    and any(pair[4][i == len(x)] for pair in gcnf.compiled.pairs)
+                    for i in range(2, len(x) + 1)
+                )
+    assert full > 0
+
+
+def test_backtrack_tests_the_function_before_the_relation(wide_string_grammar):
+    # pack cells of one mask tie across the permutations of their children,
+    # and each permutation gives another param: the function tells them apart
+    gcnf, x = pinned_input("wide aabab", wide_string_grammar)
+    calls = []
+    table = build_table(counted_relations(gcnf, calls), x)
+    [(root, _)] = table.root_entries()
+    calls.clear()
+    tree = backtrack(table, root)
+    assert len(calls) == 9  # 70 with the relation tested first
+    [(only, score)] = enumerate_parses(gcnf, x)
+    assert tree.root == only.root and tree.log_prob == score
+
+
+def test_a_function_that_raises_where_its_relation_rejects_backtracks_the_same(
+    wide_string_grammar,
+):
+    # derivation runs the function on pairs the relation rejects, and a
+    # DomainError from it there means no match
+    base = wide_string_grammar.domain
+    concat, raised = base.functions["concat"], []
+
+    def strict(config, arity):
+        fn, adjacent = concat(config, arity), base.relation(RelationRef("adjacent"), arity)
+
+        def call(*spans):
+            if not adjacent(*spans):
+                raised.append(spans)
+                raise DomainError(f"spans {spans!r} do not abut")
+            return fn(*spans)
+
+        return call
+
+    domain = dataclasses.replace(base, functions={**base.functions, "concat": strict})
+    lenient = to_gcnf(wide_string_grammar)[0]
+    checked = to_gcnf(dataclasses.replace(wide_string_grammar, domain=domain))[0]
+    for tokens in ("aabab", "abab", "babaa", "bbbb"):
+        x = string_sample(list(tokens))
+        expected = parse(lenient, x)
+        result = parse(checked, x)
+        assert result.tree is not None and result.tree.root == expected.tree.root
+        assert result.score.hex() == expected.score.hex()
+    assert raised
 
 
 def test_deadline_is_checked_once_per_stratum(monkeypatch):
