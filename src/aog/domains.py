@@ -25,6 +25,10 @@ _check_pair is the one rule for span, interval and grid values, in
 relations, join keys, decoders and configs.  Two plain ints in a plain
 tuple pass a cheap exact-type test; other values (an IntEnum item, a named
 tuple) go on to the isinstance test, which alone decides what passes.
+
+ParamTuple is a tuple subclass that adds only items and repr, so it equals
+the plain tuple of its items; param_order_key, _check_pair, extend,
+apply_packed, realize, encode and tree_probability test for it first.
 """
 
 from __future__ import annotations
@@ -60,14 +64,15 @@ class FunctionRef:
     config: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ParamTuple:
-    """Flat sequence of parameter values, used for partially combined children."""
+class ParamTuple(tuple):
+    """Flat sequence of parameter values, used for partially combined children;
+    a tuple subclass, so equal to the plain tuple of its items (module docstring)."""
 
-    items: tuple
+    __slots__ = ()
+    items = property(tuple)  # the plain tuple of the values
 
-    def __len__(self) -> int:
-        return len(self.items)
+    def __repr__(self) -> str:
+        return f"ParamTuple(items={tuple(self)!r})"
 
 
 def param_order_key(value: Any):
@@ -78,10 +83,9 @@ def param_order_key(value: Any):
         raise DomainError("bool is not a parameter value")
     if isinstance(value, int):
         return (1, value)
-    if isinstance(value, tuple):
-        return (2, len(value), tuple(param_order_key(v) for v in value))
-    if isinstance(value, ParamTuple):
-        return (3, len(value), tuple(param_order_key(v) for v in value.items))
+    if isinstance(value, tuple):  # a ParamTuple after every plain tuple
+        tag = 3 if isinstance(value, ParamTuple) else 2
+        return (tag, len(value), tuple(param_order_key(v) for v in value))
     raise DomainError(f"unorderable parameter value: {value!r}")
 
 
@@ -151,7 +155,7 @@ def _check_pair(value: Any, what: str) -> tuple[int, int]:
         a, b = value
         if type(a) is int and type(b) is int:
             return value
-    if isinstance(value, tuple) and len(value) == 2:
+    if isinstance(value, tuple) and not isinstance(value, ParamTuple) and len(value) == 2:
         if all(isinstance(v, int) and not isinstance(v, bool) for v in value):
             return value
     raise DomainError(f"{what} must be a pair of ints, got {value!r}")
@@ -435,12 +439,12 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
     def extend(packed, last):
         if not isinstance(packed, ParamTuple):
             raise DomainError(f"extend needs a packed first argument, got {packed!r}")
-        return ParamTuple(packed.items + (last,))
+        return ParamTuple(packed + (last,))
 
     def _unpack(packed, last, base_arity: int) -> tuple:
         if not isinstance(packed, ParamTuple):
             raise DomainError(f"apply_packed needs a packed first argument, got {packed!r}")
-        flat = packed.items + (last,)
+        flat = packed + (last,)
         if len(flat) != base_arity:
             raise DomainError(f"packed arity {len(flat)} does not match configured {base_arity}")
         return flat
@@ -471,11 +475,11 @@ def tuple_domain(base: DomainBinding) -> DomainBinding:
             raise DomainError(f"cannot split {parent!r} for {fn.key!r}")
         if fn.key == "pack":
             return parent.items
-        return (ParamTuple(parent.items[:-1]), parent.items[-1])
+        return (ParamTuple(parent[:-1]), parent[-1])
 
     def encode(value: Any):
         if isinstance(value, ParamTuple):
-            return {"t": [encode(v) for v in value.items]}
+            return {"t": [encode(v) for v in value]}
         return base.encode_param(value)
 
     def decode(raw: Any):

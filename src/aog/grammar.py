@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from .domains import DomainBinding, FunctionRef, RelationRef
+from .domains import DomainBinding, FunctionRef, ParamTuple, RelationRef
 from .errors import AogError, DepthExceeded, DomainError, InvalidTree
 
 if TYPE_CHECKING:
@@ -31,6 +31,14 @@ class NodeKind(enum.Enum):
     TERMINAL = "terminal"
     AND = "and"
     OR = "or"
+
+
+_TERMINAL, _AND, _OR = NodeKind.TERMINAL, NodeKind.AND, NodeKind.OR  # an Enum read is slow
+
+
+def _differs(param: Any, other: Any) -> bool:
+    """param != other, where a ParamTuple also differs from the plain tuple it equals."""
+    return param != other or isinstance(param, ParamTuple) is not isinstance(other, ParamTuple)
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,11 @@ class Grammar:
 
     def kind(self, node: str) -> NodeKind:
         if node in self.terminals:
-            return NodeKind.TERMINAL
+            return _TERMINAL
         if node in self.and_nodes:
-            return NodeKind.AND
+            return _AND
         if node in self.or_nodes:
-            return NodeKind.OR
+            return _OR
         raise KeyError(node)
 
     @cached_property
@@ -294,9 +302,7 @@ def validate_grammar(g: Grammar) -> ValidationReport:
         if not (rule.prob > 0.0) or rule.prob > 1.0 + PROB_TOL:
             report.add("or-prob", f"Or-rule {rule.head!r} -> {rule.child!r} has prob {rule.prob}")
         if (rule.head, rule.child) in seen_edges:
-            report.add(
-                "or-duplicate", f"duplicate Or-rule {rule.head!r} -> {rule.child!r}"
-            )
+            report.add("or-duplicate", f"duplicate Or-rule {rule.head!r} -> {rule.child!r}")
         seen_edges.add((rule.head, rule.child))
         totals[rule.head] = totals.get(rule.head, 0.0) + rule.prob
     for node in sorted(g.or_nodes):
@@ -327,7 +333,6 @@ def sample(
     domain cannot realize a parameter assignment for the sampled structure.
     The tree's log_prob is its tree_probability, which also checks it.
     """
-    TERMINAL, AND, OR = NodeKind.TERMINAL, NodeKind.AND, NodeKind.OR  # an Enum read is slow
     rng = random.Random(seed)
     root = TreeNode(g.start, None)
     todo = [(root, 0)]
@@ -336,10 +341,10 @@ def sample(
         if depth > max_depth:
             raise DepthExceeded(f"sampling exceeded depth {max_depth} at node {tree.node!r}")
         kind = g.kind(tree.node)
-        if kind is AND:
+        if kind is _AND:
             rule = g.and_rule_of[tree.node]
             tree.children = tuple(TreeNode(child, None) for child in rule.children)
-        elif kind is OR:
+        elif kind is _OR:
             rules = g.or_rules_of.get(tree.node, ())
             if not rules:
                 raise ValueError(f"Or-node {tree.node!r} has no rules")
@@ -358,10 +363,10 @@ def sample(
         counter = 0
         for tree in root.postorder():  # leaves numbered left to right
             kind = g.kind(tree.node)
-            if kind is TERMINAL:
+            if kind is _TERMINAL:
                 tree.param = g.domain.leaf_param(counter)
                 counter += 1
-            elif kind is OR:
+            elif kind is _OR:
                 tree.param = tree.children[0].param
             else:
                 params = tuple(child.param for child in tree.children)
@@ -379,9 +384,9 @@ def sample(
         root.param = root_param
         for tree in root.walk():  # a parent's parameter is set before its children's
             kind = g.kind(tree.node)
-            if kind is OR:
+            if kind is _OR:
                 tree.children[0].param = tree.param
-            elif kind is AND:
+            elif kind is _AND:
                 rule = g.and_rule_of[tree.node]
                 if g.domain.realize_children is None:
                     raise DomainError(f"domain {g.domain.name!r} cannot split a parameter")
@@ -392,7 +397,7 @@ def sample(
                     child.param = child_param
 
     instances = []
-    for leaf in (n for n in root.walk() if g.kind(n.node) is TERMINAL):
+    for leaf in (n for n in root.walk() if g.kind(n.node) is _TERMINAL):
         leaf.instance = f"t{len(instances)}"
         instances.append(TerminalInstance(leaf.instance, leaf.node, leaf.param))
     drawn = ParseTree(root, 0.0)
@@ -423,20 +428,19 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             or_rule_prob[key] = rule.prob
 
     values: list[float] = []  # log probabilities of the subtrees not yet folded
-    TERMINAL, AND = NodeKind.TERMINAL, NodeKind.AND  # an Enum read is slow
     for node in tree.root.postorder():
         try:
             kind = g.kind(node.node)
         except KeyError:
             raise InvalidTree(f"unknown node {node.node!r}") from None
-        if kind is TERMINAL:
+        if kind is _TERMINAL:
             if node.children:
                 raise InvalidTree(f"terminal {node.node!r} has children")
             if node.instance is None or node.instance in seen_instances:
                 raise InvalidTree(f"terminal {node.node!r} lacks a fresh instance id")
             seen_instances.add(node.instance)
             values.append(0.0)
-        elif kind is AND:
+        elif kind is _AND:
             rule = g.and_rule_of.get(node.node)
             if rule is None or tuple(c.node for c in node.children) != rule.children:
                 raise InvalidTree(f"And-node {node.node!r} children do not match its rule")
@@ -444,7 +448,7 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             if not g.domain.relation(rule.relation, len(params))(*params):
                 raise InvalidTree(f"children of {node.node!r} violate {rule.relation.key!r}")
             expected = g.domain.function(rule.function, len(params))(*params)
-            if node.param != expected:
+            if _differs(node.param, expected):
                 raise InvalidTree(
                     f"{node.node!r} parameter {node.param!r} differs from computed {expected!r}"
                 )
@@ -457,7 +461,7 @@ def tree_probability(g: Grammar, tree: ParseTree) -> float:
             prob = or_rule_prob.get((node.node, child.node))
             if prob is None:
                 raise InvalidTree(f"no Or-rule {node.node!r} -> {child.node!r}")
-            if child.param != node.param:
+            if _differs(child.param, node.param):
                 raise InvalidTree(f"Or-node {node.node!r} parameter differs from its child")
             values.append(math.log(prob) + values.pop())
     return values[0]

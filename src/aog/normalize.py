@@ -141,9 +141,7 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
             true_rel = RelationRef("true", {})
             prev = fresh_name(f"{rule.head}#bin1", existing)
             node_map.bin_nodes[prev] = rule.head
-            and_rules.append(
-                AndRule(prev, rule.children[:2], true_rel, FunctionRef("pack", {}))
-            )
+            and_rules.append(AndRule(prev, rule.children[:2], true_rel, FunctionRef("pack", {})))
             for i in range(2, arity - 1):
                 node = fresh_name(f"{rule.head}#bin{i}", existing)
                 node_map.bin_nodes[node] = rule.head

@@ -20,6 +20,7 @@ from aog import (
     string_span_domain,
     tuple_domain,
 )
+from aog.domains import _check_pair
 
 
 def test_string_span_adjacent_and_concat():
@@ -114,7 +115,39 @@ def test_tuple_domain_pack_extend_project():
     packed = pack((0, 1), (1, 2))
     assert packed == ParamTuple(((0, 1), (1, 2)))
     extend = dom.function(FunctionRef("extend"), 2)
-    assert extend(packed, (2, 3)) == ParamTuple(((0, 1), (1, 2), (2, 3)))
+    extended = extend(packed, (2, 3))
+    assert extended == ParamTuple(((0, 1), (1, 2), (2, 3)))
+    # a ParamTuple equals the plain tuple of its items, so == cannot tell them apart
+    assert type(packed) is ParamTuple and type(extended) is ParamTuple
+
+
+def test_param_tuple_keeps_its_items_repr_and_order():
+    packed = ParamTuple(((0, 1), (1, 2)))
+    plain = ((0, 1), (1, 2))
+    assert type(packed.items) is tuple and packed.items == plain
+    assert repr(packed) == "ParamTuple(items=((0, 1), (1, 2)))"
+    assert repr(ParamTuple(((0, 0), ParamTuple(((1, 1),))))) == (
+        "ParamTuple(items=((0, 0), ParamTuple(items=((1, 1),))))"
+    )
+    assert param_order_key(packed)[0] == 3 and param_order_key(plain)[0] == 2
+
+
+def test_pair_values_refuse_a_param_tuple():
+    assert _check_pair((1, 2), "span") == (1, 2)
+    with pytest.raises(DomainError, match="span must be a pair of ints"):
+        _check_pair(ParamTuple((1, 2)), "span")
+    with pytest.raises(DomainError):
+        string_span_domain().relation(RelationRef("adjacent"), 2)(ParamTuple((0, 1)), (1, 2))
+
+
+def test_tuple_domain_realize_splits_into_param_tuples():
+    dom = tuple_domain(interval_domain())
+    rel = RelationRef("apply_packed", {"key": "meets", "config": {}, "arity": 3})
+    fn = FunctionRef("apply_packed", {"key": "hull", "config": {}, "arity": 3})
+    first, last = dom.realize_children(rel, fn, (0, 9), 2)
+    assert type(first) is ParamTuple and first.items == ((0, 3), (3, 6)) and last == (6, 9)
+    first, last = dom.realize_children(RelationRef("true"), FunctionRef("extend"), first, 2)
+    assert type(first) is ParamTuple and first.items == ((0, 3),) and last == (3, 6)
 
 
 def test_tuple_domain_apply_packed_uses_base_semantics():
@@ -158,7 +191,8 @@ def test_domain_from_config_roundtrips():
     nested = tuple_domain(grid_domain())
     again = domain_from_config(nested.name, nested.config)
     assert again.name == "tuple"
-    assert again.decode_param({"t": [[1, 2]]}) == ParamTuple(((1, 2),))
+    decoded = again.decode_param({"t": [[1, 2]]})
+    assert decoded == ParamTuple(((1, 2),)) and type(decoded) is ParamTuple
     with pytest.raises(ConfigError):
         domain_from_config("unknown")
     with pytest.raises(ConfigError):

@@ -21,7 +21,11 @@ from aog import (
     TreeNode,
     grid_domain,
     null_domain,
+    parse,
+    parse_scfg,
     sample,
+    scfg_to_aog,
+    string_sample,
     string_span_domain,
     to_gcnf,
     tree_probability,
@@ -255,6 +259,26 @@ def test_tree_probability_names_each_fault(line_drawing, fault, match):
     fault(tree)
     with pytest.raises(InvalidTree, match=match):
         tree_probability(line_drawing, tree)
+
+
+@pytest.mark.parametrize(
+    "node, match",
+    [
+        ("S#bin1", r"'S#bin1' parameter \(\(0, 1\), \(1, 2\)\) differs from computed ParamTuple"),
+        ("S#bin1#alt", "Or-node 'S#bin1#alt' parameter differs from its child"),
+        ("S#bin2", r"'S#bin2' parameter \(\(0, 1\), \(1, 2\), \(2, 3\)\) differs from computed"),
+        ("S#bin2#alt", "Or-node 'S#bin2#alt' parameter differs from its child"),
+    ],
+)
+def test_tree_probability_tells_a_packed_param_from_its_plain_tuple(node, match):
+    # a ParamTuple equals the plain tuple of its items, but a tree that
+    # holds the plain tuple in its place is not a derivation
+    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg("S -> A A A A [1.0]\nA -> a [1.0]")))
+    tree = parse(gcnf, string_sample(["a"] * 4)).tree
+    [packed] = [n for n in tree.root.walk() if n.node == node]
+    packed.param = packed.param.items
+    with pytest.raises(InvalidTree, match=match):
+        tree_probability(gcnf, tree)
 
 
 def test_tree_sample_needs_an_instance_id_on_every_leaf(line_drawing):
