@@ -186,10 +186,6 @@ class DataSample:
         return len(self.instances)
 
     @cached_property
-    def by_id(self) -> dict[str, TerminalInstance]:
-        return {inst.instance_id: inst for inst in self.instances}
-
-    @cached_property
     def ids(self) -> frozenset[str]:
         return frozenset(inst.instance_id for inst in self.instances)
 
@@ -325,26 +321,46 @@ def sample(
 ) -> tuple[ParseTree, DataSample]:
     """Draw one derivation from the grammar's distribution.
 
-    The derivation structure is chosen first (Or-rules by cumulative
-    probability in authoring order), then parameters are filled in: pinned
-    at the leaves and folded upward when the domain has leaf_param, else
-    split top down from root_param or the domain's root_default.  Raises
-    DepthExceeded when expansion passes max_depth and DomainError when the
-    domain cannot realize a parameter assignment for the sampled structure.
-    The tree's log_prob is its tree_probability, which also checks it.
+    One pre-order pass picks each Or-rule by cumulative probability in
+    authoring order and numbers the leaves t0, t1, ... left to right.  A
+    domain with leaf_param pins the leaves and folds parameters upward in
+    one post-order pass after; any other domain splits root_param (or its
+    root_default) at each And-node before its children.  Raises
+    DepthExceeded past max_depth and DomainError when the domain cannot
+    realize the parameters, the first fault in pre-order (at a node, depth
+    before split).  log_prob is tree_probability's, which also checks it.
     """
     rng = random.Random(seed)
-    root = TreeNode(g.start, None)
+    domain = g.domain
+    leaf_param, split = domain.leaf_param, domain.realize_children
+    if leaf_param is None and root_param is None:
+        if domain.root_default is None:
+            raise DomainError(f"domain {domain.name!r} has no default root parameter")
+        root_param = domain.root_default()
+    root = TreeNode(g.start, root_param)
+    instances: list[TerminalInstance] = []
     todo = [(root, 0)]
-    while todo:  # pre-order: Or-nodes draw from rng in derivation order
+    while todo:  # pre-order: Or-nodes draw from rng, and leaves are met, in derivation order
         tree, depth = todo.pop()
         if depth > max_depth:
             raise DepthExceeded(f"sampling exceeded depth {max_depth} at node {tree.node!r}")
         kind = g.kind(tree.node)
+        if kind is _TERMINAL:
+            tree.instance = f"t{len(instances)}"
+            if leaf_param is not None:
+                tree.param = leaf_param(len(instances))
+            instances.append(TerminalInstance(tree.instance, tree.node, tree.param))
+            continue
         if kind is _AND:
             rule = g.and_rule_of[tree.node]
             tree.children = tuple(TreeNode(child, None) for child in rule.children)
-        elif kind is _OR:
+            if leaf_param is None:
+                if split is None:
+                    raise DomainError(f"domain {domain.name!r} cannot split a parameter")
+                child_params = split(rule.relation, rule.function, tree.param, len(rule.children))
+                for child, child_param in zip(tree.children, child_params):
+                    child.param = child_param
+        else:
             rules = g.or_rules_of.get(tree.node, ())
             if not rules:
                 raise ValueError(f"Or-node {tree.node!r} has no rules")
@@ -356,50 +372,21 @@ def sample(
                 if pick < acc:
                     chosen = rule
                     break
-            tree.children = (TreeNode(chosen.child, None),)
+            tree.children = (TreeNode(chosen.child, tree.param),)
         todo.extend((child, depth + 1) for child in reversed(tree.children))
-
-    if g.domain.leaf_param is not None:
-        counter = 0
-        for tree in root.postorder():  # leaves numbered left to right
+    if leaf_param is not None:
+        for tree in root.postorder():  # the leaves are pinned; fold their parameters up
             kind = g.kind(tree.node)
-            if kind is _TERMINAL:
-                tree.param = g.domain.leaf_param(counter)
-                counter += 1
-            elif kind is _OR:
+            if kind is _OR:
                 tree.param = tree.children[0].param
-            else:
+            elif kind is _AND:
                 params = tuple(child.param for child in tree.children)
                 rule = g.and_rule_of[tree.node]
-                if not g.domain.relation(rule.relation, len(params))(*params):
+                if not domain.relation(rule.relation, len(params))(*params):
                     raise DomainError(
                         f"sampled children of {tree.node!r} violate {rule.relation.key!r}"
                     )
-                tree.param = g.domain.function(rule.function, len(params))(*params)
-    else:
-        if root_param is None:
-            if g.domain.root_default is None:
-                raise DomainError(f"domain {g.domain.name!r} has no default root parameter")
-            root_param = g.domain.root_default()
-        root.param = root_param
-        for tree in root.walk():  # a parent's parameter is set before its children's
-            kind = g.kind(tree.node)
-            if kind is _OR:
-                tree.children[0].param = tree.param
-            elif kind is _AND:
-                rule = g.and_rule_of[tree.node]
-                if g.domain.realize_children is None:
-                    raise DomainError(f"domain {g.domain.name!r} cannot split a parameter")
-                child_params = g.domain.realize_children(
-                    rule.relation, rule.function, tree.param, len(rule.children)
-                )
-                for child, child_param in zip(tree.children, child_params):
-                    child.param = child_param
-
-    instances = []
-    for leaf in (n for n in root.walk() if g.kind(n.node) is _TERMINAL):
-        leaf.instance = f"t{len(instances)}"
-        instances.append(TerminalInstance(leaf.instance, leaf.node, leaf.param))
+                tree.param = domain.function(rule.function, len(params))(*params)
     drawn = ParseTree(root, 0.0)
     drawn.log_prob = tree_probability(g, drawn)
     return drawn, DataSample(tuple(instances))

@@ -189,13 +189,13 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
     meets.  The result is re-scored against the original grammar, which
     also verifies it.
     """
-    known = original.terminals | original.and_nodes | original.or_nodes
     original_edges = {(rule.head, rule.child) for rule in original.or_rules}
 
     def known_kind(name: str) -> NodeKind:
-        if name not in known:
-            raise MapMismatch(f"tree node {name!r} is not in the original grammar")
-        return original.kind(name)
+        try:
+            return original.kind(name)
+        except KeyError:
+            raise MapMismatch(f"tree node {name!r} is not in the original grammar") from None
 
     def one_child(node: TreeNode) -> None:  # for a wrapper or an Or-node
         if len(node.children) != 1:

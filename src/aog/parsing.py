@@ -554,7 +554,7 @@ def backtrack(table: CompositionTable, root: CompositionKey) -> ParseTree:
         node, mask = todo.pop()
         cell = derive(node.node, (node.param, mask))
         if len(cell) == 3:
-            inst = table.sample.by_id[cell[2]]
+            inst = table.sample.instances[mask.bit_length() - 1]  # as derive names it
             child = TreeNode(inst.terminal, inst.param, instance=inst.instance_id)
         else:
             _, and_idx, (lparam, lmask), (rparam, rmask), _ = cell

@@ -60,13 +60,15 @@ class Cnf3Sat:
 
 
 def parse_dimacs(text: str) -> Cnf3Sat:
-    """Read DIMACS CNF; clauses may span lines and end at 0."""
+    """Read DIMACS CNF; clauses may span lines and end at 0, and a "%" line ends the file."""
     n_vars = None
     declared = None
     tokens: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's end marker, followed by a stray "0"
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()

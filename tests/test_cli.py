@@ -433,6 +433,15 @@ def test_convert_sat_writes_sample(capsys, tmp_path):
     assert code == 0
 
 
+def test_convert_sat_reads_a_satlib_file(capsys, tmp_path):
+    # the "%" line ends the formula; the "0" after it is not an empty clause
+    src = tmp_path / "uf3-01.cnf"
+    src.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 0\n%\n0\n")
+    code, out = run(capsys, ["convert", "sat", str(src), "-o", str(tmp_path / "g.json")])
+    assert code == 0
+    assert json.loads(out)["clauses"] == 2
+
+
 STATS_KEYS = {
     "sample_size", "per_size_compositions", "per_size_entries", "table_entries",
     "total_compositions", "c_max", "worst_case_compositions", "pair_tests", "elapsed_seconds",

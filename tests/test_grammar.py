@@ -20,6 +20,7 @@ from aog import (
     TerminalInstance,
     TreeNode,
     grid_domain,
+    interval_domain,
     null_domain,
     parse,
     parse_scfg,
@@ -177,6 +178,47 @@ def test_sample_without_a_child_split_is_a_domain_error():
     )
     with pytest.raises(DomainError, match="'null' cannot split a parameter"):
         sample(g, seed=0)
+
+
+def test_sample_leaf_order_relation_refusal_is_a_domain_error(wide_string_grammar):
+    # a leaf-order domain (leaf_param) whose relation refuses every pinned span
+    refusing = {"adjacent": lambda config, arity: lambda *params: False}
+    domain = replace(string_span_domain(), relations=refusing)
+    g = replace(wide_string_grammar, domain=domain)
+    with pytest.raises(DomainError, match="sampled children of 'quad' violate 'adjacent'"):
+        sample(g, seed=1)
+
+
+def test_sample_without_a_root_parameter_is_a_domain_error():
+    # neither leaf_param nor root_default: nothing to pin and nothing to split
+    g = Grammar.from_rules(
+        replace(null_domain(), root_default=None),
+        ["t"],
+        "S",
+        [AndRule("S", ("t", "t"), RelationRef("true"), FunctionRef("null"))],
+        [],
+    )
+    with pytest.raises(DomainError, match="'null' has no default root parameter"):
+        sample(g, seed=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_raises_the_first_fault_in_pre_order(seed):
+    # S cannot be split ('before' has no canonical split), and below it X
+    # recurses past max_depth on most seeds: the split at the root comes
+    # first in pre-order, so every seed raises it
+    g = Grammar.from_rules(
+        interval_domain(),
+        ["t"],
+        "S",
+        [
+            AndRule("S", ("X", "X"), RelationRef("before"), FunctionRef("hull")),
+            AndRule("P", ("X", "X"), RelationRef("meets"), FunctionRef("hull")),
+        ],
+        [OrRule("X", "P", 0.9), OrRule("X", "t", 0.1)],
+    )
+    with pytest.raises(DomainError, match="^no canonical child split for relation 'before'$"):
+        sample(g, seed=seed, max_depth=6)
 
 
 def test_sample_frequencies_match_probs(line_drawing):

@@ -1,5 +1,5 @@
 """The grammars that scfg_to_aog, spn_to_aog, sat_to_aog and to_gcnf build,
-pinned over a fixed sweep of random inputs.
+and the draws of sample, pinned over a fixed sweep of random inputs.
 
 Each digest is sha256 over the canonical JSON of every output of a 40-seed
 sweep, in sweep order.  A float is written by its repr, which round-trips,
@@ -13,8 +13,13 @@ import random
 
 import pytest
 
-from aog import sat_to_aog, scfg_to_aog, spn_to_aog, to_gcnf
-from aog.serialize import canonical_dumps, grammar_to_json_dict
+from aog import AogError, sample, sat_to_aog, scfg_to_aog, spn_to_aog, to_gcnf
+from aog.serialize import (
+    canonical_dumps,
+    grammar_to_json_dict,
+    sample_to_json_dict,
+    tree_to_json_dict,
+)
 from helpers import random_3sat, random_aog, random_cnf_pcfg, random_spn
 
 SEEDS = range(40)
@@ -54,6 +59,25 @@ def gcnf_outputs():
                 yield node_map_json(node_map)
 
 
+def sample_outputs():
+    # each random_aog grammar and its normal form, whose tuple domain splits
+    # packed parameters top down; a failed draw is pinned by its error
+    for seed in SEEDS:
+        for kind in ("string", "grid", "null", "interval"):
+            for chains in (False, True):
+                g = random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
+                for grammar in (g, to_gcnf(g)[0]):
+                    for max_depth in (4, 64):
+                        for draw_seed in range(3):
+                            try:
+                                tree, x = sample(grammar, draw_seed, max_depth)
+                            except AogError as exc:
+                                yield [type(exc).__name__, str(exc)]
+                                continue
+                            root = tree_to_json_dict(tree, grammar.domain)["root"]
+                            yield [tree.log_prob.hex(), root, sample_to_json_dict(x, grammar.domain)]
+
+
 @pytest.mark.parametrize(
     "outputs, digest",
     [
@@ -61,8 +85,9 @@ def gcnf_outputs():
         (spn_outputs, "5dcc9205c611d28f48c01edf71d3e03945249a9b553c69de37c20a5ede515cd5"),
         (sat_outputs, "ccae604f007c89687b4f94c38001b6c1f05fb400ddc566964e6c1d04efdd9304"),
         (gcnf_outputs, "a99eb0957c3434a9ecf33153afc7f94b519368815f86e3ad473ad107b654093d"),
+        (sample_outputs, "2fa93fba6b16c8d4a6449a6da58d26195a9f7c5600f3141fde1e99df09c85bb9"),
     ],
-    ids=["scfg", "spn", "sat", "gcnf"],
+    ids=["scfg", "spn", "sat", "gcnf", "sample"],
 )
 def test_producer_outputs_are_pinned(outputs, digest):
     h = hashlib.sha256()

@@ -43,6 +43,12 @@ def test_parse_dimacs_clause_spanning_lines():
     assert f.clauses == ((1, 2),)
 
 
+def test_parse_dimacs_stops_at_the_end_marker():
+    # SATLIB's uf/uuf files end with a "%" line and then a line "0"
+    text = "p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
+    assert parse_dimacs(text + "%\n0\n") == parse_dimacs(text)
+
+
 @pytest.mark.parametrize(
     "bad",
     [
