@@ -103,11 +103,11 @@ class Grammar:
         return out
 
     @cached_property
-    def or_rules_of(self) -> dict[str, tuple[tuple[int, OrRule], ...]]:
-        """Or-rules grouped by head, each with its index in authoring order."""
-        grouped: dict[str, list[tuple[int, OrRule]]] = {}
-        for idx, rule in enumerate(self.or_rules):
-            grouped.setdefault(rule.head, []).append((idx, rule))
+    def or_rules_of(self) -> dict[str, tuple[OrRule, ...]]:
+        """Or-rules grouped by head, in authoring order."""
+        grouped: dict[str, list[OrRule]] = {}
+        for rule in self.or_rules:
+            grouped.setdefault(rule.head, []).append(rule)
         return {head: tuple(rules) for head, rules in grouped.items()}
 
     @cached_property
@@ -324,7 +324,8 @@ def sample(
     One pre-order pass picks each Or-rule by cumulative probability in
     authoring order and numbers the leaves t0, t1, ... left to right.  A
     domain with leaf_param pins the leaves and folds parameters upward in
-    one post-order pass after; any other domain splits root_param (or its
+    one post-order pass after, and refuses a root_param with DomainError
+    before drawing; any other domain splits root_param (or its
     root_default) at each And-node before its children.  Raises
     DepthExceeded past max_depth and DomainError when the domain cannot
     realize the parameters, the first fault in pre-order (at a node, depth
@@ -333,6 +334,8 @@ def sample(
     rng = random.Random(seed)
     domain = g.domain
     leaf_param, split = domain.leaf_param, domain.realize_children
+    if leaf_param is not None and root_param is not None:
+        raise DomainError(f"domain {domain.name!r} pins its leaves and takes no root_param")
     if leaf_param is None and root_param is None:
         if domain.root_default is None:
             raise DomainError(f"domain {domain.name!r} has no default root parameter")
@@ -366,8 +369,8 @@ def sample(
                 raise ValueError(f"Or-node {tree.node!r} has no rules")
             pick = rng.random()
             acc = 0.0
-            chosen = rules[-1][1]
-            for _, rule in rules:
+            chosen = rules[-1]
+            for rule in rules:
                 acc += rule.prob
                 if pick < acc:
                     chosen = rule

@@ -97,7 +97,7 @@ def emit_fol(g: Grammar) -> LogicDocument:
         lines.append("# choice axioms")
     for head in or_heads:
         h = sym[head]
-        rules = [rule for _, rule in g.or_rules_of.get(head, ())]
+        rules = g.or_rules_of.get(head, ())
         for rule in rules:
             lines.append(f"forall x: {h}(x) -> {sym[rule.child]}(x) : {rule.prob!r}")
         children = [sym[rule.child] for rule in rules]
@@ -115,7 +115,9 @@ def emit_slp(g: Grammar) -> LogicDocument:
 
     Nonterminal predicates carry (Yield, Param); And clauses concatenate
     child yields and delegate parameter composition to domain-defined
-    predicates, which are listed as stubs in trailing comments.
+    predicates, which are listed as stubs in trailing comments.  A
+    terminal child of an And-rule gets the fact `1.0: t([t], [_]).`
+    (`[null]` on the null domain), so every goal is defined.
     """
     sym = _symbol_table(g.terminals | g.and_nodes | g.or_nodes)
     lines = [
@@ -140,11 +142,13 @@ def emit_slp(g: Grammar) -> LogicDocument:
     param_term = "[null]" if g.domain.name == "null" else "[_]"
     for head in sorted(g.or_nodes):
         h = sym[head]
-        for _, rule in g.or_rules_of.get(head, ()):
+        for rule in g.or_rules_of.get(head, ()):
             if rule.child in g.terminals:
                 lines.append(f"{rule.prob!r}: {h}([{sym[rule.child]}], {param_term}).")
             else:
                 lines.append(f"{rule.prob!r}: {h}(X, P) :- {sym[rule.child]}(X, P).")
+    leaves = {child for rule in g.and_rules for child in rule.children if child in g.terminals}
+    lines.extend(f"1.0: {sym[t]}([{sym[t]}], {param_term})." for t in sorted(leaves))
 
     lines.append("")
     lines.append(f":- {sym[g.start]}(X, P).")

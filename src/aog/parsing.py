@@ -101,8 +101,6 @@ NEG_INF = float("-inf")
 def log_add(a: float, b: float) -> float:
     if a == NEG_INF:
         return b
-    if b == NEG_INF:
-        return a
     if a < b:
         a, b = b, a
     return a + math.log1p(math.exp(b - a))
@@ -627,7 +625,7 @@ def enumerate_parses(g: Grammar, x: DataSample) -> list[tuple[ParseTree, float]]
             ]
         elif kind is NodeKind.OR:
             out = []
-            for _, rule in g.or_rules_of.get(node, ()):
+            for rule in g.or_rules_of.get(node, ()):
                 logp = math.log(rule.prob)
                 for ids, param, subtree, lp in derive(rule.child, budget):
                     out.append((ids, param, TreeNode(node, param, (subtree,)), lp + logp))

@@ -238,8 +238,6 @@ def spn_to_aog(s: Spn) -> SpnAog:
     if not report.ok:
         raise InvalidSpn(str(report))
     scopes = spn_scopes(s)
-    if not scopes[s.root]:
-        raise InvalidSpn("root scope is empty")
 
     taken = set(s.nodes)
     literals: dict[tuple[int, int], str] = {}

@@ -442,6 +442,14 @@ def test_convert_sat_reads_a_satlib_file(capsys, tmp_path):
     assert json.loads(out)["clauses"] == 2
 
 
+def test_convert_sat_of_an_empty_clause_exits_2(capsys, tmp_path):
+    src = tmp_path / "empty.cnf"
+    src.write_text("p cnf 1 1\n0\n")
+    code, out = run(capsys, ["convert", "sat", str(src), "-o", str(tmp_path / "g.json")])
+    assert code == 2
+    assert json.loads(out) == {"error": "no clause marker can ever be produced"}
+
+
 STATS_KEYS = {
     "sample_size", "per_size_compositions", "per_size_entries", "table_entries",
     "total_compositions", "c_max", "worst_case_compositions", "pair_tests", "elapsed_seconds",

@@ -79,6 +79,8 @@ def test_grid_realize_children_inverts_anchor():
     # the realized children satisfy the relation and map back to the parent
     assert dom.relation(rel, 2)(*children)
     assert dom.function(fn, 2)(*children) == (10, 4)
+    with pytest.raises(DomainError, match="^cannot realize children for 'offset'/'pick'$"):
+        dom.realize_children(rel, FunctionRef("pick"), (10, 4), 2)
 
 
 def test_interval_relations():
@@ -90,6 +92,8 @@ def test_interval_relations():
     assert dom.relation(RelationRef("during"), 2)((2, 3), (0, 5))
     assert not dom.relation(RelationRef("during"), 2)((0, 3), (0, 5))
     assert dom.function(FunctionRef("hull"), 2)((0, 2), (5, 7)) == (0, 7)
+    with pytest.raises(ConfigError, match="^during is binary$"):
+        dom.relation(RelationRef("during"), 3)
 
 
 def test_interval_realize_even_split():
@@ -98,6 +102,8 @@ def test_interval_realize_even_split():
     assert parts == ((0, 3), (3, 6), (6, 9))
     with pytest.raises(DomainError):
         dom.realize_children(RelationRef("before"), FunctionRef("hull"), (0, 9), 2)
+    with pytest.raises(DomainError, match=r"^interval \(0, 2\) too narrow for 3 parts$"):
+        dom.realize_children(RelationRef("meets"), FunctionRef("hull"), (0, 2), 3)
 
 
 def test_null_domain_is_trivial():
@@ -119,6 +125,8 @@ def test_tuple_domain_pack_extend_project():
     assert extended == ParamTuple(((0, 1), (1, 2), (2, 3)))
     # a ParamTuple equals the plain tuple of its items, so == cannot tell them apart
     assert type(packed) is ParamTuple and type(extended) is ParamTuple
+    with pytest.raises(DomainError, match="^extend needs a packed first argument, got"):
+        extend(packed.items, (2, 3))
 
 
 def test_param_tuple_keeps_its_items_repr_and_order():
@@ -148,6 +156,9 @@ def test_tuple_domain_realize_splits_into_param_tuples():
     assert type(first) is ParamTuple and first.items == ((0, 3), (3, 6)) and last == (6, 9)
     first, last = dom.realize_children(RelationRef("true"), FunctionRef("extend"), first, 2)
     assert type(first) is ParamTuple and first.items == ((0, 3),) and last == (3, 6)
+    unsplit = r"^cannot split ParamTuple\(items=\(\(0, 3\),\)\) for 'pack'$"
+    with pytest.raises(DomainError, match=unsplit):
+        dom.realize_children(RelationRef("true"), FunctionRef("pack"), first, 1)
 
 
 def test_tuple_domain_apply_packed_uses_base_semantics():
@@ -161,6 +172,8 @@ def test_tuple_domain_apply_packed_uses_base_semantics():
     assert fn(ParamTuple(((0, 1), (1, 2))), (2, 5)) == (0, 5)
     with pytest.raises(DomainError):
         rel(ParamTuple(((0, 1),)), (2, 5))
+    with pytest.raises(DomainError, match="^apply_packed needs a packed first argument, got"):
+        rel(((0, 1), (1, 2)), (2, 5))
 
 
 def test_tuple_domain_codec_roundtrip():
@@ -175,6 +188,8 @@ def test_tuple_domain_still_resolves_base_entries():
     dom = tuple_domain(grid_domain())
     rel = dom.relation(RelationRef("offset", {"offsets": [[1, 0]]}), 2)
     assert rel((0, 0), (1, 0))
+    with pytest.raises(DomainError, match="^domain 'tuple' has no relation 'nope'$"):
+        dom.relation(RelationRef("nope"), 2)
 
 
 def test_param_order_key_is_a_total_order_across_shapes():
@@ -183,11 +198,26 @@ def test_param_order_key_is_a_total_order_across_shapes():
     assert ordered == [None, 1, 3, (0, 1), (2, 2), (0, 1, 2), ParamTuple(((0, 1), (1, 2)))]
 
 
+@pytest.mark.parametrize(
+    "value, match",
+    [
+        (True, "^bool is not a parameter value$"),
+        ((0, False), "^bool is not a parameter value$"),
+        ("x", "^unorderable parameter value: 'x'$"),
+        (1.5, "^unorderable parameter value: 1.5$"),
+    ],
+)
+def test_param_order_key_refuses_what_is_no_parameter(value, match):
+    with pytest.raises(DomainError, match=match):
+        param_order_key(value)
+
+
 def test_domain_from_config_roundtrips():
     for builder in (string_span_domain, grid_domain, interval_domain, null_domain):
         dom = builder()
         again = domain_from_config(dom.name, dom.config)
-        assert again.name == dom.name
+        assert again.name == dom.name and again == dom
+        assert dom != dom.name  # a binding equals only a binding
     nested = tuple_domain(grid_domain())
     again = domain_from_config(nested.name, nested.config)
     assert again.name == "tuple"
@@ -197,6 +227,8 @@ def test_domain_from_config_roundtrips():
         domain_from_config("unknown")
     with pytest.raises(ConfigError):
         domain_from_config("grid", {"stray": 1})
+    with pytest.raises(ConfigError, match=r"^unknown tuple domain config keys: \['stray'\]$"):
+        domain_from_config("tuple", {"base": "grid", "stray": 1})
 
 
 @pytest.mark.parametrize(

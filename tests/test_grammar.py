@@ -116,6 +116,19 @@ def test_validation_catches_node_kind_overlap(line_drawing):
     assert "node-overlap" in issue_codes(validate_grammar(broken))
 
 
+@pytest.mark.parametrize(
+    "fault, code",
+    [
+        (lambda g: replace(g, start="dot"), "start-terminal"),
+        (lambda g: replace(g, and_nodes=g.and_nodes - {"hline"}), "and-head"),
+        (lambda g: replace(g, and_rules=g.and_rules + g.and_rules[:1]), "and-multiple"),
+    ],
+    ids=["start-terminal", "and-head", "and-multiple"],
+)
+def test_validation_catches_start_and_and_rule_faults(line_drawing, fault, code):
+    assert code in issue_codes(validate_grammar(fault(line_drawing)))
+
+
 def test_sample_is_deterministic_per_seed(line_drawing):
     tree_a, x_a = sample(line_drawing, seed=11)
     tree_b, x_b = sample(line_drawing, seed=11)
@@ -141,6 +154,20 @@ def test_sample_parameters_follow_grid_relations(line_drawing):
 def test_sample_root_param_override(line_drawing):
     tree, x = sample(line_drawing, seed=4, root_param=(7, 7))
     assert tree.root.param == (7, 7)
+
+
+@pytest.mark.parametrize("normal", [False, True], ids=["scfg", "gcnf"])
+@pytest.mark.parametrize("rules, root", [("S -> a b [1.0]", (0, 2)), ("S -> a b c [1.0]", (0, 3))])
+def test_sample_refuses_a_root_param_where_the_leaves_pin_it(rules, root, normal):
+    # a leaf-order domain folds the root's parameter up from the leaves, so
+    # a given one would be dropped; the normal form of the wide rule has a
+    # tuple domain, which inherits leaf_param
+    g = scfg_to_aog(parse_scfg(rules))
+    if normal:
+        g = to_gcnf(g)[0]
+    with pytest.raises(DomainError, match=f"^domain {g.domain.name!r} pins its leaves and takes"):
+        sample(g, seed=1, root_param=(5, 9))
+    assert sample(g, seed=1)[0].root.param == root
 
 
 def test_sample_string_domain_pins_leaves(wide_string_grammar):
@@ -187,6 +214,13 @@ def test_sample_leaf_order_relation_refusal_is_a_domain_error(wide_string_gramma
     g = replace(wide_string_grammar, domain=domain)
     with pytest.raises(DomainError, match="sampled children of 'quad' violate 'adjacent'"):
         sample(g, seed=1)
+
+
+def test_sample_at_an_or_node_without_rules_is_a_value_error():
+    g = Grammar.from_rules(null_domain(), ["t"], "S", [], [])
+    g = replace(g, or_nodes=frozenset({"S"}))
+    with pytest.raises(ValueError, match="^Or-node 'S' has no rules$"):
+        sample(g, seed=0)
 
 
 def test_sample_without_a_root_parameter_is_a_domain_error():
@@ -286,6 +320,10 @@ def strip_a_point(tree):
     tree.root.children[0].children[0].children = ()
 
 
+def root_at_the_hline(tree):
+    tree.root = tree.root.children[0]
+
+
 @pytest.mark.parametrize(
     "fault, match",
     [
@@ -293,8 +331,9 @@ def strip_a_point(tree):
         (drop_a_point, "And-node 'hline' children do not match its rule"),
         (move_the_hline, r"'hline' parameter \(99, 99\) differs from computed"),
         (strip_a_point, "Or-node 'point' must have exactly one child"),
+        (root_at_the_hline, "^root is 'hline', expected start 'figure'$"),
     ],
-    ids=["unknown-node", "and-children", "computed-param", "or-children"],
+    ids=["unknown-node", "and-children", "computed-param", "or-children", "root"],
 )
 def test_tree_probability_names_each_fault(line_drawing, fault, match):
     tree = hline_tree(line_drawing)

@@ -118,6 +118,13 @@ def test_unknown_name_is_an_attribute_error():
     assert report == ["module 'aog' has no attribute 'no_such_name'", False, CORE]
 
 
+def test_the_package_hooks_answer_where_every_module_is_loaded():
+    import aog.sat
+
+    assert aog.__getattr__("sat") is aog.sat
+    assert set(aog.__all__) <= set(dir(aog))
+
+
 # ------------------------------------------------------------- aog commands
 
 

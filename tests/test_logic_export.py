@@ -1,6 +1,8 @@
 """Probabilistic-logic text emitters: shape, determinism, golden files."""
 
 import pathlib
+import random
+import re
 
 import pytest
 
@@ -13,9 +15,13 @@ from aog import (
     emit_fol,
     emit_slp,
     null_domain,
+    parse_scfg,
     sat_to_aog,
+    scfg_to_aog,
+    spn_to_aog,
     Cnf3Sat,
 )
+from helpers import random_spn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -102,6 +108,44 @@ def test_sat_grammar_exports_without_collisions():
     assert len(fol.clause_lines()) > 0
     assert fol.text.count("forall") == len([l for l in fol.clause_lines()])
     assert slp.text.endswith("\n")
+
+
+def test_a_digit_led_name_gets_a_letter_in_front():
+    g = Grammar.from_rules(null_domain(), ["7up"], "S", [], [OrRule("S", "7up", 1.0)])
+    assert "1.0: s([n7up], [null])." in emit_slp(g).clause_lines()
+
+
+def test_an_and_rule_over_terminals_calls_their_facts():
+    doc = emit_slp(scfg_to_aog(parse_scfg("S -> a b [1.0]")))
+    assert doc.clause_lines()[1:] == ["1.0: a([a], [_]).", "1.0: b([b], [_]).", ":- s(X, P)."]
+
+
+def called_but_undefined(doc):
+    """The predicates that a clause body calls and no clause head defines,
+    leaving out append and the domain-defined r_* stubs."""
+    heads, called = set(), set()
+    for line in doc.clause_lines():
+        head, _, body = line.partition(":- ")
+        if head:  # the goal line has none
+            heads.add(re.match(r"[^:]+: (\w+)\(", head).group(1))
+        called.update(re.findall(r"\b([a-z]\w*)\(", body))
+    return {p for p in called - heads if p != "append" and not p.startswith("r_")}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: scfg_to_aog(parse_scfg("S -> a b [1.0]")),
+        lambda: spn_to_aog(random_spn(random.Random(43000), 10)).grammar,
+        lambda: spn_to_aog(random_spn(random.Random(43001), 10)).grammar,
+        lambda: sat_to_aog(Cnf3Sat(3, ((1, -2, 3), (-1, 2), (2, 3))))[0],
+        None,
+    ],
+    ids=["scfg", "spn 43000", "spn 43001", "sat", "line drawing"],
+)
+def test_every_called_predicate_is_defined(make, line_drawing):
+    g = line_drawing if make is None else make()
+    assert called_but_undefined(emit_slp(g)) == set()
 
 
 def test_null_domain_terminal_facts_use_null_parameter():

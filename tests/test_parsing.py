@@ -26,6 +26,7 @@ from aog import (
     BudgetExceeded,
     CompositionKey,
     DataSample,
+    DepthExceeded,
     DomainError,
     FunctionRef,
     Grammar,
@@ -41,6 +42,7 @@ from aog import (
     cyk,
     enumerate_parses,
     interval_domain,
+    null_domain,
     param_order_key,
     parse,
     parse_scfg,
@@ -83,6 +85,12 @@ def test_parse_rejects_unknown_terminals(line_drawing):
     gcnf, _ = to_gcnf(line_drawing)
     with pytest.raises(ValueError):
         parse(gcnf, DataSample((TerminalInstance("z", "blot", (0, 0)),)))
+
+
+def test_parse_rejects_an_unknown_mode(line_drawing):
+    gcnf, _ = to_gcnf(line_drawing)
+    with pytest.raises(ValueError, match="^unknown parse mode 'best'$"):
+        parse(gcnf, DataSample((TerminalInstance("d0", "dot", (0, 0)),)), "best")
 
 
 def test_single_dot_parses(line_drawing):
@@ -143,6 +151,21 @@ def test_no_parse_returns_neg_infinity(line_drawing):
         assert result.score == NEG_INF
         assert result.tree is None
     assert enumerate_parses(line_drawing, x) == []
+    assert enumerate_parses(line_drawing, DataSample(())) == []
+
+
+def test_enumeration_refuses_a_choice_cycle():
+    # S -> A | t and A -> S: S derives t along infinitely many chains
+    g = Grammar.from_rules(
+        null_domain(),
+        ["t"],
+        "S",
+        [],
+        [OrRule("S", "A", 0.5), OrRule("S", "t", 0.5), OrRule("A", "S", 1.0)],
+    )
+    x = DataSample((TerminalInstance("t0", "t", None),))
+    with pytest.raises(DepthExceeded, match="^choice cycle at 'S' yields unboundedly many"):
+        enumerate_parses(g, x)
 
 
 def test_viterbi_tree_is_valid_and_scores_itself(line_drawing):

@@ -13,7 +13,15 @@ import random
 
 import pytest
 
-from aog import AogError, sample, sat_to_aog, scfg_to_aog, spn_to_aog, to_gcnf
+from aog import (
+    AogError,
+    sample,
+    sat_to_aog,
+    scfg_to_aog,
+    spn_to_aog,
+    to_gcnf,
+    validate_grammar,
+)
 from aog.serialize import (
     canonical_dumps,
     grammar_to_json_dict,
@@ -49,33 +57,34 @@ def sat_outputs():
         yield [vars(inst) for inst in x.instances]
 
 
-def gcnf_outputs():
+def random_aogs():
     for seed in SEEDS:
         for kind in ("string", "grid", "null", "interval"):
             for chains in (False, True):
-                g = random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
-                gcnf, node_map = to_gcnf(g)
-                yield grammar_to_json_dict(gcnf)
-                yield node_map_json(node_map)
+                yield random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
+
+
+def gcnf_outputs():
+    for g in random_aogs():
+        gcnf, node_map = to_gcnf(g)
+        yield grammar_to_json_dict(gcnf)
+        yield node_map_json(node_map)
 
 
 def sample_outputs():
     # each random_aog grammar and its normal form, whose tuple domain splits
     # packed parameters top down; a failed draw is pinned by its error
-    for seed in SEEDS:
-        for kind in ("string", "grid", "null", "interval"):
-            for chains in (False, True):
-                g = random_aog(random.Random(seed), allow_or_chains=chains, kind=kind)
-                for grammar in (g, to_gcnf(g)[0]):
-                    for max_depth in (4, 64):
-                        for draw_seed in range(3):
-                            try:
-                                tree, x = sample(grammar, draw_seed, max_depth)
-                            except AogError as exc:
-                                yield [type(exc).__name__, str(exc)]
-                                continue
-                            root = tree_to_json_dict(tree, grammar.domain)["root"]
-                            yield [tree.log_prob.hex(), root, sample_to_json_dict(x, grammar.domain)]
+    for g in random_aogs():
+        for grammar in (g, to_gcnf(g)[0]):
+            for max_depth in (4, 64):
+                for draw_seed in range(3):
+                    try:
+                        tree, x = sample(grammar, draw_seed, max_depth)
+                    except AogError as exc:
+                        yield [type(exc).__name__, str(exc)]
+                        continue
+                    root = tree_to_json_dict(tree, grammar.domain)["root"]
+                    yield [tree.log_prob.hex(), root, sample_to_json_dict(x, grammar.domain)]
 
 
 @pytest.mark.parametrize(
@@ -94,3 +103,10 @@ def test_producer_outputs_are_pinned(outputs, digest):
     for payload in outputs():
         h.update(canonical_dumps(payload).encode())
     assert h.hexdigest() == digest
+
+
+def test_every_normal_form_of_the_sweep_is_valid():
+    # to_gcnf checks the grammar it is given, not the one it returns
+    for g in random_aogs():
+        report = validate_grammar(to_gcnf(g)[0])
+        assert report.ok, str(report)

@@ -7,6 +7,7 @@ import pytest
 from aog import (
     Cnf3Sat,
     FormatError,
+    UnsupportedGrammar,
     brute_force_satisfiable,
     format_dimacs,
     parse,
@@ -109,6 +110,12 @@ def test_unsat_formula_does_not_parse():
 def test_empty_formula_rejected():
     with pytest.raises(ValueError):
         sat_to_aog(Cnf3Sat(1, ()))
+
+
+def test_an_empty_clause_is_unsupported():
+    # no literal can satisfy it, so no derivation reaches its clause marker
+    with pytest.raises(UnsupportedGrammar, match="^no clause marker can ever be produced$"):
+        sat_to_aog(Cnf3Sat(1, ((),)))
 
 
 def test_conversion_size_is_polynomial():

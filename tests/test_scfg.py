@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aog import (
+    DepthExceeded,
     FormatError,
     Scfg,
     ScfgRule,
@@ -73,6 +74,11 @@ def test_parse_listing_rejects_malformed(bad):
         parse_scfg(bad)
 
 
+def test_validate_scfg_flags_a_start_without_rules():
+    report = validate_scfg(Scfg("T", (ScfgRule("S", ("a",), 1.0),)))
+    assert [str(issue) for issue in report.issues] == ["start: start symbol 'T' has no rules"]
+
+
 def test_validate_scfg_flags_bad_probabilities():
     g = Scfg("S", (ScfgRule("S", ("a",), 0.5), ScfgRule("S", ("b",), 0.2)))
     report = validate_scfg(g)
@@ -128,6 +134,8 @@ def test_string_distribution_matches_closed_form():
     assert set(dist) == set(SELF_EMBEDDING_STRINGS)
     for s, p in SELF_EMBEDDING_STRINGS.items():
         assert dist[s] == pytest.approx(p, rel=1e-12)
+    with pytest.raises(DepthExceeded, match="^string enumeration did not settle in 3 steps$"):
+        string_distribution(g, max_len=4, max_steps=3)
 
 
 def test_compiled_grammar_is_valid_and_matches_cyk():
@@ -187,6 +195,15 @@ def test_cyk_requires_binary_normal_form():
     g = parse_scfg("S -> a b c [1.0]")
     with pytest.raises(ValueError):
         cyk(g, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize(
+    "tokens, mode, match",
+    [(["a"], "best", "^unknown mode 'best'$"), ([], "viterbi", "^empty token list$")],
+)
+def test_cyk_refuses_an_unknown_mode_and_an_empty_input(tokens, mode, match):
+    with pytest.raises(ValueError, match=match):
+        cyk(parse_scfg("S -> a [1.0]"), tokens, mode)
 
 
 def test_string_sample_spans():

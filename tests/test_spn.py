@@ -107,6 +107,23 @@ def test_validate_flags_incomplete_sum():
     assert any(issue.code == "complete" for issue in report.issues)
 
 
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        (ProductNode(()), "children: node 'r' has no children"),
+        (SumNode((), ()), "children: node 'r' has no children"),
+        (SumNode(("i0",), (0.5, 0.5)), "weights: sum 'r' weight count mismatch"),
+    ],
+    ids=["product", "sum", "weights"],
+)
+def test_validate_flags_a_node_without_children_or_with_extra_weights(root, message):
+    # every sum and product has a child, so every scope holds a variable
+    s = Spn({"r": root, "i0": IndicatorNode(0, True)}, "r")
+    assert [str(issue) for issue in validate_spn(s).issues] == [message]
+    with pytest.raises(InvalidSpn, match=f"^{message}$"):
+        spn_to_aog(s)
+
+
 def test_validate_flags_overlapping_product():
     s = Spn(
         {
