@@ -99,6 +99,10 @@ class DomainBinding:
     child parameters while descending (realize_children), as with grid
     points.
 
+    A parameter is hashable, and is None, an int, or a tuple of these: the
+    parser sorts root parameters by param_order_key, which raises DomainError
+    on any other value (a bool, a str, a float).
+
     Bindings compare by (name, config): domain_from_config rebuilds the
     same callables from those two fields, so identically configured
     bindings are interchangeable even when their function objects differ.

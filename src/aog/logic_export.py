@@ -41,7 +41,8 @@ def _symbol_table(names: Iterable[str]) -> dict[str, str]:
     used: set[str] = set()
     for name in sorted(names):
         base = _IDENT.sub("_", name).strip("_").lower() or "n"
-        if base[0].isdigit():
+        # digits cannot lead a predicate, and the export's own names are taken
+        if base[0].isdigit() or base in ("append", "theta") or base.startswith(("r_", "part_")):
             base = "n" + base
         table[name] = fresh_name(base, used)
     return table

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 from .domains import FunctionRef, RelationRef, null_domain
 from .errors import FormatError, UnsupportedGrammar
-from .grammar import (
-    AndRule,
-    DataSample,
-    Grammar,
-    OrRule,
-    TerminalInstance,
-    postorder,
-)
+from .grammar import AndRule, DataSample, Grammar, OrRule, TerminalInstance
 
 _EPS = "#eps"
 
@@ -136,61 +129,46 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
         raise ValueError("formula has no clauses")
     k = len(f.clauses)
 
-    kinds: dict[str, str] = {}
-    and_children: dict[str, list[str]] = {}
-    or_edges: dict[str, list[tuple[str, float]]] = {}
+    # every node once, in creation order: its children, its Or-edge
+    # probabilities (None for an And-node) and the chance it derives nothing,
+    # known when it is made because its children are made before it
+    table: dict[str, tuple[list[str], list[float] | None, float]] = {_EPS: ([], None, 1.0)}
+
+    def make(node: str, children: list[str], probs: list[float] | None = None) -> str:
+        if probs is None:
+            eps = 1.0
+            for child in children:
+                eps *= table[child][2]
+        else:
+            eps = sum(p * table[child][2] for child, p in zip(children, probs))
+        table[node] = children, probs, eps
+        return node
 
     for j in range(1, k + 1):
-        kinds[f"c{j}"] = "terminal"
+        table[f"c{j}"] = [], None, 0.0
     for j in range(1, k + 1):
-        gate = f"b{j}"
-        kinds[gate] = "or"
-        or_edges[gate] = [(f"c{j}", 0.5), (_EPS, 0.5)]
+        make(f"b{j}", [f"c{j}", _EPS], [0.5, 0.5])
     occurs: dict[int, list[int]] = {}
     for j, clause in enumerate(f.clauses, 1):
         for lit in clause:
             occurs.setdefault(lit, []).append(j)
     for i in range(1, f.n_vars + 1):
         for suffix, lit in (("+", i), ("-", -i)):
-            node = f"v{i}{suffix}"
-            kinds[node] = "and"
-            and_children[node] = [f"b{j}" for j in occurs.get(lit, [])]
-        kinds[f"v{i}"] = "or"
-        or_edges[f"v{i}"] = [(f"v{i}+", 0.5), (f"v{i}-", 0.5)]
-    kinds["S"] = "and"
-    and_children["S"] = [f"v{i}" for i in range(1, f.n_vars + 1)]
+            make(f"v{i}{suffix}", [f"b{j}" for j in occurs.get(lit, [])])
+        make(f"v{i}", [f"v{i}+", f"v{i}-"], [0.5, 0.5])
+    make("S", [f"v{i}" for i in range(1, f.n_vars + 1)])
 
-    # binarize before eliminating silence, to keep the rewrite polynomial
-    for head, children in list(and_children.items()):
-        if len(children) <= 2:
-            continue
-        prev = children[0]
-        for m, child in enumerate(children[1:-1], 1):
-            node = f"{head}#b{m}"
-            kinds[node] = "and"
-            and_children[node] = [prev, child]
-            prev = node
-        and_children[head] = [prev, children[-1]]
-
-    def inputs(node: str) -> list[str]:
-        return and_children.get(node) or [child for child, _ in or_edges.get(node, ())]
-
-    # probability that each node derives nothing, children first
-    eps_mass: dict[str, float] = {_EPS: 1.0}
-    for node in postorder(kinds, inputs):
-        kind = kinds.get(node)  # the silent leaf has no kind
-        if kind == "terminal":
-            eps_mass[node] = 0.0
-        elif kind == "and":
-            out = 1.0
-            for child in and_children[node]:
-                out *= eps_mass[child]
-            eps_mass[node] = out
-        elif kind == "or":
-            eps_mass[node] = sum(p * eps_mass[child] for child, p in or_edges[node])
+    # binarize before eliminating silence, to keep the rewrite polynomial;
+    # a head keeps its mass, the product its chain takes in the same order
+    for head, (children, probs, eps) in list(table.items()):
+        if probs is None and len(children) > 2:
+            prev = children[0]
+            for m, child in enumerate(children[1:-1], 1):
+                prev = make(f"{head}#b{m}", [prev, child])
+            table[head] = [prev, children[-1]], None, eps
 
     def live(node: str) -> bool:
-        return node != _EPS and eps_mass[node] < 1.0
+        return table[node][2] < 1.0
 
     if not live("S"):
         raise UnsupportedGrammar("no clause marker can ever be produced")
@@ -201,22 +179,19 @@ def sat_to_aog(f: Cnf3Sat) -> tuple[Grammar, DataSample]:
     and_rules: list[AndRule] = []
     or_rules: list[OrRule] = []
 
-    for node, kind in kinds.items():
-        if kind == "terminal" or not live(node):
+    for node, (children, probs, eps) in table.items():
+        if not children or not live(node):  # leaves, and nodes that only stay silent
             continue
-        if kind == "or":
-            for child, p in or_edges[node]:
-                if child == _EPS or not live(child):
-                    continue
-                prob = p * (1 - eps_mass[child]) / (1 - eps_mass[node])
-                or_rules.append(OrRule(node, child, prob))
+        if probs is not None:
+            for child, p in zip(children, probs):
+                if live(child):
+                    or_rules.append(OrRule(node, child, p * (1 - table[child][2]) / (1 - eps)))
             continue
-        children = and_children[node]
         if len(children) == 1:
             or_rules.append(OrRule(node, children[0], 1.0))
             continue
         left, right = children
-        eps_left, eps_right = eps_mass[left], eps_mass[right]
+        eps_left, eps_right = table[left][2], table[right][2]
         # one side may stay silent: condition on at least one speaking
         denom = 1.0 - eps_left * eps_right
         both = (1.0 - eps_left) * (1.0 - eps_right) / denom

@@ -7,18 +7,26 @@ import re
 import pytest
 
 from aog import (
+    AndRule,
     ConfigError,
+    DataSample,
+    DomainBinding,
     DomainError,
     FunctionRef,
+    Grammar,
     ParamTuple,
     RelationRef,
+    TerminalInstance,
     domain_from_config,
     grid_domain,
     interval_domain,
     null_domain,
     param_order_key,
+    parse,
     string_span_domain,
+    to_gcnf,
     tuple_domain,
+    validate_grammar,
 )
 from aog.domains import _check_pair
 
@@ -210,6 +218,25 @@ def test_param_order_key_is_a_total_order_across_shapes():
 def test_param_order_key_refuses_what_is_no_parameter(value, match):
     with pytest.raises(DomainError, match=match):
         param_order_key(value)
+
+
+@pytest.mark.parametrize("mode", ["viterbi", "marginal"])
+def test_a_domain_of_string_parameters_validates_but_cannot_parse(mode):
+    words = DomainBinding(
+        name="words",
+        config={},
+        relations={"true": lambda config, arity: lambda *params: True},
+        functions={"join": lambda config, arity: lambda *params: "+".join(params)},
+        encode_param=lambda p: p,
+        decode_param=lambda raw: raw,
+    )
+    rule = AndRule("S", ("a", "b"), RelationRef("true"), FunctionRef("join"))
+    g = Grammar.from_rules(words, {"a", "b"}, "S", [rule], [])
+    assert validate_grammar(g).ok
+    gcnf, _ = to_gcnf(g)
+    x = DataSample((TerminalInstance("i0", "a", "x"), TerminalInstance("i1", "b", "y")))
+    with pytest.raises(DomainError, match=r"^unorderable parameter value: 'x\+y'$"):
+        parse(gcnf, x, mode)
 
 
 def test_domain_from_config_roundtrips():

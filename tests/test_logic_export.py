@@ -120,16 +120,76 @@ def test_an_and_rule_over_terminals_calls_their_facts():
     assert doc.clause_lines()[1:] == ["1.0: a([a], [_]).", "1.0: b([b], [_]).", ":- s(X, P)."]
 
 
-def called_but_undefined(doc):
-    """The predicates that a clause body calls and no clause head defines,
-    leaving out append and the domain-defined r_* stubs."""
-    heads, called = set(), set()
+def slp_heads(doc):
+    """The predicates that the clause heads of an SLP document define."""
+    heads = set()
     for line in doc.clause_lines():
-        head, _, body = line.partition(":- ")
+        head = line.partition(":- ")[0]
         if head:  # the goal line has none
             heads.add(re.match(r"[^:]+: (\w+)\(", head).group(1))
-        called.update(re.findall(r"\b([a-z]\w*)\(", body))
-    return {p for p in called - heads if p != "append" and not p.startswith("r_")}
+    return heads
+
+
+def slp_own_predicates(doc):
+    """The predicates an SLP document calls for itself: append and the
+    domain-defined stubs its trailing comments declare."""
+    return {"append"} | set(re.findall(r"^%   (\w+)/\d+:", doc.text, re.M))
+
+
+def called_but_undefined(doc):
+    """The predicates that a clause body calls and neither a clause head
+    defines nor the document declares as its own."""
+    called = set()
+    for line in doc.clause_lines():
+        called.update(re.findall(r"\b([a-z]\w*)\(", line.partition(":- ")[2]))
+    return called - slp_heads(doc) - slp_own_predicates(doc)
+
+
+def fol_predicates(doc):
+    """(node predicates, the export's own predicates) of an FOL document.
+    The export's own are theta, the part links and the r_theta atom that
+    closes each composition axiom; every other one-place atom names a node."""
+    nodes, own = set(), {"theta"}
+    for line in doc.clause_lines():
+        line, _, relation = line.partition(" & r_theta_")
+        if relation:
+            own.add("r_theta_" + relation.partition("(")[0])
+        own.update(re.findall(r"\b(\w+)\(x, y\d+\)", line))
+        nodes.update(re.findall(r"\b(\w+)\((?:x|y\d+)\)", line))
+    return nodes, own
+
+
+# node names that are, or look like, the predicates an export writes itself
+CLASHING = {
+    "append": "S -> append b [1.0]\nappend -> a [1.0]",
+    "part link": "S -> A r_1_s [1.0]\nA -> a [1.0]\nr_1_s -> b [1.0]",
+    "theta": "S -> theta part_1_s [1.0]\ntheta -> a [1.0]\npart_1_s -> b [1.0]",
+}
+
+
+@pytest.mark.parametrize("text", CLASHING.values(), ids=CLASHING.keys())
+def test_no_node_predicate_is_one_the_export_writes_itself(text):
+    g = scfg_to_aog(parse_scfg(text))
+    slp = emit_slp(g)
+    assert slp_heads(slp) & slp_own_predicates(slp) == set()
+    assert called_but_undefined(slp) == set()
+    nodes, own = fol_predicates(emit_fol(g))
+    assert nodes & own == set()
+    assert len(nodes) == len(g.terminals | g.and_nodes | g.or_nodes)
+
+
+def test_a_node_named_like_an_export_predicate_gets_a_letter_in_front():
+    g = scfg_to_aog(parse_scfg(CLASHING["append"]))
+    assert emit_slp(g).clause_lines()[:2] == [
+        "1.0: s(X, P) :- nappend(X1, P1), b(X2, P2), append([X1, X2], X), "
+        "r_1_s(X, X1), r_2_s(X, X2), r_theta_s(P, P1, P2).",
+        "1.0: nappend([a], [_]).",
+    ]
+    g = scfg_to_aog(parse_scfg(CLASHING["theta"]))
+    assert (
+        "forall x: s(x) -> exists y1, y2: (ntheta(y1) & part_1_s(x, y1)) & "
+        "(npart_1_s(y2) & part_2_s(x, y2)) & r_theta_s(theta(x), theta(y1), theta(y2))"
+    ) in emit_fol(g).clause_lines()
 
 
 @pytest.mark.parametrize(
