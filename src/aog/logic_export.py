@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .grammar import Grammar, fresh_name
 
@@ -36,10 +35,11 @@ class LogicDocument:
         return [l for l in self.lines if l and not l.startswith(comment)]
 
 
-def _symbol_table(names: Iterable[str]) -> dict[str, str]:
+def _symbol_table(g: Grammar) -> dict[str, str]:
     table: dict[str, str] = {}
     used: set[str] = set()
-    for name in sorted(names):
+    # terminals first: a yield token keeps its own name, a clashing node is numbered
+    for name in [*sorted(g.terminals), *sorted(g.and_nodes | g.or_nodes)]:
         base = _IDENT.sub("_", name).strip("_").lower() or "n"
         # digits cannot lead a predicate, and the export's own names are taken
         if base[0].isdigit() or base in ("append", "theta") or base.startswith(("r_", "part_")):
@@ -66,7 +66,7 @@ def emit_fol(g: Grammar) -> LogicDocument:
     terms.  Each Or-node gets one weighted implication per rule, pairwise
     not-both constraints, and one coverage disjunction.
     """
-    sym = _symbol_table(g.terminals | g.and_nodes | g.or_nodes)
+    sym = _symbol_table(g)
     lines = [
         f"# first-order theory of an and-or grammar over the {g.domain.name!r} domain",
         f"# start symbol: {sym[g.start]}",
@@ -120,7 +120,7 @@ def emit_slp(g: Grammar) -> LogicDocument:
     terminal child of an And-rule gets the fact `1.0: t([t], [_]).`
     (`[null]` on the null domain), so every goal is defined.
     """
-    sym = _symbol_table(g.terminals | g.and_nodes | g.or_nodes)
+    sym = _symbol_table(g)
     lines = [
         f"% stochastic logic program of an and-or grammar over the {g.domain.name!r} domain",
         "",

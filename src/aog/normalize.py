@@ -17,7 +17,7 @@ wrapped in a tuple domain exactly when that happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .domains import FunctionRef, RelationRef, packed_ref, tuple_domain
 from .errors import MapMismatch, UnitCycleError
@@ -168,7 +168,7 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
                 or_rules.append(OrRule(alt, child, 1.0))
                 node_map.alt_nodes[alt] = child
             children.append(alt)
-        rewritten.append(replace(rule, children=tuple(children)))
+        rewritten.append(AndRule(rule.head, tuple(children), rule.relation, rule.function))
     and_rules = rewritten
 
     return Grammar.from_rules(domain, g.terminals, start, and_rules, or_rules), node_map

@@ -131,7 +131,8 @@ def _children(node: SpnNode) -> tuple[str, ...]:
 
 
 def spn_scopes(s: Spn) -> dict[str, frozenset[int]]:
-    """Variable scope of every node; raises InvalidSpn on cycles or misses."""
+    """Variable scope of every node, keyed in post-order from the root on (the keys
+    up to the root are the nodes it reaches); raises InvalidSpn on cycles or misses."""
 
     def children(name: str) -> tuple[str, ...]:
         node = s.nodes.get(name)
@@ -155,12 +156,16 @@ def spn_scopes(s: Spn) -> dict[str, frozenset[int]]:
 
 def validate_spn(s: Spn) -> ValidationReport:
     """Check structure, completeness of sums, decomposability of products."""
+    return _validated_scopes(s)[0]
+
+
+def _validated_scopes(s: Spn) -> tuple[ValidationReport, dict[str, frozenset[int]]]:
     report = ValidationReport()
     try:
         scopes = spn_scopes(s)
     except InvalidSpn as exc:
         report.add("structure", str(exc))
-        return report
+        return report, {}
     for name, node in s.nodes.items():
         if isinstance(node, IndicatorNode):
             continue
@@ -185,7 +190,7 @@ def validate_spn(s: Spn) -> ValidationReport:
                     report.add("decomposable", f"product {name!r} children share scope")
                     break
                 seen |= scopes[child]
-    return report
+    return report, scopes
 
 
 def _network_value(s: Spn, indicator: Callable[[IndicatorNode], float]) -> float:
@@ -234,10 +239,9 @@ def spn_to_aog(s: Spn) -> SpnAog:
     """Compile a complete, decomposable SPN to a grammar on the null domain.
     Raises InvalidSpn on an invalid network and when the mass of a node the
     root reaches underflows to 0 or overflows, leaving no Or-rule probability."""
-    report = validate_spn(s)
+    report, scopes = _validated_scopes(s)
     if not report.ok:
         raise InvalidSpn(str(report))
-    scopes = spn_scopes(s)
 
     taken = set(s.nodes)
     literals: dict[tuple[int, int], str] = {}
@@ -249,7 +253,8 @@ def spn_to_aog(s: Spn) -> SpnAog:
     # single-child products; nodes the root does not reach are left out
     masses: dict[str, float] = {}
     mapped: dict[str, str] = {}
-    for name in postorder([s.root], lambda name: _children(s.nodes[name])):
+    order = list(scopes)
+    for name in order[: order.index(s.root) + 1]:
         node = s.nodes[name]
         if isinstance(node, IndicatorNode):
             masses[name] = 1.0

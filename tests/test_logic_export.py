@@ -1,5 +1,7 @@
 """Probabilistic-logic text emitters: shape, determinism, golden files."""
 
+import functools
+import math
 import pathlib
 import random
 import re
@@ -15,13 +17,17 @@ from aog import (
     emit_fol,
     emit_slp,
     null_domain,
+    parse,
     parse_scfg,
+    sample,
     sat_to_aog,
     scfg_to_aog,
     spn_to_aog,
+    string_sample,
+    to_gcnf,
     Cnf3Sat,
 )
-from helpers import random_spn
+from helpers import random_aog, random_spn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -206,6 +212,83 @@ def test_a_node_named_like_an_export_predicate_gets_a_letter_in_front():
 def test_every_called_predicate_is_defined(make, line_drawing):
     g = line_drawing if make is None else make()
     assert called_but_undefined(emit_slp(g)) == set()
+
+
+def test_a_terminal_keeps_its_name_beside_a_node_it_clashes_with():
+    # the Or-node A and the terminal a both lower to `a`: the token keeps it
+    g = scfg_to_aog(parse_scfg("S -> A b [1.0]\nA -> a [1.0]"))
+    assert "1.0: a2([a], [_])." in emit_slp(g).clause_lines()
+    assert "forall x: a2(x) -> a(x) : 1.0" in emit_fol(g).clause_lines()
+
+
+def slp_mass(doc, tokens):
+    """The mass of an SLP document's goal on a token list, read back from
+    its text: a predicate's mass is the sum over its clauses, where a fact
+    counts when the list is its one terminal and a body multiplies its node
+    goals' masses over every split of the list into non-empty parts
+    (`append` concatenates and the `r_*` stubs hold)."""
+    clauses = {}
+    for line in doc.clause_lines():
+        if line.startswith(":- "):
+            start = re.match(r":- (\w+)\(", line).group(1)
+            continue
+        prob, _, clause = line.partition(": ")
+        head, _, body = clause.partition(" :- ")
+        name, fact = re.match(r"(\w+)\((?:\[(\w+)\])?", head).groups()
+        goals = tuple(re.findall(r"\b(\w+)\(X\d*, P\d*\)", body))
+        clauses.setdefault(name, []).append((float(prob), fact, goals))
+
+    @functools.lru_cache(maxsize=None)
+    def mass(name, toks):
+        return sum(
+            prob * (toks == (fact,) if fact else split(goals, toks))
+            for prob, fact, goals in clauses.get(name, ())
+        )
+
+    def split(goals, toks):
+        if len(goals) == 1:
+            return mass(goals[0], toks)
+        return sum(
+            mass(goals[0], toks[:i]) * split(goals[1:], toks[i:])
+            for i in range(1, len(toks) - len(goals) + 2)
+        )
+
+    return mass(start, tuple(tokens))
+
+
+@pytest.mark.parametrize(
+    "text, tokens, expected",
+    [
+        ("S -> S A [0.4]\nS -> a [0.6]\nA -> a [1.0]", "aaa", 0.096),
+        ("S -> A b [1.0]\nA -> a [1.0]", "ab", 1.0),
+    ],
+    ids=["left recursion", "clashing names"],
+)
+def test_slp_mass_of_hand_grammars(text, tokens, expected):
+    g = scfg_to_aog(parse_scfg(text))
+    assert math.isclose(slp_mass(emit_slp(g), tokens), expected, rel_tol=1e-12)
+    assert math.isclose(
+        math.exp(parse(to_gcnf(g)[0], string_sample(tokens), "marginal").score),
+        expected,
+        rel_tol=1e-12,
+    )
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["plain", "or-chains"])
+def test_slp_derives_what_the_grammar_derives(chains):
+    checked = 0
+    for seed in range(40):
+        g = random_aog(random.Random(seed), allow_or_chains=chains, kind="string")
+        doc, gcnf = emit_slp(g), to_gcnf(g)[0]
+        for draw in range(3):
+            _, x = sample(g, seed=draw)
+            if len(x) > 7:
+                continue
+            tokens = [i.terminal for i in sorted(x.instances, key=lambda i: i.param)]
+            expected = math.exp(parse(gcnf, x, "marginal").score)
+            assert math.isclose(slp_mass(doc, tokens), expected, rel_tol=1e-9), (seed, tokens)
+            checked += 1
+    assert checked >= 40
 
 
 def test_null_domain_terminal_facts_use_null_parameter():

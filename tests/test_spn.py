@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import aog.spn
 from aog import (
     FormatError,
     IndicatorNode,
@@ -27,6 +28,7 @@ from aog import (
     validate_spn,
 )
 from aog.cli import main
+from aog.grammar import postorder
 from helpers import NEG_INF, random_spn
 
 # mass 3; value 2 on (1,1), 1 on (0,0), 0 elsewhere
@@ -259,6 +261,41 @@ def test_unreachable_node_outside_root_scope_is_left_out(capsys, tmp_path):
     src.write_text(format_spn_listing(s))
     assert main(["convert", "spn", str(src), "-o", str(tmp_path / "g.json")]) == 2
     assert "expected exactly one root, found ['r', 'u']" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [3, 43000])
+def test_conversion_walks_the_network_once(monkeypatch, seed):
+    # validation's walk from the root and then every node also orders the
+    # compilation: its prefix up to the root is the walk from the root alone
+    walks = []
+
+    def counted(roots, children):
+        walks.append(roots)
+        return postorder(roots, children)
+
+    monkeypatch.setattr(aog.spn, "postorder", counted)
+    s = random_spn(random.Random(seed), 10)
+    conv = spn_to_aog(s)
+    assert len(walks) == 1
+    order = list(spn_scopes(s))
+    reached = postorder([s.root], lambda name: getattr(s.nodes[name], "children", ()))
+    assert order[: order.index(s.root) + 1] == reached
+    assert conv.partition == partition(s)
+
+
+def test_only_the_nodes_the_root_reaches_are_range_checked():
+    # u's mass is 2e308, which overflows to inf; it counts only under the root
+    nodes = {
+        "u": SumNode(("a", "b"), (1e308, 1e308)),
+        "a": IndicatorNode(0, True),
+        "b": IndicatorNode(0, False),
+        "c": IndicatorNode(1, True),
+        "r": ProductNode(("a", "c")),
+    }
+    assert spn_to_aog(Spn(nodes, "r")).partition == 1.0
+    nodes["r"] = ProductNode(("u", "c"))
+    with pytest.raises(InvalidSpn, match="^node 'u' has mass inf, outside float range$"):
+        spn_to_aog(Spn(nodes, "r"))
 
 
 # networks whose weights or masses leave float range
