@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import math
 import random
+import sys
+from pathlib import Path
 
 from aog import (
     AndRule,
@@ -27,6 +31,17 @@ from aog import (
 )
 
 NEG_INF = float("-inf")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@functools.cache
+def bench_module(name: str):
+    """bench/<name>.py.  bench is not a package and its modules import each
+    other by bare name, so its directory goes last on sys.path."""
+    if str(BENCH) not in sys.path:
+        sys.path.append(str(BENCH))
+    return importlib.import_module(name)
 
 
 def logsumexp(values) -> float:
@@ -170,59 +185,16 @@ def random_cnf_pcfg(rng: random.Random, max_nonterminals: int = 8) -> Scfg:
 
 
 def random_spn(rng: random.Random, n_vars: int) -> Spn:
-    """Random complete and decomposable SPN over variables 1..n_vars."""
-    nodes: dict[str, object] = {}
-    counter = 0
-
-    def add(node) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
-        nodes[name] = node
-        return name
-
-    def leaf(var: int) -> str:
-        if rng.random() < 0.25:
-            return add(IndicatorNode(var, rng.random() < 0.5))
-        pos = add(IndicatorNode(var, True))
-        neg = add(IndicatorNode(var, False))
-        return add(SumNode((pos, neg), (rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))))
-
-    def build(scope: tuple[int, ...], want_sum: bool) -> str:
-        if len(scope) == 1:
-            return leaf(scope[0])
-        if want_sum:
-            children = tuple(build(scope, False) for _ in range(rng.randint(2, 3)))
-            weights = tuple(rng.uniform(0.2, 2.0) for _ in children)
-            return add(SumNode(children, weights))
-        cut = rng.randint(1, len(scope) - 1)
-        left, right = scope[:cut], scope[cut:]
-        return add(ProductNode((build(left, True), build(right, True))))
-
-    scope = tuple(range(1, n_vars + 1))
-    root = build(scope, want_sum=len(scope) > 1)
-    return Spn(nodes, root)
+    """Random complete and decomposable SPN over variables 1..n_vars: the
+    benchmark's generator, built into engine nodes."""
+    plain, root = bench_module("inputs").random_spn(rng, n_vars)
+    kinds = {"ind": IndicatorNode, "sum": SumNode, "prod": ProductNode}
+    return Spn({name: kinds[kind](*fields) for name, (kind, *fields) in plain.items()}, root)
 
 
-def random_3sat(rng: random.Random, max_vars: int = 12, max_clauses: int = 20) -> Cnf3Sat:
-    """Random 3SAT instance; dense instances are drawn often enough that a
-    healthy share of the output is unsatisfiable.
-
-    Total literal occurrences are capped: chart size for these grammars
-    grows with the number of ways clauses can be credited to literals,
-    so unbounded occurrence counts make worst cases explode.
-    """
-    if rng.random() < 0.4:
-        n = rng.randint(1, 3)
-        k = rng.randint(4, 10)
-    else:
-        n = rng.randint(1, max_vars)
-        k = rng.randint(1, max_clauses)
-    budget = 26 - k  # extra literals beyond the mandatory one per clause
-    clauses = []
-    for i in range(k):
-        width = rng.randint(1, min(3, n, 1 + max(0, budget)))
-        budget -= width - 1
-        variables = rng.sample(range(1, n + 1), width)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
-    return Cnf3Sat(n, tuple(clauses))
+def random_3sat(rng: random.Random) -> Cnf3Sat:
+    """Random 3SAT instance: the benchmark's generator, as a Cnf3Sat.  Dense
+    instances come often enough that a healthy share is unsatisfiable, and
+    total literal occurrences are capped, because chart size grows with the
+    ways clauses can be credited to literals."""
+    return Cnf3Sat(*bench_module("inputs").random_3sat(rng))

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand and exit code."""
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -366,6 +367,11 @@ def test_sample_is_reproducible(capsys, grammar_file):
     _, out1 = run(capsys, ["sample", grammar_file, "--seed", "3"])
     _, out2 = run(capsys, ["sample", grammar_file, "--seed", "3"])
     assert out1 == out2
+    # the draws are pinned to the byte
+    code, out = run(capsys, ["sample", grammar_file, "--seed", "7", "--count", "5"])
+    assert code == 0
+    digest = "885e196fb0d8c27e83aa9821f779f25d25fda09310e8e6ea2676db4efbb5bca8"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_normalize_writes_grammar_and_map(capsys, tmp_path, grammar_file):
@@ -382,6 +388,53 @@ def test_normalize_writes_grammar_and_map(capsys, tmp_path, grammar_file):
 
     assert gcnf_violations(load_grammar(str(out_path))) == []
     assert load_node_map(str(map_path)).original_start == "figure"
+
+
+def tree_params(tree: dict) -> list:
+    """The param of every node of a printed tree."""
+    params, todo = [], [tree["root"]]
+    while todo:
+        node = todo.pop()
+        params.append(node["param"])
+        todo += node.get("children", [])
+    return params
+
+
+def test_a_wide_rule_parses_through_its_packed_normal_form(capsys, tmp_path):
+    # S -> A A A A is binarized: S applies adjacent to its packed children
+    scfg_path, gpath, xpath = tmp_path / "wide.scfg", tmp_path / "wide.json", tmp_path / "x.json"
+    gcnf_path, map_path = tmp_path / "wide.gcnf.json", tmp_path / "wide.map.json"
+    scfg_path.write_text("S -> A A A A [1.0]\nA -> a [1.0]\n")
+    assert run(capsys, ["convert", "scfg", str(scfg_path), "-o", str(gpath)])[0] == 0
+    argv = ["normalize", str(gpath), "-o", str(gcnf_path), "--map", str(map_path)]
+    assert run(capsys, argv)[0] == 0
+    save_sample(string_sample(list("aaaa")), aog.string_span_domain(), xpath)
+    [rule] = [r for r in json.loads(gcnf_path.read_text())["and_rules"] if r["head"] == "S"]
+    packed = {"key": "apply_packed", "config": {"arity": 4, "config": {}, "key": "adjacent"}}
+    assert rule["relation"] == packed
+    node_map = json.loads(map_path.read_text())
+    assert node_map["bin_nodes"] == {"S#bin1": "S", "S#bin2": "S"}
+    assert node_map["start_node"] == "S#start"
+
+    # the stored cells hold every instance set of each size, so the count walks no pair
+    code, out = run(capsys, ["parse", str(gcnf_path), str(xpath), "--stats"])
+    result = json.loads(out)
+    assert code == 0 and result["found"] and result["log_prob"] == 0.0
+    assert result["normalized"] is False
+    stats = result["stats"]
+    assert stats["per_size_compositions"] == [0, 4, 6, 4, 1]
+    assert stats["per_size_entries"] == [0, 4, 12, 24, 1]
+    assert (stats["pair_tests"], stats["c_max"], stats["total_compositions"]) == (160, 6, 15)
+    assert {"t": [[0, 1], [1, 2]]} in tree_params(result["tree"])
+
+    # the original grammar is not in normal form: parse binarizes it into packed
+    # parameters and projects the tree back, so no packed parameter is printed
+    code, out = run(capsys, ["parse", str(gpath), str(xpath), "--stats"])
+    result = json.loads(out)
+    assert code == 0 and result["found"] and result["log_prob"] == 0.0
+    assert result["normalized"] is True
+    params = tree_params(result["tree"])
+    assert len(params) == 9 and not any(isinstance(p, dict) for p in params)
 
 
 def test_convert_scfg(capsys, tmp_path, scfg_file):
@@ -414,6 +467,19 @@ def test_convert_spn(capsys, tmp_path):
     assert code == 0
     audit = json.loads(out)
     assert audit["partition"] == 3.0
+    # a product root is an And-node start: the conversion is pinned to the
+    # byte, and its parse goes through the start wrapper
+    src.write_text("r prod a b\na ind 1 +\nb ind 2 -\n")
+    assert run(capsys, ["convert", "spn", str(src), "-o", str(out_path)])[0] == 0
+    digest = "6903247de29a275032f01e0262c819526dcd2316c28547215e32967eb8b355ae"
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    xpath = tmp_path / "x.json"
+    instances = [("v1", "x1"), ("v2", "x2_neg")]
+    xpath.write_text(json.dumps(
+        {"instances": [{"id": i, "param": None, "terminal": t} for i, t in instances]}
+    ))
+    code, out = run(capsys, ["parse", str(out_path), str(xpath)])
+    assert code == 0 and json.loads(out)["found"] is True
 
 
 def test_convert_sat_writes_sample(capsys, tmp_path):
@@ -457,7 +523,7 @@ STATS_KEYS = {
 
 
 def test_parse_stats_prints_the_nine_keys_and_their_counts(capsys, tmp_path):
-    # the formula CI parses: below the full size the start's child pair only counts
+    # below the full size the start's child pair only counts
     src = tmp_path / "f.cnf"
     src.write_text("p cnf 4 3\n1 -2 3 0\n2 3 -4 0\n-1 -3 4 0\n")
     gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
@@ -669,10 +735,32 @@ def test_cli_entry_point_installed(tmp_path, grammar_file):
 
 
 @pytest.mark.skipif(not _aog_installed(), reason="the aog distribution is not installed")
-def test_installed_console_script_on_path():
+def test_installed_console_script_on_path(capsys, monkeypatch, tmp_path):
+    """The `aog` on PATH runs outside the checkout, with no PYTHONPATH, and
+    prints what `main` prints in-process."""
     installed = distribution("aog").entry_points.select(group="console_scripts", name="aog")
     assert [entry.value for entry in installed] == [_declared_scripts()["aog"]]
-    assert shutil.which("aog") is not None
+    command = shutil.which("aog")
+    assert command is not None
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    monkeypatch.chdir(tmp_path)
+    Path("g.scfg").write_text("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]\n")
+    instances = [{"id": f"w{i}", "param": [i, i + 1], "terminal": "a"} for i in range(2)]
+    Path("x.json").write_text(json.dumps({"instances": instances}))
+
+    steps = (
+        ["convert", "scfg", "g.scfg", "-o", "g.json"],
+        ["parse", "g.json", "x.json"],
+        ["emit", "slp", "g.json"],
+    )
+    outside = [
+        subprocess.run([command, *argv], env=env, capture_output=True, text=True, timeout=60)
+        for argv in steps
+    ]
+    for argv, done in zip(steps, outside):
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == run(capsys, argv)[1]
+    assert json.loads(outside[1].stdout)["found"] is True
 
 
 # ------------------------------------------------------- repeated in-process calls
@@ -805,6 +893,8 @@ def test_parse_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):
     # compared as text: json.loads would recurse as deep as the tree
     assert out == canonical_dumps(expected)
     assert out.count('"node": "S"') == 400
+    code, out = run(capsys, ["parse", str(gpath), str(xpath), "--stats"])
+    assert code == 0 and '"sample_size": 400' in out
 
 
 def test_sample_prints_a_tree_deeper_than_json_recursion(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Probabilistic-logic text emitters: shape, determinism, golden files."""
 
 import functools
+import itertools
 import math
 import pathlib
 import random
@@ -14,6 +15,7 @@ from aog import (
     Grammar,
     OrRule,
     RelationRef,
+    assignment_sample,
     emit_fol,
     emit_slp,
     null_domain,
@@ -27,7 +29,7 @@ from aog import (
     to_gcnf,
     Cnf3Sat,
 )
-from helpers import random_aog, random_spn
+from helpers import random_3sat, random_aog, random_spn
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -221,12 +223,14 @@ def test_a_terminal_keeps_its_name_beside_a_node_it_clashes_with():
     assert "forall x: a2(x) -> a(x) : 1.0" in emit_fol(g).clause_lines()
 
 
-def slp_mass(doc, tokens):
+def slp_mass(doc, tokens, every_order=False):
     """The mass of an SLP document's goal on a token list, read back from
     its text: a predicate's mass is the sum over its clauses, where a fact
     counts when the list is its one terminal and a body multiplies its node
     goals' masses over every split of the list into non-empty parts
-    (`append` concatenates and the `r_*` stubs hold)."""
+    (`append` concatenates and the `r_*` stubs hold).  With every_order,
+    the sum of that mass over every order of the tokens: on the null domain
+    a parse places its instances in any order."""
     clauses = {}
     for line in doc.clause_lines():
         if line.startswith(":- "):
@@ -253,7 +257,8 @@ def slp_mass(doc, tokens):
             for i in range(1, len(toks) - len(goals) + 2)
         )
 
-    return mass(start, tuple(tokens))
+    orders = itertools.permutations(tokens) if every_order else [tuple(tokens)]
+    return sum(mass(start, order) for order in orders)
 
 
 @pytest.mark.parametrize(
@@ -289,6 +294,33 @@ def test_slp_derives_what_the_grammar_derives(chains):
             assert math.isclose(slp_mass(doc, tokens), expected, rel_tol=1e-9), (seed, tokens)
             checked += 1
     assert checked >= 40
+
+
+def null_domain_cases():
+    """(grammar, sample) pairs on the null domain, whose terminals are all
+    distinct: every assignment of SPNs over 1-4 variables, and SAT formulas
+    of at most 5 clauses."""
+    for seed in range(30):
+        n_vars = 1 + seed % 4
+        conv = spn_to_aog(random_spn(random.Random(seed), n_vars))
+        for bits in range(2**n_vars):
+            assignment = {v: (bits >> (v - 1)) & 1 for v in range(1, n_vars + 1)}
+            yield conv.grammar, assignment_sample(conv, assignment)
+    for seed in range(60):
+        f = random_3sat(random.Random(seed))
+        if len(f.clauses) <= 5:
+            yield sat_to_aog(f)
+
+
+def test_slp_derives_what_the_grammar_derives_on_the_null_domain():
+    checked = 0
+    for g, x in null_domain_cases():
+        tokens = [i.terminal for i in x.instances]
+        expected = math.exp(parse(to_gcnf(g)[0], x, "marginal").score)
+        got = slp_mass(emit_slp(g), tokens, every_order=True)
+        assert math.isclose(got, expected, rel_tol=1e-9), (tokens, got, expected)
+        checked += 1
+    assert checked == 216 + 19
 
 
 def test_null_domain_terminal_facts_use_null_parameter():

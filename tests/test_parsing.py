@@ -1076,6 +1076,7 @@ def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
     assert stats.per_size_compositions == [0, 4, 3, 2, 1]
     assert stats.per_size_entries == [0, 4, 2, 0, 1]
     assert (stats.pair_tests, stats.c_max, stats.total_compositions) == (6, 4, 10)
+    assert parse(gcnf, x).tree is not None
 
 
 def counted_relations(g: Grammar, calls: list) -> Grammar:
