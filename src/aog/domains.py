@@ -181,17 +181,19 @@ def _ends_meet(what: str) -> Callable[[Any, Any], bool]:
     return lambda left, right: _check_pair(left, what)[1] == _check_pair(right, what)[0]
 
 
-def _plain(name: str, fn: Callable) -> Callable[[dict, int], Callable]:
-    """A relation or function that takes no config and is fn at every arity."""
+def _plain(name: str, fn: Callable,
+           binary: Callable | None = None) -> Callable[[dict, int], Callable]:
+    """A relation or function that takes no config: fn at every arity, or binary at
+    arity 2 if given, which returns what fn does without packing its two arguments."""
 
     def factory(config: dict, arity: int) -> Callable:
         _no_config(config, name)
-        return fn
+        return binary if binary is not None and arity == 2 else fn
 
     return factory
 
 
-_always = _plain("true", lambda *params: True)
+_always = _plain("true", lambda *params: True, lambda left, right: True)
 
 
 def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
@@ -401,7 +403,7 @@ def null_domain() -> DomainBinding:
         name="null",
         config={},
         relations={"true": _always},
-        functions={"null": _plain("null", lambda *params: None)},
+        functions={"null": _plain("null", lambda *params: None, lambda left, right: None)},
         encode_param=lambda p: None,
         decode_param=decode,
         root_default=lambda: None,

@@ -43,15 +43,14 @@ one, so a DomainError from the function there means no match.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
 what every parse of the grammar needs: the kept Or-rules by child with
-their log probs, the And-rules grouped by (left child, right child) pair
-with their relation and function callables, per pair an equality join key
-where the domain declares one (see domains.py), per terminal the pairs
-a size-1 cell over it is a child of, and per head the And-rules and
-Or-rules that derive its cells above size 1, for derivation.
-Grammar.compiled caches it on the grammar instance, so a grammar parsed
-many times resolves each relation and function once.  Seeding writes
-size-1 cells directly, folding the score of a second Or-rule over the
-same head and terminal.
+their log probs, the And-rules grouped by (left child, right child) pair,
+each as the fill reads it, (relation, function, ((log prob, head), ...)),
+per pair an equality join key where the domain declares one, per terminal
+the pairs a size-1 cell over it is a child of, and per head the And-rules
+and Or-rules that derive its cells above size 1, for derivation.
+Grammar.compiled caches it on the grammar, so a grammar parsed many times
+resolves each callable once.  Seeding writes size-1 cells directly,
+folding in the score of a second Or-rule over the same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
@@ -66,9 +65,11 @@ derivations are those of trying every pair.  Buckets and key lists keep
 the chart's insertion order, so each cell receives its derivations in the
 same order as when every left x right pair is tried, and the
 floating-point log_add sums of marginal cells stay bit-identical.
-stats.pair_tests counts the candidates examined.  A rule whose head keeps
-no cell at a size is skipped before its relation is called, and a pair with
-no other rules there only adds its candidates to pair_tests, walking no cell.
+stats.pair_tests counts the candidates examined, and per_size_entries each
+size's cells as they are made; a node's dict is made with its first cell,
+so none is empty.  A rule whose head keeps no cell at a size is skipped
+before its relation is called, and a pair with no other rules there only
+adds its candidates to pair_tests, walking no cell.
 
 Counting.  A size's compositions are the masks of its stored cells and the
 unions lmask | rmask of the disjoint child pairs that the relation of a
@@ -182,13 +183,14 @@ class CompiledGrammar:
     child pairs of the And-rules in order of first use in and_rules, each
     (left child, right child, join, rules, counted): join is the pair's (left
     key, right key) when all its rules share one relation that declares a
-    join, else None; rules[top] are (And-rule index, relation, function,
-    or_by_child[top] of the head) of its rules whose head keeps a cell, in
-    and_rules order, and counted[top] the relations of its count-only rules,
-    whose head has Or-rules but keeps no cell.  by_left and by_right map a
-    node to the positions in pairs of the pairs with that left or right
-    child, and seeds[right] a terminal to the sorted positions of the pairs
-    whose left (right) child heads an or_by_child[0] rule over it.
+    join, else None; rules[top] are the fill's records of its rules whose head
+    keeps a cell, in and_rules order, each (relation, function, ((log prob,
+    head), ...) of the head's or_by_child[top] rules), and counted[top] the
+    relations of its count-only rules, whose head has Or-rules but keeps no
+    cell.  by_left and by_right map a node to the positions in pairs of the
+    pairs with that left or right child, and seeds[right] a terminal to the
+    sorted positions of the pairs whose left (right) child heads an
+    or_by_child[0] rule over it.
     feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
     order, each (And-rule index, left child, right child, relation, function,
     ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
@@ -247,7 +249,8 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         join = g.domain.join(relation) if shared else None
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
-        kept = tuple([r for r in by_top if r[3]] for by_top in rules)
+        kept = tuple([(rel, fn, tuple((logp, head) for _, logp, head in heads))
+                      for _, rel, fn, heads in by_top if heads] for by_top in rules)
         counted = tuple(tuple(r[1] for r in by_top if r[3] == []) for by_top in rules)
         pairs.append((left, right, join, kept, counted))
     seeds = tuple(
@@ -407,16 +410,21 @@ def build_table(
     for index, inst in enumerate(x.instances):
         ikey = (inst.param, 1 << index)
         for _, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
-            cells = seeded.get(head) or seeded.setdefault(head, {})
-            cur = cells.get(ikey)  # set by a second Or-rule over head and terminal
-            cells[ikey] = logp if cur is None else fold(cur, logp)
+            cells = seeded.get(head)
+            if cells is None:  # a node's dict is made with its first cell
+                seeded[head] = {ikey: logp}
+            else:
+                cur = cells.get(ikey)  # set by a second Or-rule over head and terminal
+                cells[ikey] = logp if cur is None else fold(cur, logp)
     entry_count = sum(map(len, seeded.values()))
     if entry_count > max_entries:
-        raise BudgetExceeded(f"chart exceeded {max_entries} entries")
+        raise BudgetExceeded(f"chart exceeded {max_entries} entries at size 1")
     if deadline is not None and time.monotonic() >= deadline:  # also on one instance
         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
 
     pair_tests = 0
+    per_size_entries = [0, entry_count]  # stored cells, counted as they are made
+    pairs = compiled.pairs
     # size -> positions of the child pairs whose left (right) child has
     # cells of that size, listed once the stratum is final (size 1: compiled)
     with_left, with_right = ([set(), set().union(*map(s.get, terminals))] for s in compiled.seeds)
@@ -430,13 +438,16 @@ def build_table(
         if i > 2:
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
-        stratum = scores[i]
+        stratum, top, stored = scores[i], i == n, entry_count
         for j in range(1, i):
+            live = with_left[j] & with_right[i - j]
+            if not live:
+                continue
             left_nodes, right_nodes = scores[j], scores[i - j]
-            for pos in sorted(with_left[j] & with_right[i - j]):
-                left_child, right_child, join, by_size, _ = compiled.pairs[pos]
+            for pos in sorted(live):
+                left_child, right_child, join, by_size, _ = pairs[pos]
                 lefts, rights = left_nodes[left_child], right_nodes[right_child]
-                rules = by_size[i == n]
+                rules = by_size[top]
                 if join is not None:
                     join_left, join_right = join
                     bucket = buckets.get((i - j, pos))
@@ -455,38 +466,38 @@ def build_table(
                 for (lparam, lmask), lscore in lefts.items():
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
-                    if join is None:
-                        candidates = rights.items()
-                    else:
-                        candidates = bucket.get(next_key(), ())
+                    candidates = rights.items() if join is None else bucket.get(next_key(), ())
                     pair_tests += len(candidates)
                     for (rparam, rmask), rscore in candidates:
                         if lmask & rmask:
                             continue
-                        pair_score = lscore + rscore
-                        umask = lmask | rmask
-                        for _, rel, fn, or_rules in rules:
+                        pair_score, umask = lscore + rscore, lmask | rmask
+                        for rel, fn, heads in rules:
                             if not rel(lparam, rparam):
                                 continue
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
-                            for _, logp, or_head in or_rules:
-                                # the one place a cell above size 1 is created or updated;
-                                # a node's dict holds a cell from its creation on, so it is truthy
-                                cells = stratum.get(or_head) or stratum.setdefault(or_head, {})
-                                cur = cells.get(ikey)
+                            for logp, head in heads:
+                                # the one place a cell above size 1 is written, as in seeding
+                                cells = stratum.get(head)
+                                cur = cells and cells.get(ikey)
                                 if cur is not None:
                                     cells[ikey] = fold(cur, logp + pair_score)
                                     continue
                                 entry_count += 1
                                 if entry_count > max_entries:
-                                    raise BudgetExceeded(f"chart exceeded {max_entries} entries")
-                                cells[ikey] = logp + pair_score
+                                    raise BudgetExceeded(
+                                        f"chart exceeded {max_entries} entries at size {i}")
+                                if cells:
+                                    cells[ikey] = logp + pair_score
+                                else:
+                                    stratum[head] = {ikey: logp + pair_score}
+        per_size_entries.append(entry_count - stored)
 
     finished = time.monotonic()
     seconds_left = None if deadline is None else deadline - finished  # the count re-arms it
     stats = CompositionStats(
         sample_size=n,
-        per_size_entries=[sum(map(len, stratum.values())) for stratum in scores],
+        per_size_entries=per_size_entries,
         pair_tests=pair_tests,
         elapsed_seconds=finished - started,
         # closes over the chart's parts, not the table, so that no cycle keeps a table alive

@@ -2,6 +2,7 @@
 
 import collections
 import enum
+import itertools
 import re
 
 import pytest
@@ -350,3 +351,48 @@ def test_pair_check_accepts_and_rejects_as_the_isinstance_test(make, key, what):
             with pytest.raises(DomainError) as raised:
                 call()
             assert str(raised.value) == message
+
+
+def outcome(fn, *params):
+    """What fn gives on params: its value with the value's type, or the type it raises."""
+    try:
+        value = fn(*params)
+    except Exception as exc:  # its type is what is compared
+        return ("raises", type(exc))
+    return ("value", type(value), value)
+
+
+PLAIN = {  # the entries _plain builds, and two params of each domain
+    "string_span": ({"functions": {"concat"}}, [(0, 1), (1, 3)]),
+    "grid": ({}, [(0, 0), (2, 1)]),
+    "interval": ({"functions": {"hull"}}, [(0, 4), (2, 5)]),
+    "null": ({"relations": {"true"}, "functions": {"null"}}, [None, None]),
+}
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["base", "tuple"])
+@pytest.mark.parametrize("name", sorted(PLAIN))
+def test_plain_entries_give_at_arity_two_what_their_n_ary_form_gives(name, wrapped):
+    dom = domain_from_config(name)
+    expected, params = PLAIN[name]
+    expected = {kind: set(keys) for kind, keys in expected.items()}
+    if wrapped:
+        dom = tuple_domain(dom)
+        expected.setdefault("relations", set()).add("true")
+        expected.setdefault("functions", set()).update({"pack", "extend"})
+        params = [*params, ParamTuple(tuple(params))]
+    malformed = ["x", (1,), 1.5, ParamTuple(()), (0, True), ((0, 1), (1, 2))]
+    built = {}
+    for kind in ("relations", "functions"):
+        for key, factory in getattr(dom, kind).items():
+            if factory.__qualname__ != "_plain.<locals>.factory":
+                continue
+            built.setdefault(kind, set()).add(key)
+            binary, n_ary = factory({}, 2), factory({}, 3)
+            for left, right in itertools.product(params + malformed, repeat=2):
+                same = outcome(binary, left, right) == outcome(n_ary, left, right)
+                assert same, (key, left, right)
+            if key in ("true", "null"):  # called with its two params alone
+                with pytest.raises(TypeError):
+                    binary(*params, params[0])
+    assert built == expected

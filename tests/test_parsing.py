@@ -57,7 +57,7 @@ from aog import (
 )
 from aog import parsing
 from aog.cli import main
-from aog.parsing import positions_of, tie_key
+from aog.parsing import log_add, positions_of, tie_key
 from helpers import NEG_INF, chart_fingerprint, logsumexp, random_3sat, random_aog, random_spn
 
 AMBIGUOUS = parse_scfg(
@@ -1486,7 +1486,13 @@ def test_duplicate_or_rules_fold_at_seeding(p, r):
         assert marginal.score == pytest.approx(logsumexp([lp for _, lp in trees]), abs=1e-12)
         assert marginal.score == pytest.approx(total, abs=1e-12)
         assert tree_probability(g, viterbi.tree) == pytest.approx(best, abs=1e-12)
-        table = build_table(g, x, "viterbi")
+        for mode, fold in (("marginal", log_add), ("viterbi", max)):
+            table = build_table(g, x, mode)
+            # the first instance opens node's dict and folds in the second
+            # Or-rule; a later instance adds its cell to that dict and folds
+            assert list(table.scores[1]) == [node]
+            assert list(table.scores[1][node]) == [((i, i + 1), 1 << i) for i in range(len(x))]
+            assert set(table.scores[1][node].values()) == {fold(*map(math.log, probs))}
         assert table.stats.per_size_entries[1] == len(tokens)
         assert table.scores[1][node][(0, 1), 1] == math.log(max(probs))
         cell = table.derivation(CompositionKey(node, (0, 1), 1))
@@ -1498,7 +1504,7 @@ def test_budget_entries_bind_during_seeding():
     stats = parse(gcnf, x).stats
     seeded = stats.per_size_entries[1]
     assert 0 < seeded < stats.table_entries
-    with pytest.raises(BudgetExceeded, match=f"chart exceeded {seeded - 1} entries"):
+    with pytest.raises(BudgetExceeded, match=f"^chart exceeded {seeded - 1} entries at size 1$"):
         parse(gcnf, x, budget=ParserBudget(max_entries=seeded - 1))
     budget = ParserBudget(max_entries=stats.table_entries)
     assert parse(gcnf, x, budget=budget).stats.table_entries == stats.table_entries
@@ -1506,6 +1512,46 @@ def test_budget_entries_bind_during_seeding():
     gcnf = to_gcnf(scfg_to_aog(AMBIGUOUS))[0]
     with pytest.raises(BudgetExceeded, match="chart exceeded 0 entries"):
         parse(gcnf, string_sample(["a"]), budget=ParserBudget(max_entries=0))
+
+
+@pytest.mark.parametrize("mode", ["viterbi", "marginal"])
+def test_budget_entries_fire_on_the_cell_that_would_open_a_node(mode):
+    # under X -> X X | a the first cell of each size opens that size's one
+    # node dict, and the next cell of the size goes into it
+    gcnf = to_gcnf(scfg_to_aog(AMBIGUOUS))[0]
+    x = string_sample(["a"] * 5)
+    entries = build_table(gcnf, x, mode).stats.per_size_entries
+    assert entries[2:] == [4, 3, 2, 1]
+    for i in range(2, len(x) + 1):
+        for stored in (sum(entries[:i]), sum(entries[:i]) + 1):
+            if stored < sum(entries[: i + 1]):
+                message = f"^chart exceeded {stored} entries at size {i}$"
+                with pytest.raises(BudgetExceeded, match=message):
+                    build_table(gcnf, x, mode, ParserBudget(max_entries=stored))
+    table = build_table(gcnf, x, mode, ParserBudget(max_entries=sum(entries)))
+    assert table.stats.per_size_entries == entries
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["tree", "or-chains"])
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_per_size_entries_are_the_cells_stored_at_each_size(kind, chains):
+    # the fill counts cells as it makes them, and makes a node's dict with its
+    # first cell: positions_of lists a node's pairs as soon as its dict exists
+    checked = 0
+    for trial in range(40):
+        g = random_aog(random.Random(7300 + trial), allow_or_chains=chains, kind=kind)
+        gcnf = to_gcnf(g)[0]
+        for seed in range(4):
+            x = aog.sample(g, seed=seed * 7 + trial)[1]
+            if len(x) > 8:
+                continue
+            for mode in ("viterbi", "marginal"):
+                table = build_table(gcnf, x, mode)
+                stored = [sum(map(len, stratum.values())) for stratum in table.scores]
+                assert table.stats.per_size_entries == stored
+                assert all(cells for stratum in table.scores for cells in stratum.values())
+                checked += len(x) > 2
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
