@@ -39,6 +39,7 @@ import json
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 from .errors import AogError, BudgetExceeded, DepthExceeded, DomainError, FormatError
@@ -128,6 +129,7 @@ def _with_grammar(cmd):
     """
 
     def run(args: argparse.Namespace) -> int:
+        args.started = time.monotonic()  # a parse's time budget counts from here
         g = load_grammar(args.grammar, renormalize=args.renormalize, check=False)
         x = load_sample(args.sample, g.domain) if "sample" in args else None
         report = validate_grammar(g)
@@ -162,6 +164,10 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         log.info("grammar is not in normal form; normalizing for parsing")
         target, node_map = to_gcnf(g)
     budget = ParserBudget(max_entries=args.budget_entries, max_seconds=args.budget_seconds)
+    if budget.max_seconds is not None:  # what loading and normalizing left of it
+        budget.max_seconds -= time.monotonic() - args.started
+        if budget.max_seconds <= 0:
+            raise BudgetExceeded(f"parse exceeded {args.budget_seconds} seconds before parsing")
     result = parse(target, x, mode=args.mode, budget=budget)
     found = result.score != NEG_INF
     out = {

@@ -10,7 +10,7 @@ stays agnostic about what parameters actually are.
 Built-in domains: string spans, integer grid points, integer intervals,
 the trivial null domain, and a tuple domain that wraps any base domain
 (used by the normalizer to thread flattened child parameters through
-binarized rules).
+binarized wide rules whose pair declares no fold).
 
 A relation may also declare, in the joins registry, an equality join key
 for its binary form: functions (left key, right key) whose values are
@@ -103,6 +103,12 @@ class DomainBinding:
     parser sorts root parameters by param_order_key, which raises DomainError
     on any other value (a bool, a str, a float).
 
+    A fold gives a wide rule's binary steps, left to right: step k relates
+    the state of the first k children to child k + 1, and its function makes
+    the next state ("adjacent"/"concat" and "true"/"null" repeat, grid
+    "offset"/"anchor" keeps the first point).  to_gcnf packs the children of
+    a rule whose pair declares none in the tuple domain.
+
     Bindings compare by (name, config): domain_from_config rebuilds the
     same callables from those two fields, so identically configured
     bindings are interchangeable even when their function objects differ.
@@ -116,6 +122,9 @@ class DomainBinding:
     decode_param: Callable[[Any], Any]
     # relation key -> equality join key of its binary form, where declared
     joins: dict[str, JoinFactory] = field(default_factory=dict)
+    # (relation key, function key) -> fold(relation, function, arity): the
+    # (relation, function) of each of the arity - 1 binary steps, where declared
+    folds: dict[tuple[str, str], Callable[..., list]] = field(default_factory=dict)
     # leaf order: leaf index -> parameter
     leaf_param: Callable[[int], Any] | None = None
     # top down: default parameter for the sample root
@@ -196,6 +205,11 @@ def _plain(name: str, fn: Callable,
 _always = _plain("true", lambda *params: True, lambda left, right: True)
 
 
+def _repeated(relation: RelationRef, function: FunctionRef, arity: int) -> list[tuple]:
+    """The fold whose every step is the rule's own relation and function."""
+    return [(relation, function)] * (arity - 1)
+
+
 def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
     """A relation that holds when binary holds on every two consecutive
     children; its binary form is binary itself."""
@@ -236,8 +250,10 @@ def string_span_domain() -> DomainBinding:
         name="string_span",
         config={},
         relations={"adjacent": _chain("adjacent", _ends_meet("span"))},
-        functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]))},
+        functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]),
+                                    lambda left, right: (left[0], right[1]))},
         joins={"adjacent": _end_start_join("adjacent", "span")},
+        folds={("adjacent", "concat"): _repeated},
         **_pair_codec("span", ordered=True),
         leaf_param=lambda i: (i, i + 1),
     )
@@ -311,12 +327,21 @@ def grid_domain() -> DomainBinding:
         first = (px - ax, py - ay)
         return (first,) + tuple((first[0] + dx, first[1] + dy) for dx, dy in offsets)
 
+    def offset_fold(rel: RelationRef, fn: FunctionRef, arity: int) -> list[tuple]:
+        # the state is the first point; the last step places the parent from it
+        first = FunctionRef("anchor", {"anchor": [0, 0]})
+        steps = [(RelationRef("offset", {"offsets": [[dx, dy]]}), first)
+                 for dx, dy in _read_offsets(dict(rel.config), arity)]
+        steps[-1] = (steps[-1][0], fn)
+        return steps
+
     return DomainBinding(
         name="grid",
         config={},
         relations={"offset": offset},
         functions={"anchor": anchor},
         joins={"offset": offset_join},
+        folds={("offset", "anchor"): offset_fold},
         **_pair_codec("grid point", ordered=False),
         root_default=lambda: (0, 0),
         realize_children=realize,
@@ -371,6 +396,8 @@ def interval_domain() -> DomainBinding:
             return tuple((cuts[i], cuts[i + 1]) for i in range(arity))
         raise DomainError(f"no canonical child split for relation {rel.key!r}")
 
+    # no fold: the hull of reversed intervals, which _check_pair accepts, is not
+    # exact for "before" ((0, 9), (10, 1), (2, 5) holds, but not from their hull)
     return DomainBinding(
         name="interval",
         config={},
@@ -380,7 +407,7 @@ def interval_domain() -> DomainBinding:
             "equals": _chain("equals", lambda l, r: _check_pair(l, iv) == _check_pair(r, iv)),
             "during": during,
         },
-        functions={"hull": _plain("hull", hull)},
+        functions={"hull": _plain("hull", hull, lambda l, r: (min(l[0], r[0]), max(l[1], r[1])))},
         joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
         **_pair_codec("interval", ordered=True),
         root_default=lambda: (0, 1024),
@@ -404,6 +431,7 @@ def null_domain() -> DomainBinding:
         config={},
         relations={"true": _always},
         functions={"null": _plain("null", lambda *params: None, lambda left, right: None)},
+        folds={("true", "null"): _repeated},
         encode_param=lambda p: None,
         decode_param=decode,
         root_default=lambda: None,
@@ -414,9 +442,13 @@ def null_domain() -> DomainBinding:
 # ---------------------------------------------------------------- tuple domain
 
 
-def packed_ref(ref: RelationRef | FunctionRef, arity: int) -> RelationRef | FunctionRef:
-    """ref, of a rule with arity children, as applied to its packed children (_applied)."""
-    return type(ref)("apply_packed", {"key": ref.key, "config": dict(ref.config), "arity": arity})
+def packed_steps(relation: RelationRef, function: FunctionRef, arity: int) -> list[tuple]:
+    """The fold of a wide rule in the tuple domain: pack and extend its children under
+    true, then apply the rule's relation and function to the packed tuple (_applied)."""
+    true, refs = RelationRef("true", {}), (relation, function)
+    steps = [(true, FunctionRef("extend" if i else "pack", {})) for i in range(arity - 2)]
+    configs = [{"key": ref.key, "config": dict(ref.config), "arity": arity} for ref in refs]
+    return steps + [tuple(type(ref)("apply_packed", c) for ref, c in zip(refs, configs))]
 
 
 def _applied(config: dict, ref_type: type) -> tuple[Any, int]:

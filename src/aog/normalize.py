@@ -8,18 +8,21 @@ elimination, binarization of wide And-rules, Or-wrapping of And/terminal
 children) and returns a NodeMap that project_parse uses to translate
 parse trees back onto the original grammar.
 
-Binarization threads the already-combined child parameters through as a
-flat tuple: intermediate And-nodes pack/extend the tuple under a
-trivially true relation, and the final pair applies the original
-relation and function to the unpacked tuple.  The grammar's domain is
-wrapped in a tuple domain exactly when that happens.
+Binarization takes a wide And-rule left to right.  Where the domain
+declares a fold for its relation and function (DomainBinding.folds), each
+step is an ordinary rule of the domain, whose parameter is the state of
+the children so far.  Any other wide rule threads its child parameters
+through as a flat tuple: intermediate And-nodes pack/extend it under a
+trivially true relation, and the final pair applies the original relation
+and function to the unpacked tuple, in a tuple domain that wraps the
+grammar's; normal forms already written in it still load and parse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .domains import FunctionRef, RelationRef, packed_ref, tuple_domain
+from .domains import packed_steps, tuple_domain
 from .errors import MapMismatch, UnitCycleError
 from .grammar import (
     AndRule,
@@ -73,7 +76,9 @@ class NodeMap:
 
 def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
     """Convert a valid grammar to normal form; probabilities are preserved
-    per derivation, with parallel Or-chains merged by probability summation."""
+    per derivation, with parallel Or-chains merged by probability summation.
+    A wide rule folds in its domain's own steps where the domain declares a
+    fold, else it packs its children in the tuple domain (module docstring)."""
     report = validate_grammar(g)
     if not report.ok:
         raise ValueError(f"cannot normalize an invalid grammar:\n{report}")
@@ -130,27 +135,24 @@ def to_gcnf(g: Grammar) -> tuple[Grammar, NodeMap]:
                 if len(chains) > 1 or len(chains[0].nodes) > 2:
                     node_map.unit_chains[(head, child)] = chains
 
-    # binarize: left-leaning chains carrying packed child parameters
+    # binarize: left-leaning chains, folded in the domain's own relation where
+    # it declares a fold for the rule, else carrying packed child parameters
     domain = g.domain
     wide = [rule for rule in and_rules if len(rule.children) > 2]
-    if wide:
-        domain = tuple_domain(g.domain)
-        and_rules = [rule for rule in and_rules if len(rule.children) == 2]
-        for rule in wide:
-            arity = len(rule.children)
-            true_rel = RelationRef("true", {})
-            prev = fresh_name(f"{rule.head}#bin1", existing)
-            node_map.bin_nodes[prev] = rule.head
-            and_rules.append(AndRule(prev, rule.children[:2], true_rel, FunctionRef("pack", {})))
-            for i in range(2, arity - 1):
-                node = fresh_name(f"{rule.head}#bin{i}", existing)
-                node_map.bin_nodes[node] = rule.head
-                and_rules.append(
-                    AndRule(node, (prev, rule.children[i]), true_rel, FunctionRef("extend", {}))
-                )
-                prev = node
-            relation, function = (packed_ref(ref, arity) for ref in (rule.relation, rule.function))
-            and_rules.append(AndRule(rule.head, (prev, rule.children[-1]), relation, function))
+    and_rules = [rule for rule in and_rules if len(rule.children) == 2]
+    for rule in wide:
+        arity = len(rule.children)
+        fold = g.domain.folds.get((rule.relation.key, rule.function.key))
+        if fold is None:
+            domain, fold = tuple_domain(g.domain), packed_steps
+        steps = fold(rule.relation, rule.function, arity)
+        prev = rule.children[0]
+        for i, (relation, function) in enumerate(steps[:-1], 1):
+            node = fresh_name(f"{rule.head}#bin{i}", existing)
+            node_map.bin_nodes[node] = rule.head
+            and_rules.append(AndRule(node, (prev, rule.children[i]), relation, function))
+            prev = node
+        and_rules.append(AndRule(rule.head, (prev, rule.children[-1]), *steps[-1]))
 
     # alternate wrappers: And-rule children must be Or-nodes
     alt_of: dict[str, str] = {}
@@ -178,8 +180,8 @@ def project_parse(tree: ParseTree, node_map: NodeMap, original: Grammar) -> Pars
     """Translate a normal-form parse tree back onto the original grammar.
 
     Synthesized start/alternate wrappers are spliced out, binarization
-    chains are flattened back to wide And-rules (dropping the packed tuple
-    parameters), and merged unit chains are re-expanded along their most
+    chains are flattened back to wide And-rules (dropping the parameters of
+    their steps), and merged unit chains are re-expanded along their most
     probable recorded path.  One fold over the tree, children before
     parents, so a tree with several faults raises the first that order
     meets.  The result is re-scored against the original grammar, which

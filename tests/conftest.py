@@ -14,6 +14,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import over_intervals  # noqa: E402
+
 from aog import (
     AndRule,
     FunctionRef,
@@ -92,6 +94,13 @@ def wide_string_grammar() -> Grammar:
             OrRule("letter", "a", 1.0),
         ),
     )
+
+
+@pytest.fixture
+def wide_interval_grammar(wide_string_grammar) -> Grammar:
+    """wide_string_grammar over intervals with meets/hull: its normal form
+    binarizes the wide rules through the tuple domain's packed tuples."""
+    return over_intervals(wide_string_grammar)
 
 
 @pytest.fixture

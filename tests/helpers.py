@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -159,6 +160,21 @@ def random_aog(
         and_rules=tuple(and_rules),
         or_rules=tuple(or_rules),
     )
+
+
+def packed(g: Grammar) -> Grammar:
+    """g over a copy of its domain that declares no fold, so to_gcnf binarizes
+    each wide rule through the tuple domain, as it did before folds."""
+    return dataclasses.replace(g, domain=dataclasses.replace(g.domain, folds={}))
+
+
+def over_intervals(g: Grammar) -> Grammar:
+    """g over intervals, each And-rule as meets/hull, which declare no fold: on
+    string_sample's spans it derives what g does with adjacent/concat, and its
+    normal form packs each wide rule's children in the tuple domain."""
+    meets, hull = RelationRef("meets"), FunctionRef("hull")
+    rules = tuple(dataclasses.replace(r, relation=meets, function=hull) for r in g.and_rules)
+    return dataclasses.replace(g, domain=interval_domain(), and_rules=rules)
 
 
 def random_cnf_pcfg(rng: random.Random, max_nonterminals: int = 8) -> Scfg:

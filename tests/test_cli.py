@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -35,13 +36,21 @@ from aog import (
 )
 from aog.cli import main, tree_to_dot
 from aog.serialize import canonical_dumps, tree_to_json_dict
-from helpers import random_aog
+from helpers import over_intervals, random_aog
 
 
 @pytest.fixture
 def grammar_file(tmp_path, line_drawing):
     path = tmp_path / "grammar.json"
     save_grammar(line_drawing, path)
+    return str(path)
+
+
+@pytest.fixture
+def wide_interval_file(tmp_path, wide_interval_grammar):
+    # its wide rules declare no fold, so its normal form is in the tuple domain
+    path = tmp_path / "wide_interval.json"
+    save_grammar(wide_interval_grammar, path)
     return str(path)
 
 
@@ -351,7 +360,7 @@ def test_parse_through_the_start_wrapper(capsys, tmp_path, and_start):
 
 
 def test_sample_of_normalized_top_down_grammar(capsys, tmp_path, grammar_file):
-    # draws through the binarized hline rule split its packed parameters
+    # draws through the folded hline rule split each step's grid point
     normalized = str(tmp_path / "n.json")
     assert run(capsys, ["normalize", grammar_file, "-o", normalized])[0] == 0
     for seed in range(10):
@@ -401,16 +410,15 @@ def tree_params(tree: dict) -> list:
 
 
 def test_a_wide_rule_parses_through_its_packed_normal_form(capsys, tmp_path):
-    # S -> A A A A is binarized: S applies adjacent to its packed children
-    scfg_path, gpath, xpath = tmp_path / "wide.scfg", tmp_path / "wide.json", tmp_path / "x.json"
+    # S -> A A A A over intervals is binarized: S applies meets to its packed children
+    gpath, xpath = tmp_path / "wide.json", tmp_path / "x.json"
     gcnf_path, map_path = tmp_path / "wide.gcnf.json", tmp_path / "wide.map.json"
-    scfg_path.write_text("S -> A A A A [1.0]\nA -> a [1.0]\n")
-    assert run(capsys, ["convert", "scfg", str(scfg_path), "-o", str(gpath)])[0] == 0
+    save_grammar(over_intervals(scfg_to_aog(parse_scfg("S -> A A A A [1.0]\nA -> a [1.0]"))), gpath)
     argv = ["normalize", str(gpath), "-o", str(gcnf_path), "--map", str(map_path)]
     assert run(capsys, argv)[0] == 0
-    save_sample(string_sample(list("aaaa")), aog.string_span_domain(), xpath)
+    save_sample(string_sample(list("aaaa")), aog.interval_domain(), xpath)
     [rule] = [r for r in json.loads(gcnf_path.read_text())["and_rules"] if r["head"] == "S"]
-    packed = {"key": "apply_packed", "config": {"arity": 4, "config": {}, "key": "adjacent"}}
+    packed = {"key": "apply_packed", "config": {"arity": 4, "config": {}, "key": "meets"}}
     assert rule["relation"] == packed
     node_map = json.loads(map_path.read_text())
     assert node_map["bin_nodes"] == {"S#bin1": "S", "S#bin2": "S"}
@@ -657,6 +665,33 @@ def test_zero_budget_seconds_exits_4_on_one_token(capsys, tmp_path):
     save_sample(string_sample(["a"]), g.domain, xpath)
     code, out = run(capsys, ["parse", str(gpath), str(xpath), "--budget-seconds", "0"])
     assert code == 4 and "0.0 seconds" in json.loads(out)["error"]
+
+
+def test_budget_seconds_cover_loading_and_normalizing(
+    capsys, monkeypatch, tmp_path, grammar_file, line_drawing
+):
+    # a fake clock in the CLI alone, which to_gcnf moves on by 5 seconds
+    clock = [100.0]
+    monkeypatch.setattr(aog.cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    real_to_gcnf, real_parse, budgets = aog.cli.to_gcnf, aog.cli.parse, []
+
+    def slow_to_gcnf(g):
+        clock[0] += 5.0
+        return real_to_gcnf(g)
+
+    def recording_parse(g, x, mode, budget):
+        budgets.append(budget.max_seconds)
+        return real_parse(g, x, mode=mode, budget=budget)
+
+    monkeypatch.setattr(aog.cli, "to_gcnf", slow_to_gcnf)
+    monkeypatch.setattr(aog.cli, "parse", recording_parse)
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    for seconds in ("5", "4.5"):  # spent before the parse starts
+        code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", seconds])
+        assert code == 4 and "before parsing" in json.loads(out)["error"]
+    assert budgets == []
+    code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "30"])
+    assert code == 0 and json.loads(out)["found"] and budgets == [25.0]
 
 
 def test_negative_sample_count_exits_2(capsys, grammar_file):
@@ -953,14 +988,17 @@ def test_unhashable_node_kind_exits_3(capsys, tmp_path, grammar_file, kind):
         assert "unknown kind" in json.loads(out)["error"]
 
 
-def test_apply_packed_with_non_object_config_is_a_binding_issue(capsys, tmp_path, grammar_file):
+def test_apply_packed_with_non_object_config_is_a_binding_issue(
+    capsys, tmp_path, wide_interval_file
+):
     normalized = tmp_path / "n.json"
-    assert run(capsys, ["normalize", grammar_file, "-o", str(normalized)])[0] == 0
+    assert run(capsys, ["normalize", wide_interval_file, "-o", str(normalized)])[0] == 0
 
     def edit(payload):
         for rule in payload["and_rules"]:
-            if rule["relation"]["key"] == "apply_packed":
+            if rule["relation"]["key"] == "apply_packed":  # the first of two
                 rule["relation"]["config"]["config"] = [1]
+                break
 
     code, out = run(capsys, ["validate", edited_grammar_file(tmp_path, str(normalized), edit)])
     assert code == 2
@@ -975,15 +1013,17 @@ def test_file_nested_too_deep_exits_3(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
-def test_parse_value_a_relation_refuses_exits_2(capsys, tmp_path, grammar_file):
+def test_parse_value_a_relation_refuses_exits_2(capsys, tmp_path, wide_interval_file):
     # a packed value decodes in the normal form's tuple domain, but no
-    # grid relation takes it
+    # interval relation takes it
     normalized = tmp_path / "n.json"
-    assert run(capsys, ["normalize", grammar_file, "-o", str(normalized)])[0] == 0
+    assert run(capsys, ["normalize", wide_interval_file, "-o", str(normalized)])[0] == 0
     xpath = tmp_path / "x.json"
     xpath.write_text(
-        '{"instances": [{"id": "a", "terminal": "dot", "param": {"t": [[0, 1]]}},'
-        ' {"id": "b", "terminal": "dot", "param": [1, 1]}]}'
+        '{"instances": [{"id": "a", "terminal": "a", "param": {"t": [[0, 1]]}},'
+        ' {"id": "b", "terminal": "b", "param": [1, 2]},'
+        ' {"id": "c", "terminal": "b", "param": [2, 3]},'
+        ' {"id": "d", "terminal": "b", "param": [3, 4]}]}'
     )
     code, out = run(capsys, ["parse", str(normalized), str(xpath)])
     assert code == 2

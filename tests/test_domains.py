@@ -6,6 +6,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aog import (
     AndRule,
@@ -396,3 +398,68 @@ def test_plain_entries_give_at_arity_two_what_their_n_ary_form_gives(name, wrapp
                 with pytest.raises(TypeError):
                     binary(*params, params[0])
     assert built == expected
+
+
+# every fold a domain declares, by domain name and (relation key, function key)
+DECLARED_FOLDS = [
+    (name, key) for name in ("string_span", "grid", "interval", "null")
+    for key in domain_from_config(name).folds
+]
+
+
+def test_the_folds_are_declared_where_the_state_is_exact():
+    # interval's hull is not an exact state for before along reversed intervals
+    assert DECLARED_FOLDS == [
+        ("string_span", ("adjacent", "concat")),
+        ("grid", ("offset", "anchor")),
+        ("null", ("true", "null")),
+    ]
+    before = interval_domain().relation(RelationRef("before"), 2)
+    hull = interval_domain().function(FunctionRef("hull"), 2)
+    assert interval_domain().relation(RelationRef("before"), 3)((0, 9), (10, 1), (2, 5))
+    assert not before(hull((0, 9), (10, 1)), (2, 5))
+    assert tuple_domain(string_span_domain()).folds == {}
+
+
+def applied(steps, params):
+    """False once a step's relation refuses, DomainError if one raises, else the
+    state that the steps' (relation, function) pairs fold params into."""
+    state = params[0]
+    try:
+        for (relation, function), param in zip(steps, params[1:]):
+            if not relation(state, param):
+                return False
+            state = function(state, param)
+    except DomainError:
+        return DomainError
+    return state
+
+
+INTS = st.integers(-3, 3)
+VALUES = st.one_of(st.tuples(INTS, INTS), st.sampled_from([(0, True), None, ParamTuple(((0, 1),))]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_fold_gives_what_the_rule_gives_on_its_children(data):
+    name, (rel_key, fn_key) = data.draw(st.sampled_from(DECLARED_FOLDS))
+    dom = domain_from_config(name)
+    arity = data.draw(st.integers(3, 6))
+    # consecutive spans, reversed and negative ones too, then a few arbitrary values
+    cuts = data.draw(st.lists(INTS, min_size=arity + 1, max_size=arity + 1))
+    params = [(a, b) for a, b in zip(cuts, cuts[1:])]
+    rel, fn = RelationRef(rel_key), FunctionRef(fn_key)
+    if rel_key == "offset":  # the offsets of the drawn points, so that offset holds
+        offsets = [[x - params[0][0], y - params[0][1]] for x, y in params[1:]]
+        rel = RelationRef("offset", {"offsets": offsets})
+        fn = FunctionRef("anchor", {"anchor": list(data.draw(st.tuples(INTS, INTS)))})
+    for index in data.draw(st.lists(st.integers(0, arity - 1), max_size=2)):
+        params[index] = data.draw(VALUES)
+    steps = dom.folds[(rel_key, fn_key)](rel, fn, arity)
+    assert len(steps) == arity - 1
+    relation, function = dom.relation(rel, arity), dom.function(fn, arity)
+    try:
+        whole = function(*params) if relation(*params) else False
+    except DomainError:
+        whole = DomainError
+    assert applied([(dom.relation(r, 2), dom.function(f, 2)) for r, f in steps], params) == whole

@@ -34,7 +34,7 @@ from aog import (
     validate_grammar,
 )
 from aog.serialize import canonical_dumps, tree_to_json_dict
-from helpers import random_aog
+from helpers import packed, random_aog
 
 
 def issue_codes(report):
@@ -354,10 +354,10 @@ def test_tree_probability_names_each_fault(line_drawing, fault, match):
 def test_tree_probability_tells_a_packed_param_from_its_plain_tuple(node, match):
     # a ParamTuple equals the plain tuple of its items, but a tree that
     # holds the plain tuple in its place is not a derivation
-    gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg("S -> A A A A [1.0]\nA -> a [1.0]")))
+    gcnf, _ = to_gcnf(packed(scfg_to_aog(parse_scfg("S -> A A A A [1.0]\nA -> a [1.0]"))))
     tree = parse(gcnf, string_sample(["a"] * 4)).tree
-    [packed] = [n for n in tree.root.walk() if n.node == node]
-    packed.param = packed.param.items
+    [packed_node] = [n for n in tree.root.walk() if n.node == node]
+    packed_node.param = packed_node.param.items
     with pytest.raises(InvalidTree, match=match):
         tree_probability(gcnf, tree)
 

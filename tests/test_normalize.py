@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import aog
 from aog import (
     AndRule,
     BudgetExceeded,
@@ -22,6 +23,7 @@ from aog import (
     TerminalInstance,
     TreeNode,
     UnitCycleError,
+    build_table,
     enumerate_parses,
     gcnf_violations,
     load_node_map,
@@ -35,7 +37,7 @@ from aog import (
     tree_sample,
     validate_grammar,
 )
-from helpers import logsumexp, random_aog
+from helpers import bench_module, logsumexp, random_aog
 
 
 def assert_is_gcnf(g):
@@ -115,12 +117,30 @@ def test_unit_cycle_rejected():
         to_gcnf(g)
 
 
-def test_wide_rule_binarized_with_packed_params(wide_string_grammar):
-    gcnf, node_map = to_gcnf(wide_string_grammar)
+def test_wide_rule_binarized_with_packed_params(wide_interval_grammar):
+    # meets/hull declare no fold, so the wide rules pack their children
+    gcnf, node_map = to_gcnf(wide_interval_grammar)
     assert_is_gcnf(gcnf)
     assert all(len(r.children) == 2 for r in gcnf.and_rules)
     assert node_map.bin_nodes  # arity 4 and 5 rules forced fresh nodes
     assert gcnf.domain.name.startswith("tuple")
+
+
+def test_the_bench_wide_rules_fold_in_their_own_domain():
+    # the cli workload's grammars: no rule packs, and the wide-string draws keep
+    # one cell per span and node instead of one per ordered tuple of children
+    workloads, inputs = bench_module("workloads"), bench_module("inputs")
+    grammars = [workloads.build_grammar(aog, s) for s in (inputs.WIDE_STRING, inputs.LINE_DRAWING)]
+    for g in grammars:
+        gcnf, node_map = to_gcnf(g)
+        assert gcnf.domain.name == g.domain.name and node_map.bin_nodes
+        assert not {"apply_packed", "pack", "extend"} & {
+            key for rule in gcnf.and_rules for key in (rule.relation.key, rule.function.key)
+        }
+    wide = grammars[0]
+    gcnf = to_gcnf(wide)[0]
+    draws = [sample(wide, seed=seed)[1] for seed in range(9001, 9101)]
+    assert sum(build_table(gcnf, x).stats.table_entries for x in draws) == 1451  # 12735 packed
 
 
 def test_parse_scores_survive_binarization(wide_string_grammar):

@@ -58,7 +58,15 @@ from aog import (
 from aog import parsing
 from aog.cli import main
 from aog.parsing import log_add, positions_of, tie_key
-from helpers import NEG_INF, chart_fingerprint, logsumexp, random_3sat, random_aog, random_spn
+from helpers import (
+    NEG_INF,
+    chart_fingerprint,
+    logsumexp,
+    packed,
+    random_3sat,
+    random_aog,
+    random_spn,
+)
 
 AMBIGUOUS = parse_scfg(
     """
@@ -662,6 +670,39 @@ def test_random_interval_grammars_match_enumeration(trial):
     assert_matches_enumeration(random_aog(random.Random(1000 + trial), kind="interval"), trial)
 
 
+@pytest.mark.parametrize("kind", ["string", "grid", "null"])
+def test_a_folded_normal_form_parses_as_the_packed_one(kind):
+    # random grammars with wide rules, on drawn samples and on the same
+    # samples less their last instance, which may not parse
+    wide = 0
+    for trial in range(100):
+        g = random_aog(random.Random(5000 + trial), allow_or_chains=trial % 2 == 1, kind=kind)
+        if all(len(rule.children) == 2 for rule in g.and_rules):
+            continue
+        wide += 1
+        folded, folded_map = to_gcnf(g)
+        unfolded, unfolded_map = to_gcnf(packed(g))
+        assert folded.domain == g.domain and unfolded.domain.name == "tuple"
+        for seed in range(3):
+            x = aog.sample(g, seed=seed)[1]
+            if len(x) > 6:
+                continue
+            # viterbi scores merged Or-chains as one (README), and enumerating
+            # six null-domain instances can take seconds
+            if trial % 2 == 0 and len(x) <= 5:
+                assert_sample_matches_enumeration(g, folded, folded_map, x)
+            for y in (x, DataSample(x.instances[:-1]))[: len(x)]:
+                viterbi, expected = parse(folded, y), parse(unfolded, y)
+                assert viterbi.score.hex() == expected.score.hex()
+                assert (viterbi.tree is None) == (expected.tree is None)
+                if viterbi.tree is not None:
+                    tree = project_parse(viterbi.tree, folded_map, g)
+                    assert tree.root == project_parse(expected.tree, unfolded_map, g).root
+                marginal = parse(folded, y, "marginal").score
+                assert marginal == pytest.approx(parse(unfolded, y, "marginal").score, rel=1e-12)
+    assert wide >= 50
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_unit_chain_grammars_preserve_marginal(trial):
     # parallel choice chains collapse into one normal-form rule: the marginal
@@ -870,7 +911,8 @@ def test_compositions_count_sets_derived_into_no_stored_cell(over_unread):
 # formulas, all 311 on the network.  sat 44007 has the most derivations
 # that only count (the pair under the start below n), and on aabab the
 # wide-string grammar's pairs that only count walk their right side, so
-# passing a relation its arguments swapped would show there
+# passing a relation its arguments swapped would show there; "wide" charts
+# are of that grammar's packed normal form (helpers.packed)
 UNREAD_PINS = {
     "sat 44002": (
         [0, 13, 78, 285, 705, 1242, 1596, 1506, 1035, 505, 166, 33, 3, 0],
@@ -908,7 +950,7 @@ UNREAD_PINS = {
 
 def pinned_input(name, wide_string_grammar=None):
     if name.startswith("wide"):  # over the tuple domain
-        return to_gcnf(wide_string_grammar)[0], string_sample(list(name.split()[1]))
+        return to_gcnf(packed(wide_string_grammar))[0], string_sample(list(name.split()[1]))
     if name.startswith("sat"):
         g, x = sat_formula(int(name.split()[1]))
     else:
@@ -1049,6 +1091,27 @@ def test_a_late_read_of_the_counts_gets_what_the_fill_left_of_the_limit(monkeypa
 
 # a keyed pair that only counts: S -> NP VP keeps no cell below the full size
 NP_VP = "S -> NP VP [1.0]\nNP -> NP NP [0.3]\nNP -> a [0.7]\nVP -> VP VP [0.3]\nVP -> b [0.7]"
+
+
+def test_the_count_raises_when_the_fill_left_no_time(monkeypatch):
+    # the fill passes its limit after its last check, at its finished time:
+    # the count re-arms what is left, less than nothing, and raises at its
+    # first check (the fill's time added to the limit would never raise)
+    gcnf, x = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))[0], string_sample(list("aabb"))
+    calls = clock_calls(monkeypatch, lambda call: False)
+    build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    finished = calls[-1]
+    clock_calls(monkeypatch, lambda call: call == finished)
+    table = build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    with pytest.raises(BudgetExceeded, match="in count_compositions"):
+        table.stats.per_size_compositions
+
+
+def test_elapsed_seconds_are_within_the_build_table_call():
+    gcnf, x = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))[0], string_sample(list("aabb"))
+    before = time.monotonic()
+    stats = build_table(gcnf, x).stats
+    assert 0 <= stats.elapsed_seconds <= time.monotonic() - before
 
 
 def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
@@ -1354,13 +1417,28 @@ CHART_FINGERPRINTS = {
     },
     # charts where one mask carries several params, so a derivation is told
     # apart from others of the same masks and score by its function's value
+    # (wide abab only in its packed chart: its folded one has a span per mask)
     "grid 5003": {
-        "viterbi": "4c4ccee3a60d914106aa82c4b2d1442cb4805db617bc2c4a800a0fec1cab4763",
-        "marginal": "c63cb1b82f4b0976fca2c16f45e9bebbb24099f5648d8e965b6fd9af144bbe6f",
+        "viterbi": "3aea3f28b65508b79fc0667f04a27b904fcc9067d1bcd5aea17be04da9b84dcc",
+        "marginal": "5c0317925e02d660361fdd234794d47690b48fc282f1dde20e965ce2e703cf77",
     },
     "interval 5020": {
         "viterbi": "e1d18eec04bc5e8b7f534c25d42feebe01fc9fa1bab7b1d1a4bea8dc408f1c54",
         "marginal": "b05e757e08ea820a9d7552f608c38084b0345646e99c47e99a8ad4f248e84721",
+    },
+    "wide abab": {
+        "viterbi": "9a736076cc6d6594467cbc4a01ca43eacb2121297f6823561e5d4c3112fa8e53",
+        "marginal": "e0d16b18e06190eaac6bfc3b7c847f8f4d4ef34a7393d74ac881a03c1f4510a5",
+    },
+}
+
+
+# the charts of CHART_FINGERPRINTS whose normal form folds a wide rule, pinned
+# as they were before folds, which their packed normal form still gives
+PACKED_FINGERPRINTS = {
+    "grid 5003": {
+        "viterbi": "4c4ccee3a60d914106aa82c4b2d1442cb4805db617bc2c4a800a0fec1cab4763",
+        "marginal": "c63cb1b82f4b0976fca2c16f45e9bebbb24099f5648d8e965b6fd9af144bbe6f",
     },
     "wide abab": {
         "viterbi": "d345c1cad23f8efd52b78f1a379c50de446b8dcdc46e23fdda6421f5bbeb8cbb",
@@ -1373,17 +1451,23 @@ CHART_FINGERPRINTS = {
 RANDOM_PINS = {"grid 5003": 1, "interval 5020": 0}
 
 
+def original_input(name, wide_string_grammar):
+    """The original grammar and sample of a random or wide CHART_FINGERPRINTS chart."""
+    if name == "wide abab":
+        return wide_string_grammar, string_sample(list("abab"))
+    kind, seed = name.split()
+    g = random_aog(random.Random(int(seed)), kind=kind)
+    return g, aog.sample(g, seed=RANDOM_PINS[name])[1]
+
+
 def fingerprinted_input(name, wide_string_grammar):
     """The normal-form grammar and sample of a CHART_FINGERPRINTS chart."""
     if name in UNREAD_PINS:
         return pinned_input(name)
     if name == "all-spans a8":
         return to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
-    if name == "wide abab":  # over the tuple domain
-        return to_gcnf(wide_string_grammar)[0], string_sample(list("abab"))
-    kind, seed = name.split()
-    g = random_aog(random.Random(int(seed)), kind=kind)
-    return to_gcnf(g)[0], aog.sample(g, seed=RANDOM_PINS[name])[1]
+    g, x = original_input(name, wide_string_grammar)
+    return to_gcnf(g)[0], x
 
 
 @pytest.mark.parametrize("name", sorted(CHART_FINGERPRINTS))
@@ -1393,9 +1477,26 @@ def test_chart_fingerprint_is_pinned(name, wide_string_grammar):
         assert chart_fingerprint(build_table(gcnf, x, mode)) == fingerprint
 
 
+@pytest.mark.parametrize("name", sorted(PACKED_FINGERPRINTS))
+def test_a_folded_chart_matches_enumeration_and_its_packed_chart(name, wide_string_grammar):
+    g, x = original_input(name, wide_string_grammar)
+    gcnf, node_map = to_gcnf(g)
+    assert_sample_matches_enumeration(g, gcnf, node_map, x)
+    unfolded = to_gcnf(packed(g))[0]
+    for mode, fingerprint in PACKED_FINGERPRINTS[name].items():
+        table = build_table(unfolded, x, mode)
+        assert chart_fingerprint(table) == fingerprint
+        expected = {key: entry.score for key, entry in table.root_entries()}
+        roots = {key: entry.score for key, entry in build_table(gcnf, x, mode).root_entries()}
+        assert roots == pytest.approx(expected, rel=1e-12, abs=0)
+        if mode == "viterbi":
+            assert [s.hex() for s in roots.values()] == [s.hex() for s in expected.values()]
+
+
 def test_backtrack_from_every_wide_string_cell(wide_string_grammar):
-    gcnf, x = fingerprinted_input("wide abab", wide_string_grammar)
-    assert assert_every_cell_backtracks(gcnf, x) == 77
+    x = string_sample(list("abab"))
+    assert assert_every_cell_backtracks(to_gcnf(packed(wide_string_grammar))[0], x) == 77
+    assert assert_every_cell_backtracks(to_gcnf(wide_string_grammar)[0], x) == 15  # folded
 
 
 @pytest.mark.parametrize("name", ["sat 44008", "all-spans a8"])

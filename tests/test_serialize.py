@@ -37,7 +37,7 @@ from aog import (
     validate_grammar,
 )
 from aog.serialize import canonical_dumps
-from helpers import random_aog
+from helpers import packed, random_aog
 
 
 KINDS = ("string", "grid", "null", "interval")
@@ -45,7 +45,7 @@ KINDS = ("string", "grid", "null", "interval")
 
 def with_normal_form(g):
     """g and its normal form, which is over the tuple domain when g has a
-    rule of three or more children."""
+    rule of three or more children whose relation and function declare no fold."""
     return g, to_gcnf(g)[0]
 
 
@@ -149,7 +149,7 @@ def test_sample_roundtrip(line_drawing, tmp_path):
     for kind in KINDS:
         wide = 0
         for trial in range(6):
-            g, gcnf = with_normal_form(random_aog(rng, kind=kind))
+            g, gcnf = with_normal_form(packed(random_aog(rng, kind=kind)))
             tree, x = sample(g, seed=trial)
             for grammar in (g, gcnf):
                 assert_sample_roundtrips(x, grammar.domain, path)
@@ -157,8 +157,8 @@ def test_sample_roundtrip(line_drawing, tmp_path):
             if params:  # the drawn tree used a wide rule
                 wide += 1
                 assert all(isinstance(p, ParamTuple) for p in params)
-                packed = tuple(TerminalInstance(f"p{i}", "t0", p) for i, p in enumerate(params))
-                assert_sample_roundtrips(DataSample(packed), gcnf.domain, path)
+                packs = tuple(TerminalInstance(f"p{i}", "t0", p) for i, p in enumerate(params))
+                assert_sample_roundtrips(DataSample(packs), gcnf.domain, path)
         assert wide, kind
 
 
