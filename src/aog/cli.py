@@ -164,10 +164,15 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         log.info("grammar is not in normal form; normalizing for parsing")
         target, node_map = to_gcnf(g)
     budget = ParserBudget(max_entries=args.budget_entries, max_seconds=args.budget_seconds)
-    if budget.max_seconds is not None:  # what loading and normalizing left of it
-        budget.max_seconds -= time.monotonic() - args.started
-        if budget.max_seconds <= 0:
-            raise BudgetExceeded(f"parse exceeded {args.budget_seconds} seconds before parsing")
+    limit = budget.max_seconds
+
+    def seconds_left(when: str) -> float | None:  # counted from the start of the command
+        left = None if limit is None else limit - (time.monotonic() - args.started)
+        if left is not None and left <= 0:
+            raise BudgetExceeded(f"parse exceeded {args.budget_seconds} seconds {when}")
+        return left
+
+    budget.max_seconds = seconds_left("before parsing")
     result = parse(target, x, mode=args.mode, budget=budget)
     found = result.score != NEG_INF
     out = {
@@ -180,7 +185,9 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         tree = result.tree
         if node_map is not None:
             tree = project_parse(tree, node_map, g)
+            seconds_left("in projection")
         out["tree"] = tree_to_json_dict(tree, g.domain)
+        seconds_left("in output")
         if args.dot:
             Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
     if args.stats:

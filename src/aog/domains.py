@@ -14,12 +14,13 @@ binarized wide rules whose pair declares no fold).
 
 A relation may also declare, in the joins registry, an equality join key
 for its binary form: functions (left key, right key) whose values are
-equal wherever the relation holds, so the parser need only test pairs of
-equal keys.  "adjacent" and "meets" join the left end with the right
+equal wherever the relation holds, each checking its parameter as the
+relation does.  "adjacent" and "meets" join the left end with the right
 start, "equals" the whole intervals, and grid "offset" the first point
-moved by its (dx, dy) with the second point; "true", "before", "during"
-and "apply_packed" declare none.  A key checks its parameter as the
-relation does, raising the same DomainError.
+moved by its (dx, dy) with the second point.  Each of these joins also
+decides its relation, which holds exactly on equal keys, and "true" always
+holds: _decided marks these factories, and the parser calls no relation so
+marked.  A binding that replaces the factory, or its join, loses the mark.
 
 _check_pair is the one rule for span, interval and grid values, in
 relations, join keys, decoders and configs.  Two plain ints in a plain
@@ -155,6 +156,11 @@ class DomainBinding:
         factory = self.joins.get(ref.key)
         return None if factory is None else factory(dict(ref.config))
 
+    def decided(self, ref: RelationRef, joined: bool) -> bool:
+        """Whether the relation needs no call on a pair its join matched (joined), or on any."""
+        decided_by = getattr(self.relations.get(ref.key), "decided_by", False)
+        return decided_by is (self.joins.get(ref.key) if joined else None)
+
 
 def _no_config(config: dict, where: str) -> None:
     if config:
@@ -174,22 +180,6 @@ def _check_pair(value: Any, what: str) -> tuple[int, int]:
     raise DomainError(f"{what} must be a pair of ints, got {value!r}")
 
 
-def _end_start_join(name: str, what: str) -> JoinFactory:
-    """Join of a relation that needs the left child's end at the right
-    child's start."""
-
-    def factory(config: dict) -> Join:
-        _no_config(config, name)
-        return (lambda left: _check_pair(left, what)[1], lambda right: _check_pair(right, what)[0])
-
-    return factory
-
-
-def _ends_meet(what: str) -> Callable[[Any, Any], bool]:
-    """Whether the left child ends where the right child starts."""
-    return lambda left, right: _check_pair(left, what)[1] == _check_pair(right, what)[0]
-
-
 def _plain(name: str, fn: Callable,
            binary: Callable | None = None) -> Callable[[dict, int], Callable]:
     """A relation or function that takes no config: fn at every arity, or binary at
@@ -202,7 +192,13 @@ def _plain(name: str, fn: Callable,
     return factory
 
 
-_always = _plain("true", lambda *params: True, lambda left, right: True)
+def _decided(factory: RelationFactory, join: JoinFactory | None) -> RelationFactory:
+    """factory, marked as decided by join: it holds exactly on equal keys, or always (None)."""
+    factory.decided_by = join
+    return factory
+
+
+_always = _decided(_plain("true", lambda *params: True, lambda left, right: True), None)
 
 
 def _repeated(relation: RelationRef, function: FunctionRef, arity: int) -> list[tuple]:
@@ -210,9 +206,10 @@ def _repeated(relation: RelationRef, function: FunctionRef, arity: int) -> list[
     return [(relation, function)] * (arity - 1)
 
 
-def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
+def _chain(name: str, binary: Callable[[Any, Any], bool],
+           join: JoinFactory | None = None) -> RelationFactory:
     """A relation that holds when binary holds on every two consecutive
-    children; its binary form is binary itself."""
+    children; its binary form is binary itself, decided by join if given."""
 
     def factory(config: dict, arity: int) -> Relation:
         _no_config(config, name)
@@ -220,7 +217,18 @@ def _chain(name: str, binary: Callable[[Any, Any], bool]) -> RelationFactory:
             return binary
         return lambda *params: all(map(binary, params, params[1:]))
 
-    return factory
+    return factory if join is None else _decided(factory, join)
+
+
+def _ends_meet(name: str, what: str) -> tuple[RelationFactory, JoinFactory]:
+    """The relation that each child ends where the next one starts, and its
+    join, the left child's end and the right child's start, which decides it."""
+
+    def join(config: dict) -> Join:
+        _no_config(config, name)
+        return (lambda left: _check_pair(left, what)[1], lambda right: _check_pair(right, what)[0])
+
+    return _chain(name, lambda l, r: _check_pair(l, what)[1] == _check_pair(r, what)[0], join), join
 
 
 def _decode_pair(raw: Any, what: str, ordered: bool = False) -> tuple[int, int]:
@@ -246,13 +254,14 @@ def string_span_domain() -> DomainBinding:
     Relation "adjacent" holds when consecutive child spans abut; function
     "concat" returns the covering span.  Leaf i is pinned to span (i, i+1).
     """
+    adjacent, join = _ends_meet("adjacent", "span")
     return DomainBinding(
         name="string_span",
         config={},
-        relations={"adjacent": _chain("adjacent", _ends_meet("span"))},
+        relations={"adjacent": adjacent},
         functions={"concat": _plain("concat", lambda *spans: (spans[0][0], spans[-1][1]),
                                     lambda left, right: (left[0], right[1]))},
-        joins={"adjacent": _end_start_join("adjacent", "span")},
+        joins={"adjacent": join},
         folds={("adjacent", "concat"): _repeated},
         **_pair_codec("span", ordered=True),
         leaf_param=lambda i: (i, i + 1),
@@ -338,7 +347,7 @@ def grid_domain() -> DomainBinding:
     return DomainBinding(
         name="grid",
         config={},
-        relations={"offset": offset},
+        relations={"offset": _decided(offset, offset_join)},
         functions={"anchor": anchor},
         joins={"offset": offset_join},
         folds={("offset", "anchor"): offset_fold},
@@ -398,17 +407,19 @@ def interval_domain() -> DomainBinding:
 
     # no fold: the hull of reversed intervals, which _check_pair accepts, is not
     # exact for "before" ((0, 9), (10, 1), (2, 5) holds, but not from their hull)
+    meets, meets_join = _ends_meet("meets", iv)
     return DomainBinding(
         name="interval",
         config={},
         relations={
-            "meets": _chain("meets", _ends_meet(iv)),
+            "meets": meets,
             "before": _chain("before", lambda l, r: _check_pair(l, iv)[1] < _check_pair(r, iv)[0]),
-            "equals": _chain("equals", lambda l, r: _check_pair(l, iv) == _check_pair(r, iv)),
+            "equals": _chain("equals", lambda l, r: _check_pair(l, iv) == _check_pair(r, iv),
+                             equals_join),
             "during": during,
         },
         functions={"hull": _plain("hull", hull, lambda l, r: (min(l[0], r[0]), max(l[1], r[1])))},
-        joins={"meets": _end_start_join("meets", "interval"), "equals": equals_join},
+        joins={"meets": meets_join, "equals": equals_join},
         **_pair_codec("interval", ordered=True),
         root_default=lambda: (0, 1024),
         realize_children=realize,

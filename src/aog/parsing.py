@@ -42,42 +42,37 @@ function only on pairs its relation accepts, and a join key never drops
 one, so a DomainError from the function there means no match.
 
 Compiled form.  compile_grammar checks the normal form once and resolves
-what every parse of the grammar needs: the kept Or-rules by child with
-their log probs, the And-rules grouped by (left child, right child) pair,
-each as the fill reads it, (relation, function, ((log prob, head), ...)),
-per pair an equality join key where the domain declares one, per terminal
-the pairs a size-1 cell over it is a child of, and per head the And-rules
-and Or-rules that derive its cells above size 1, for derivation.
-Grammar.compiled caches it on the grammar, so a grammar parsed many times
-resolves each callable once.  Seeding writes size-1 cells directly,
-folding in the score of a second Or-rule over the same head and terminal.
+what every parse of the grammar needs (CompiledGrammar); Grammar.compiled
+caches it on the grammar, so a grammar parsed many times resolves each
+callable once.  Seeding writes size-1 cells directly, folding in the
+score of a second Or-rule over the same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only
 the pairs whose left child has cells of size j and whose right child has
 cells of size i - j, in the order of the pairs' first use in and_rules.
-A keyed pair pairs each left cell with the right cells of the same key.
-Lower strata are final, so each key is computed once per cell and pair:
-the right cells go into a bucket per key once per (right size, pair), and
-the left cells' keys are listed once per (left size, pair).  A keyless
-pair tries every right cell.  The relation is still called on each
-candidate, and a key never drops a pair the relation accepts, so the
-derivations are those of trying every pair.  Buckets and key lists keep
-the chart's insertion order, so each cell receives its derivations in the
-same order as when every left x right pair is tried, and the
-floating-point log_add sums of marginal cells stay bit-identical.
+A keyed pair pairs each left cell with the right cells of the same key,
+each key computed once per cell and pair, as lower strata are final: the
+right cells go into a bucket per key per (right size, pair), the left
+cells' keys into a list per (left size, pair).  A keyless pair tries
+every right cell.  A key never drops a pair its relation accepts, and
+the relation is called on each candidate unless the domain marks it as
+decided (domains): by the pair's join (adjacent, meets, equals, offset),
+or by no join (true); its compiled record then holds None.  Buckets and
+key lists keep the chart's insertion order, so each cell receives its
+derivations in the same order as when every left x right pair is tried,
+and the log_add sums of marginal cells stay bit-identical.
 stats.pair_tests counts the candidates examined, and per_size_entries each
-size's cells as they are made; a node's dict is made with its first cell,
-so none is empty.  A rule whose head keeps no cell at a size is skipped
-before its relation is called, and a pair with no other rules there only
-adds its candidates to pair_tests, walking no cell.
+size's cells as they are made; a node's dict is made with its first cell.
+A rule whose head keeps no cell at a size is skipped, and a pair with no
+other rules there only adds its candidates to pair_tests.
 
 Counting.  A size's compositions are the masks of its stored cells and the
 unions lmask | rmask of the disjoint child pairs that the relation of a
 count-only rule accepts, as rel(left param, right param): a rule whose
 head has Or-rules but keeps no cell at that size (CompiledGrammar.pairs).
 count_compositions walks each such pair's smaller side, swapping arguments
-if need be, and takes a walked cell's candidates by its join key, as the fill.
-A size is done, before its next pair, once it holds all C(n, i) sets.
+if need be, and takes a walked cell's candidates by its join key, calling
+no decided relation, as the fill.  A size is done once it holds all C(n, i) sets.
 """
 
 from __future__ import annotations
@@ -187,7 +182,8 @@ class CompiledGrammar:
     keeps a cell, in and_rules order, each (relation, function, ((log prob,
     head), ...) of the head's or_by_child[top] rules), and counted[top] the
     relations of its count-only rules, whose head has Or-rules but keeps no
-    cell.  by_left and by_right map a node to the positions in pairs of the
+    cell; a relation is None where the domain decides it (module docstring).
+    by_left and by_right map a node to the positions in pairs of the
     pairs with that left or right child, and seeds[right] a terminal to the
     sorted positions of the pairs whose left (right) child heads an
     or_by_child[0] rule over it.
@@ -227,7 +223,7 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         kept = at_top.setdefault(rule.child, [])
         if rule.head == g.start:
             kept.append(entry)
-    by_pair: dict[tuple[str, ...], tuple[list, list]] = {}
+    by_pair: dict[tuple[str, ...], list[tuple]] = {}
     feeding: dict[str, list[tuple]] = {}
     for idx, rule in enumerate(g.and_rules):
         rel = g.domain.relation(rule.relation, 2)
@@ -237,21 +233,26 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
             fed.setdefault(head, []).append((or_idx, logp))
         for head, or_rules in fed.items():
             feeding.setdefault(head, []).append((idx, *rule.children, rel, fn, tuple(or_rules)))
-        rules = by_pair.setdefault(rule.children, ([], []))
-        rules[0].append((idx, rel, fn, below.get(rule.head)))
-        rules[1].append((idx, rel, fn, at_top.get(rule.head)))
+        by_pair.setdefault(rule.children, []).append((rule, rel, fn))
     pairs = []
     by_left: dict[str, list[int]] = {}
     by_right: dict[str, list[int]] = {}
     for (left, right), rules in by_pair.items():
-        relation = g.and_rules[rules[0][0][0]].relation
-        shared = all(g.and_rules[rule[0]].relation == relation for rule in rules[0])
+        relation = rules[0][0].relation
+        shared = all(rule.relation == relation for rule, _, _ in rules)
         join = g.domain.join(relation) if shared else None
         by_left.setdefault(left, []).append(len(pairs))
         by_right.setdefault(right, []).append(len(pairs))
-        kept = tuple([(rel, fn, tuple((logp, head) for _, logp, head in heads))
-                      for _, rel, fn, heads in by_top if heads] for by_top in rules)
-        counted = tuple(tuple(r[1] for r in by_top if r[3] == []) for by_top in rules)
+        kept, counted = ([], []), ([], [])
+        for rule, rel, fn in rules:
+            if g.domain.decided(rule.relation, join is not None):
+                rel = None  # the join, or no join at all, decides it: not called
+            for top, by_child in enumerate((below, at_top)):
+                heads = by_child.get(rule.head)
+                if heads:
+                    kept[top].append((rel, fn, tuple((logp, head) for _, logp, head in heads)))
+                elif heads == []:
+                    counted[top].append(rel)
         pairs.append((left, right, join, kept, counted))
     seeds = tuple(
         {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
@@ -420,7 +421,7 @@ def build_table(
     if entry_count > max_entries:
         raise BudgetExceeded(f"chart exceeded {max_entries} entries at size 1")
     if deadline is not None and time.monotonic() >= deadline:  # also on one instance
-        raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+        raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds at size 1")
 
     pair_tests = 0
     per_size_entries = [0, entry_count]  # stored cells, counted as they are made
@@ -434,7 +435,7 @@ def build_table(
     left_keys: dict[tuple[int, int], list] = {}
     for i in range(2, n + 1):
         if deadline is not None and time.monotonic() >= deadline:  # once per stratum
-            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+            raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds at size {i}")
         if i > 2:
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
@@ -465,7 +466,8 @@ def build_table(
                     continue
                 for (lparam, lmask), lscore in lefts.items():
                     if deadline is not None and time.monotonic() >= deadline:
-                        raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds")
+                        raise BudgetExceeded(
+                            f"parse exceeded {budget.max_seconds} seconds at size {i}")
                     candidates = rights.items() if join is None else bucket.get(next_key(), ())
                     pair_tests += len(candidates)
                     for (rparam, rmask), rscore in candidates:
@@ -473,7 +475,7 @@ def build_table(
                             continue
                         pair_score, umask = lscore + rscore, lmask | rmask
                         for rel, fn, heads in rules:
-                            if not rel(lparam, rparam):
+                            if rel is not None and not rel(lparam, rparam):
                                 continue
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for logp, head in heads:
@@ -524,7 +526,7 @@ def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds
                     continue
                 if len(rights) < len(lefts):  # walk the smaller side, as the left one
                     lefts, rights = rights, lefts
-                    rels = [lambda a, b, rel=rel: rel(b, a) for rel in rels]
+                    rels = [rel and (lambda a, b, rel=rel: rel(b, a)) for rel in rels]
                     join = join and join[::-1]
                 if join is not None:  # the other side's cells by their key, as the fill does
                     bucket: dict[Any, list] = {}
@@ -536,7 +538,7 @@ def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds
                     candidates = rights if join is None else bucket.get(join[0](param), ())
                     for rel in rels:
                         comps.update([mask | rmask for rparam, rmask in candidates
-                                      if not mask & rmask and rel(param, rparam)])
+                                      if not mask & rmask and (rel is None or rel(param, rparam))])
         compositions.append(len(comps))
     return compositions
 

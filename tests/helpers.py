@@ -168,6 +168,29 @@ def packed(g: Grammar) -> Grammar:
     return dataclasses.replace(g, domain=dataclasses.replace(g.domain, folds={}))
 
 
+def calling_every_relation(g: Grammar, calls: list | None = None) -> Grammar:
+    """g over a copy of its domain whose relation factories are wrapped, as
+    bench/harness.py wraps them to count calls.  A wrapped factory carries no
+    mark of a relation its join decides, so the parser calls every relation;
+    each call appends its arguments to calls when a list is given."""
+
+    def wrapped(factory):
+        def make(config, arity):
+            rel = factory(config, arity)
+
+            def call(*params):
+                if calls is not None:
+                    calls.append(params)
+                return rel(*params)
+
+            return call
+
+        return make
+
+    relations = {key: wrapped(factory) for key, factory in g.domain.relations.items()}
+    return dataclasses.replace(g, domain=dataclasses.replace(g.domain, relations=relations))
+
+
 def over_intervals(g: Grammar) -> Grammar:
     """g over intervals, each And-rule as meets/hull, which declare no fold: on
     string_sample's spans it derives what g does with adjacent/concat, and its

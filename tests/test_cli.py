@@ -694,6 +694,30 @@ def test_budget_seconds_cover_loading_and_normalizing(
     assert code == 0 and json.loads(out)["found"] and budgets == [25.0]
 
 
+@pytest.mark.parametrize("step, when", [("project_parse", "in projection"),
+                                        ("tree_to_json_dict", "in output")])
+def test_budget_seconds_cover_projection_and_output(
+    capsys, monkeypatch, tmp_path, grammar_file, line_drawing, step, when
+):
+    # a fake clock in the CLI alone, which the step after the parse moves on by 5 seconds
+    clock = [100.0]
+    monkeypatch.setattr(aog.cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    real = getattr(aog.cli, step)
+
+    def slow(*args):
+        clock[0] += 5.0
+        return real(*args)
+
+    monkeypatch.setattr(aog.cli, step, slow)
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    for seconds in ("5", "4.5"):
+        code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", seconds])
+        assert code == 4
+        assert json.loads(out) == {"error": f"parse exceeded {float(seconds)} seconds {when}"}
+    code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "5.5"])
+    assert code == 0 and json.loads(out)["found"]
+
+
 def test_negative_sample_count_exits_2(capsys, grammar_file):
     code, out = run(capsys, ["sample", grammar_file, "--count", "-3"])
     assert code == 2 and "--count" in json.loads(out)["error"]

@@ -1,6 +1,7 @@
 """Parameter domain relations, functions, codecs, and ordering."""
 
 import collections
+import dataclasses
 import enum
 import itertools
 import re
@@ -278,11 +279,13 @@ def test_join_keys_agree_with_their_relation(make, key, config, good):
     left_key, right_key = dom.join(ref)
     # the relation holds only where the keys are equal: the parser tests
     # only the pairs of equal keys
-    values = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if key == "offset" or a < b]
+    # the relation holds exactly where the keys are equal, reversed pairs
+    # included: the join decides it, so the parser does not call it there
+    assert dom.decided(ref, joined=True) and not dom.decided(ref, joined=False)
+    values = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     for left in values:
         for right in values:
-            if relation(left, right):
-                assert left_key(left) == right_key(right)
+            assert relation(left, right) == (left_key(left) == right_key(right))
     # on a malformed parameter a key raises the relation's DomainError
     for bad in ((0, 1, 2), "x", (0, True)):
         with pytest.raises(DomainError) as expected:
@@ -293,6 +296,26 @@ def test_join_keys_agree_with_their_relation(make, key, config, good):
             relation(good, bad)
         with pytest.raises(DomainError, match=re.escape(str(expected.value))):
             right_key(bad)
+
+
+@pytest.mark.parametrize("name", ["string_span", "grid", "interval", "null"])
+def test_the_decided_relations_are_the_exact_joins_and_true(name):
+    exact = {"string_span": {"adjacent"}, "grid": {"offset"}, "interval": {"meets", "equals"},
+             "null": {"true"}}[name]
+    base = domain_from_config(name)
+    for dom, keys in ((base, exact), (tuple_domain(base), exact | {"true"})):
+        def decided(d):
+            return {key for key in d.relations if d.decided(RelationRef(key), key in d.joins)}
+
+        assert decided(dom) == keys
+        # the mark is the factory's: a new factory, or a new join, loses it
+        rewrapped = {key: lambda *args, f=f: f(*args) for key, f in dom.relations.items()}
+        assert decided(dataclasses.replace(dom, relations=rewrapped)) == set()
+        rejoined = {key: lambda config, f=f: f(config) for key, f in dom.joins.items()}
+        assert decided(dataclasses.replace(dom, joins=rejoined)) == keys & {"true"}
+        # a joined relation is not decided on a pair its join did not match
+        assert {key for key in dom.relations if dom.decided(RelationRef(key), False)} == (
+            keys & {"true"})
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -60,6 +61,7 @@ from aog.cli import main
 from aog.parsing import log_add, positions_of, tie_key
 from helpers import (
     NEG_INF,
+    calling_every_relation,
     chart_fingerprint,
     logsumexp,
     packed,
@@ -382,6 +384,104 @@ def test_child_pair_under_two_relations_matches_enumeration(second, spans):
     gcnf, node_map = to_gcnf(g)
     x = DataSample(tuple(TerminalInstance(f"i{k}", "t", span) for k, span in enumerate(spans)))
     assert_sample_matches_enumeration(g, gcnf, node_map, x)
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["tree", "or-chains"])
+@pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
+def test_a_decided_relation_fills_the_chart_that_calling_it_fills(kind, chains):
+    # the fill does not call a relation that its join, or no join ("true"),
+    # decides; a copy whose factories are wrapped calls every relation
+    decided = 0
+    for trial in range(30):
+        g = random_aog(random.Random(7300 + trial), allow_or_chains=chains, kind=kind)
+        gcnf = to_gcnf(g)[0]
+        calling = calling_every_relation(gcnf)
+        for _, _, _, kept, counted in gcnf.compiled.pairs:
+            decided += sum(rel is None for rel, _, _ in kept[0] + kept[1])
+            decided += (counted[0] + counted[1]).count(None)
+        assert all(rel is not None for pair in calling.compiled.pairs for rel, _, _ in pair[3][0])
+        for seed in range(3):
+            x = aog.sample(g, seed=seed)[1]
+            if len(x) > 7:
+                continue
+            for mode in ("viterbi", "marginal"):
+                table, called = build_table(gcnf, x, mode), build_table(calling, x, mode)
+                assert chart_fingerprint(table) == chart_fingerprint(called)
+                assert table.stats.pair_tests == called.stats.pair_tests
+                comps = table.stats.per_size_compositions
+                assert comps == called.stats.per_size_compositions
+    assert decided > 0
+
+
+def test_a_relation_stricter_than_its_kept_join_is_called():
+    # a domain that keeps adjacent's join but refuses a left child wider than
+    # two tokens: its factory is new, so it carries no mark and is called
+    base = string_span_domain()
+    calls = []
+
+    def stricter(config, arity):
+        adjacent = base.relations["adjacent"](config, arity)
+
+        def rel(*spans):
+            calls.append(spans)
+            return adjacent(*spans) and all(b - a <= 2 for a, b in spans[:-1])
+
+        return rel
+
+    domain = dataclasses.replace(base, relations={"adjacent": stricter})
+    assert domain.joins == base.joins and domain.join(RelationRef("adjacent")) is not None
+    g = dataclasses.replace(scfg_to_aog(AMBIGUOUS), domain=domain)
+    gcnf, node_map = to_gcnf(g)
+    x = string_sample(["a"] * 6)
+    assert_sample_matches_enumeration(g, gcnf, node_map, x)
+    assert calls
+    lenient = to_gcnf(scfg_to_aog(AMBIGUOUS))[0]  # every tree scores the same in viterbi
+    assert parse(gcnf, x, "marginal").score < parse(lenient, x, "marginal").score
+
+
+def keeping_marks(g: Grammar, calls: list) -> Grammar:
+    """calling_every_relation(g, calls), each wrapped factory keeping the mark
+    of the factory it wraps, so that the parser trusts it as that one."""
+    counted = calling_every_relation(g, calls)
+    for key, factory in g.domain.relations.items():
+        if hasattr(factory, "decided_by"):
+            counted.domain.relations[key].decided_by = factory.decided_by
+    return counted
+
+
+@pytest.mark.parametrize("name", ["string", "grid", "sat 44008"])
+def test_a_decided_pair_makes_no_relation_call(name, line_drawing):
+    if name == "string":
+        gcnf, x = to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 6)
+    elif name == "grid":  # the horizontal line alone: each pair under one offset
+        line = dataclasses.replace(
+            line_drawing, and_nodes=frozenset({"hline"}), and_rules=line_drawing.and_rules[:1],
+            or_rules=(OrRule("figure", "hline", 0.8), OrRule("figure", "dot", 0.2),
+                      OrRule("point", "dot", 1.0)))
+        gcnf = to_gcnf(line)[0]
+        x = DataSample(tuple(TerminalInstance(f"d{i}", "dot", (i, 0)) for i in range(3)))
+    else:
+        gcnf, x = pinned_input(name)
+    assert all(rel is None for pair in gcnf.compiled.pairs for rel, _, _ in pair[3][0] + pair[3][1])
+    calls = []
+    g = keeping_marks(gcnf, calls)
+    for mode in ("viterbi", "marginal"):
+        table = build_table(g, x, mode)
+        assert table.stats.per_size_compositions == parse(gcnf, x, mode).stats.per_size_compositions
+        assert calls == []
+        assert table.root_entries() == build_table(gcnf, x, mode).root_entries()
+    backtrack(table := build_table(g, x), table.root_entries()[0][0])
+    assert calls  # the derivation still tests the relation
+
+
+def test_a_malformed_param_raises_from_the_join_key():
+    gcnf = keeping_marks(to_gcnf(scfg_to_aog(AMBIGUOUS))[0], calls := [])
+    good = string_sample(["a"] * 2).instances
+    x = DataSample(good + (TerminalInstance("w2", "a", (2, 3, 4)),))
+    for mode in ("viterbi", "marginal"):
+        with pytest.raises(DomainError, match=r"^span must be a pair of ints, got \(2, 3, 4\)$"):
+            build_table(gcnf, x, mode)
+    assert calls == []
 
 
 def test_backtrack_requires_viterbi_table():
@@ -1142,30 +1242,11 @@ def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
     assert parse(gcnf, x).tree is not None
 
 
-def counted_relations(g: Grammar, calls: list) -> Grammar:
-    """g over a copy of its domain whose relations append their arguments to calls."""
-
-    def counted(factory):
-        def make(config, arity):
-            rel = factory(config, arity)
-
-            def call(*params):
-                calls.append(params)
-                return rel(*params)
-
-            return call
-
-        return make
-
-    relations = {key: counted(factory) for key, factory in g.domain.relations.items()}
-    return dataclasses.replace(g, domain=dataclasses.replace(g.domain, relations=relations))
-
-
 @pytest.mark.parametrize("tokens", ["aabb", "a" * 8 + "b" * 8])
 def test_the_count_tries_a_keyed_pair_only_on_equal_keys(tokens):
     calls = []
     gcnf, _ = to_gcnf(scfg_to_aog(parse_scfg(NP_VP)))
-    g = counted_relations(gcnf, calls)
+    g = calling_every_relation(gcnf, calls)
     x = string_sample(list(tokens))
     n = len(x)
     stats = build_table(g, x).stats
@@ -1196,7 +1277,7 @@ def test_the_count_walks_no_pair_at_a_size_its_stored_cells_fill(name, wide_stri
     assert comps[2:] == [math.comb(len(x), i) for i in range(2, len(x) + 1)]
     assert any(any(pair[4]) for pair in gcnf.compiled.pairs)
     calls = []
-    stats = build_table(counted_relations(gcnf, calls), x).stats
+    stats = build_table(calling_every_relation(gcnf, calls), x).stats
     calls.clear()
     assert stats.per_size_compositions == comps
     assert calls == []
@@ -1205,7 +1286,7 @@ def test_the_count_walks_no_pair_at_a_size_its_stored_cells_fill(name, wide_stri
 def walked_counts(gcnf: Grammar, x: DataSample, scores) -> list[int]:
     """per_size_compositions as every pair that only counts gives them at
     every size, each tried on every left x right cell pair, with no stop."""
-    compiled, n = gcnf.compiled, len(x)
+    compiled, n = calling_every_relation(gcnf).compiled, len(x)  # no decided relation
     counts = [0, sum(inst.terminal in compiled.or_by_child[0] for inst in x.instances)]
     for i in range(2, n + 1):
         comps = {mask for cells in scores[i].values() for _, mask in cells}
@@ -1252,7 +1333,7 @@ def test_backtrack_tests_the_function_before_the_relation(wide_string_grammar):
     # and each permutation gives another param: the function tells them apart
     gcnf, x = pinned_input("wide aabab", wide_string_grammar)
     calls = []
-    table = build_table(counted_relations(gcnf, calls), x)
+    table = build_table(calling_every_relation(gcnf, calls), x)
     [(root, _)] = table.root_entries()
     calls.clear()
     tree = backtrack(table, root)
@@ -1301,9 +1382,32 @@ def test_deadline_is_checked_once_per_stratum(monkeypatch):
     [check] = [call for call, count in counts.items() if count == len(x) - 1]
     assert check[0] == "build_table"
     calls = clock_calls(monkeypatch, lambda call: call == check)
-    with pytest.raises(BudgetExceeded, match=r"^parse exceeded 1\.0 seconds$"):
+    with pytest.raises(BudgetExceeded, match=r"^parse exceeded 1\.0 seconds at size 2$"):
         build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
     assert calls[-1] == check and calls.count(check) == 1
+
+
+def test_each_seconds_check_of_the_fill_names_its_size(monkeypatch):
+    # the checks after seeding, per stratum and per left cell, each firing
+    # on every one of its calls in turn: the size is 1 before the first
+    # stratum's check, and i from the check of stratum i on
+    gcnf, _ = to_gcnf(scfg_to_aog(AMBIGUOUS))
+    x = string_sample(["a"] * 5)
+    calls = clock_calls(monkeypatch, lambda call: False)
+    build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    assert {call[0] for call in calls} == {"build_table"}
+    _, seeding, stratum, per_cell, _ = sorted(set(calls), key=lambda call: call[1])
+    sizes = collections.Counter()
+    for k, call in enumerate(calls):
+        if call not in (seeding, stratum, per_cell):
+            continue
+        size = 1 + calls[: k + 1].count(stratum)
+        sizes[call, size] += 1
+        clock_calls(monkeypatch, lambda _, seen=itertools.count(): next(seen) == k)
+        with pytest.raises(BudgetExceeded, match=rf"^parse exceeded 1\.0 seconds at size {size}$"):
+            build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
+    assert sizes.keys() == {(seeding, 1)} | {(check, i) for check in (stratum, per_cell)
+                                              for i in range(2, 6)}
 
 
 def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path, capsys):
