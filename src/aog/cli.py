@@ -173,7 +173,12 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         return left
 
     budget.max_seconds = seconds_left("before parsing")
-    result = parse(target, x, mode=args.mode, budget=budget)
+    try:  # the stats of a goal-directed parse may fill the full chart when read
+        result = parse(target, x, mode=args.mode, budget=budget)
+        stats = result.stats if args.stats else None
+    except BudgetExceeded as exc:  # name the limit given, not the part of it left to the parse
+        message = str(exc).replace(f" {budget.max_seconds} seconds", f" {limit} seconds")
+        raise BudgetExceeded(message) from None
     found = result.score != NEG_INF
     out = {
         "mode": result.mode,
@@ -190,8 +195,7 @@ def cmd_parse(args: argparse.Namespace, g: Grammar, x: DataSample) -> int:
         seconds_left("in output")
         if args.dot:
             Path(args.dot).write_text(tree_to_dot(tree), encoding="utf-8")
-    if args.stats:
-        stats = result.stats  # its fields but the counter, then the derived counts
+    if stats is not None:  # its fields but the counter, then the derived counts
         shown = [k for k in vars(stats) if k != "compositions"]
         shown += [k for k, v in vars(type(stats)).items() if isinstance(v, property)]
         out["stats"] = {k: getattr(stats, k) for k in shown}

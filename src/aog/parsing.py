@@ -66,6 +66,24 @@ size's cells as they are made; a node's dict is made with its first cell.
 A rule whose head keeps no cell at a size is skipped, and a pair with no
 other rules there only adds its candidates to pair_tests.
 
+Goal-directed fill.  parse fills the chart goal-directed, a bottom-up
+deductive parser with top-down filtering (Shieber, Schabes & Pereira 1995)
+by outside sets (Klein & Manning 2003); build_table fills the full chart.
+compile_grammar takes two fixpoints over the normal-form rules, as int
+bitsets of terminal types: inside(X), the types X derives, and outside(X),
+the types X's contexts derive (empty at the start; an Or-rule H -> A over
+A -> (L, R) adds outside(H) | inside(R) to L, and symmetrically to R).  A
+cell (X, M) is dead when an instance whose type is not in outside(X) lies
+outside M: no complete parse can use it.  Every child of a cell that is not
+dead is not dead either, so a kept cell receives the same derivations in the
+same order as in the full chart, and its score, ties and log_add sums are
+bit-identical.  The check runs only where a new cell above size 1 is made,
+for a head that some And-rule under it lets need a type that neither child
+needs (CompiledGrammar.requiring); seeds and folds are never checked.  The
+stats are the full chart's: the goal-directed chart's own when it skipped no
+cell, else those of a full fill made when ParseResult.stats is first read,
+with the same max_entries and the seconds the parse left of its limit.
+
 Counting.  A size's compositions are the masks of its stored cells and the
 unions lmask | rmask of the disjoint child pairs that the relation of a
 count-only rule accepts, as rel(left param, right param): a rule whose
@@ -190,6 +208,9 @@ class CompiledGrammar:
     feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
     order, each (And-rule index, left child, right child, relation, function,
     ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
+    requiring maps a terminal to the checked heads that need every instance
+    of it (module docstring, Goal-directed fill); it is empty when no head is
+    checked.
     """
 
     or_by_child: tuple[dict[str, list[tuple[int, float, str]]], ...]
@@ -198,6 +219,7 @@ class CompiledGrammar:
     by_right: dict[str, list[int]]
     seeds: tuple[dict[str, tuple[int, ...]], ...]
     feeding: dict[str, list[tuple]]
+    requiring: dict[str, tuple[str, ...]]
 
 
 def positions_of(by_node: dict[str, list[int]], nodes) -> set[int]:
@@ -258,7 +280,54 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
         {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
         for by in (by_left, by_right)
     )
-    return CompiledGrammar((below, at_top), pairs, by_left, by_right, seeds, feeding)
+    requiring = requirements(g, read, feeding)
+    return CompiledGrammar((below, at_top), pairs, by_left, by_right, seeds, feeding, requiring)
+
+
+def requirements(g: Grammar, read: set[str], feeding: dict[str, list[tuple]]) -> dict:
+    """CompiledGrammar.requiring, from the inside and outside sets of terminal
+    types of the Or-nodes: int bitsets, each a fixpoint over the rules."""
+    bits = {t: 1 << k for k, t in enumerate(g.terminals)}
+    every = (1 << len(bits)) - 1
+    inside = dict.fromkeys(g.or_nodes, 0)  # the terminals under an Or-rule first
+    for rule in g.or_rules:
+        inside[rule.head] |= bits.get(rule.child, 0)
+    if all(types == every for types in sibling_types(g, inside).values()):
+        return {}  # the siblings of every read node derive every type: no cell needs one
+    up = [(child, head) for head, feds in feeding.items() for fed in feds for child in fed[1:3]]
+    closure(inside, up)
+    outside = dict.fromkeys(g.or_nodes, 0) | sibling_types(g, inside)
+    closure(outside, [(head, child) for child, head in up])
+    requiring: dict[str, list[str]] = {}
+    for head, feds in feeding.items():
+        needs = every & ~outside[head]
+        # checked where a head needs a type that neither child's cells need
+        if head in read and any(needs & outside[fed[1]] & outside[fed[2]] for fed in feds):
+            for t, bit in bits.items():
+                if needs & bit:
+                    requiring.setdefault(t, []).append(head)
+    return {t: tuple(heads) for t, heads in requiring.items()}
+
+
+def sibling_types(g: Grammar, inside: dict[str, int]) -> dict[str, int]:
+    """read node -> the types its siblings derive, by inside: a part of its outside set."""
+    outside: dict[str, int] = {}
+    for rule in g.and_rules:
+        left, right = rule.children
+        outside[left] = outside.get(left, 0) | inside[right]
+        outside[right] = outside.get(right, 0) | inside[left]
+    return outside
+
+
+def closure(sets: dict[str, int], edges: list[tuple[str, str]]) -> None:
+    """sets[dst] |= sets[src] along every (src, dst) edge, until none changes."""
+    changed = True
+    while changed:
+        changed = False
+        for src, dst in edges:
+            if sets[src] | sets[dst] != sets[dst]:
+                sets[dst] |= sets[src]
+                changed = True
 
 
 @dataclass
@@ -305,7 +374,15 @@ class ParseResult:
     mode: str
     score: float  # log probability; -inf when the sample has no parse
     tree: ParseTree | None
-    stats: CompositionStats
+    # the full chart's stats, or the full fill that gives them when first read (parse)
+    full_stats: CompositionStats | Callable[[], CompositionStats] = field(repr=False)
+
+    @property
+    def stats(self) -> CompositionStats:
+        """The full chart's stats, whichever chart the parse filled."""
+        if callable(self.full_stats):
+            self.full_stats = self.full_stats()
+        return self.full_stats
 
 
 def deriver(table: CompositionTable):
@@ -383,7 +460,17 @@ def build_table(
     mode: str = "viterbi",
     budget: ParserBudget | None = None,
 ) -> CompositionTable:
-    """Fill the composition chart bottom-up over sub-sample sizes."""
+    """Fill the full composition chart bottom-up over sub-sample sizes."""
+    budget = budget or ParserBudget()
+    return fill_chart(g, x, mode, budget, budget.max_seconds, False)[0]
+
+
+def fill_chart(
+    g: Grammar, x: DataSample, mode: str, budget: ParserBudget, seconds: float | None, goal: bool
+) -> tuple[CompositionTable, int]:
+    """(the chart, how often it skipped a dead cell): the full chart, or with goal
+    the goal-directed one (module docstring).  The fill has seconds of time,
+    None: no limit, and its messages name budget.max_seconds."""
     if mode not in ("viterbi", "marginal"):
         raise ValueError(f"unknown parse mode {mode!r}")
     compiled = g.compiled  # NotInNormalForm, or a rule that does not resolve
@@ -398,18 +485,21 @@ def build_table(
     for terminal in terminals:
         if terminal not in g.terminals:
             raise ValueError(f"sample uses unknown terminal {terminal!r}")
-    budget = budget or ParserBudget()
     started = time.monotonic()
-    deadline = None if budget.max_seconds is None else started + budget.max_seconds
+    deadline = None if seconds is None else started + seconds
 
     n = len(x)
     scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
     max_entries = budget.max_entries
     fold = max if mode == "viterbi" else log_add
 
+    requiring = compiled.requiring if goal else {}
+    need: dict[str, int] = {}  # checked head -> the instances each of its cells must hold
     seeded = scores[1]
     for index, inst in enumerate(x.instances):
         ikey = (inst.param, 1 << index)
+        for head in requiring.get(inst.terminal, ()):
+            need[head] = need.get(head, 0) | ikey[1]
         for _, logp, head in compiled.or_by_child[n == 1].get(inst.terminal, ()):
             cells = seeded.get(head)
             if cells is None:  # a node's dict is made with its first cell
@@ -423,7 +513,7 @@ def build_table(
     if deadline is not None and time.monotonic() >= deadline:  # also on one instance
         raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds at size 1")
 
-    pair_tests = 0
+    pair_tests = skipped = 0
     per_size_entries = [0, entry_count]  # stored cells, counted as they are made
     pairs = compiled.pairs
     # size -> positions of the child pairs whose left (right) child has
@@ -485,6 +575,10 @@ def build_table(
                                 if cur is not None:
                                     cells[ikey] = fold(cur, logp + pair_score)
                                     continue
+                                req = need.get(head, 0)
+                                if umask & req != req:  # dead: no complete parse can use it
+                                    skipped += 1
+                                    continue
                                 entry_count += 1
                                 if entry_count > max_entries:
                                     raise BudgetExceeded(
@@ -505,7 +599,7 @@ def build_table(
         # closes over the chart's parts, not the table, so that no cycle keeps a table alive
         compositions=functools.partial(count_compositions, compiled, x, scores, seconds_left),
     )
-    return CompositionTable(g, x, mode, scores, stats, deadline)
+    return CompositionTable(g, x, mode, scores, stats, deadline), skipped
 
 
 def count_compositions(compiled: CompiledGrammar, x: DataSample, scores, seconds) -> list[int]:
@@ -583,18 +677,28 @@ def parse(
     mode: str = "viterbi",
     budget: ParserBudget | None = None,
 ) -> ParseResult:
-    """Parse a sample: viterbi returns the best tree, marginal the total mass."""
-    table = build_table(g, x, mode, budget)
+    """Parse a sample: viterbi returns the best tree, marginal the total mass.
+    The chart is filled goal-directed; the stats are the full chart's (module docstring)."""
+    budget = budget or ParserBudget()
+    table, skipped = fill_chart(g, x, mode, budget, budget.max_seconds, True)
     roots = table.root_entries()
-    if not roots:
-        return ParseResult(mode, NEG_INF, None, table.stats)
+    score, tree = NEG_INF, None
     if mode == "marginal":
-        score = NEG_INF
         for _, entry in roots:
             score = log_add(score, entry.score)
-        return ParseResult(mode, score, None, table.stats)
-    best_key, best = max(roots, key=lambda kv: kv[1].score)
-    return ParseResult(mode, best.score, backtrack(table, best_key), table.stats)
+    elif roots:
+        best_key, best = max(roots, key=lambda kv: kv[1].score)
+        score, tree = best.score, backtrack(table, best_key)
+    stats = table.stats
+    if skipped:  # the full fill, when first read, with what the parse left of its time
+        left = None if table.deadline is None else table.deadline - time.monotonic()
+        stats = functools.partial(full_chart_stats, g, x, mode, budget, left)
+    return ParseResult(mode, score, tree, stats)
+
+
+def full_chart_stats(g: Grammar, x: DataSample, mode: str, budget: ParserBudget, seconds):
+    """The stats of the full chart of a parse, filled in seconds or None: no limit."""
+    return fill_chart(g, x, mode, budget, seconds, False)[0].stats
 
 
 # -------------------------------------------------------------------- reference

@@ -25,11 +25,14 @@ from aog import (
     ScfgRule,
     Spn,
     SumNode,
+    backtrack,
+    build_table,
     grid_domain,
     interval_domain,
     null_domain,
     string_span_domain,
 )
+from aog.parsing import log_add
 
 NEG_INF = float("-inf")
 
@@ -64,6 +67,21 @@ def flat_back(table, node, key):
         return cell[1:]
     _, and_idx, (lparam, lmask), (rparam, rmask), or_idx = cell
     return (and_idx, lparam, lmask, rparam, rmask, or_idx)
+
+
+def full_chart_parse(g: Grammar, x, mode: str = "viterbi"):
+    """(score, tree, stats) of parsing x on the full chart, as parse reports
+    them: build_table, then root_entries, then backtrack of the best root."""
+    table = build_table(g, x, mode)
+    roots = table.root_entries()
+    score, tree = NEG_INF, None
+    if mode == "marginal":
+        for _, entry in roots:
+            score = log_add(score, entry.score)
+    elif roots:
+        key, entry = max(roots, key=lambda kv: kv[1].score)
+        score, tree = entry.score, backtrack(table, key)
+    return score, tree, table.stats
 
 
 def chart_fingerprint(table) -> str:

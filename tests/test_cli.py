@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import logging
 import math
@@ -36,7 +37,7 @@ from aog import (
 )
 from aog.cli import main, tree_to_dot
 from aog.serialize import canonical_dumps, tree_to_json_dict
-from helpers import over_intervals, random_aog
+from helpers import over_intervals, random_3sat, random_aog
 
 
 @pytest.fixture
@@ -692,6 +693,63 @@ def test_budget_seconds_cover_loading_and_normalizing(
     assert budgets == []
     code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "30"])
     assert code == 0 and json.loads(out)["found"] and budgets == [25.0]
+
+
+def normalizing_takes(monkeypatch, seconds):
+    """A fake clock in the CLI alone, which to_gcnf moves on by seconds."""
+    clock = [100.0]
+    monkeypatch.setattr(aog.cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    real_to_gcnf = aog.cli.to_gcnf
+
+    def slow_to_gcnf(g):
+        clock[0] += seconds
+        return real_to_gcnf(g)
+
+    monkeypatch.setattr(aog.cli, "to_gcnf", slow_to_gcnf)
+
+
+def test_budget_seconds_name_the_limit_given(
+    capsys, monkeypatch, tmp_path, grammar_file, line_drawing
+):
+    # the parse gets the 0.25 s left of 0.5; parsing's own clock moves 1 s per reading
+    normalizing_takes(monkeypatch, 0.25)
+    ticks = itertools.count()
+    monkeypatch.setattr(aog.parsing, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    xp = sample_file(tmp_path, line_drawing, [(0, 0), (1, 0), (2, 0)])
+    code, out = run(capsys, ["parse", grammar_file, xp, "--budget-seconds", "0.5"])
+    assert code == 4
+    assert re.fullmatch(r"parse exceeded 0\.5 seconds at size 1", json.loads(out)["error"])
+
+
+def test_budget_seconds_of_the_full_fill_for_the_stats_name_the_limit_given(
+    capsys, monkeypatch, tmp_path
+):
+    # parsing's clock stands still until the stats are read, so the goal fill
+    # keeps its 0.25 s of the 0.5; then it moves 1 s per reading, and the full
+    # fill for the stats fires at its first check
+    g, x = aog.sat_to_aog(random_3sat(random.Random(44008)))
+    gpath, xpath = tmp_path / "g.json", tmp_path / "x.json"
+    aog.save_grammar(g, gpath)
+    aog.save_sample(x, g.domain, xpath)
+    normalizing_takes(monkeypatch, 0.25)
+    real_stats, reads = aog.parsing.full_chart_stats, []
+
+    def full_chart_stats(*args):
+        reads.append(args)
+        return real_stats(*args)
+
+    def monotonic():
+        if reads:
+            reads.append(None)
+        return float(len(reads))
+
+    monkeypatch.setattr(aog.parsing, "full_chart_stats", full_chart_stats)
+    monkeypatch.setattr(aog.parsing, "time", types.SimpleNamespace(monotonic=monotonic))
+    argv = ["parse", str(gpath), str(xpath), "--budget-seconds", "0.5"]
+    assert run(capsys, argv)[0] == 0 and not reads  # no stats, no full fill
+    code, out = run(capsys, [*argv, "--stats"])
+    assert code == 4 and reads
+    assert re.fullmatch(r"parse exceeded 0\.5 seconds at size 1", json.loads(out)["error"])
 
 
 @pytest.mark.parametrize("step, when", [("project_parse", "in projection"),

@@ -63,6 +63,7 @@ from helpers import (
     NEG_INF,
     calling_every_relation,
     chart_fingerprint,
+    full_chart_parse,
     logsumexp,
     packed,
     random_3sat,
@@ -1124,8 +1125,130 @@ def test_budget_entries_count_stored_cells():
     gcnf, x = pinned_input("sat 44008")
     entries = UNREAD_PINS["sat 44008"][3]
     assert parse(gcnf, x, budget=ParserBudget(max_entries=entries)).stats.table_entries == entries
-    with pytest.raises(BudgetExceeded):
-        parse(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
+    # the goal fill stores fewer cells; the full fill of the stats read has the same budget
+    result = parse(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
+    fired = rf"^chart exceeded {entries - 1} entries at size \d+$"
+    with pytest.raises(BudgetExceeded, match=fired):
+        result.stats
+    with pytest.raises(BudgetExceeded, match=fired):
+        build_table(gcnf, x, budget=ParserBudget(max_entries=entries - 1))
+    goal = parsing.fill_chart(gcnf, x, "viterbi", ParserBudget(), None, True)[0]
+    stored = goal.stats.table_entries
+    assert stored < entries - 1
+    with pytest.raises(BudgetExceeded, match=rf"^chart exceeded {stored - 1} entries at size \d+$"):
+        parse(gcnf, x, budget=ParserBudget(max_entries=stored - 1))
+
+
+def goal_fill(g, x, mode="viterbi"):
+    """(chart, cells skipped as dead) of parse's goal-directed fill, with no limit."""
+    return parsing.fill_chart(g, x, mode, ParserBudget(), None, True)
+
+
+def stats_fields(stats):
+    """Every field of the stats but elapsed_seconds, with the counts taken."""
+    return stats.sample_size, stats.per_size_entries, stats.pair_tests, stats.per_size_compositions
+
+
+def compare_with_full_chart(g, x, mode, project=lambda tree: tree):
+    """Assert that parse equals the full chart on score bits, projected tree
+    and stats; return whether its goal-directed fill skipped a cell."""
+    score, tree, stats = full_chart_parse(g, x, mode)
+    result = parse(g, x, mode)
+    assert result.score.hex() == score.hex()
+    assert (result.tree is None) == (tree is None)
+    if tree is not None:
+        assert project(result.tree).root == project(tree).root
+    assert stats_fields(result.stats) == stats_fields(stats)
+    return goal_fill(g, x, mode)[1] > 0
+
+
+def null_grammar(and_rules, or_rules, start="S"):
+    """A normal-form grammar over the null domain; And-rules as (head, left, right)."""
+    true, null = aog.RelationRef("true"), aog.FunctionRef("null")
+    ands = [AndRule(head, tuple(children), true, null) for head, *children in and_rules]
+    ors = [OrRule(*rule) for rule in or_rules]
+    terminals = {rule.child for rule in ors} - {rule.head for rule in ands}
+    return aog.Grammar.from_rules(null_domain(), terminals, start, ands, ors)
+
+
+# S -> H Y, H -> X X | b, X -> a | b, Y -> a | c: H's contexts derive a and c
+# only, so a cell of H must hold every b; X's derive every type
+GOAL_HAND = null_grammar(
+    [("s", "H", "Y"), ("h", "X", "X")],
+    [("S", "s", 1.0), ("H", "h", 0.5), ("H", "b", 0.5), ("X", "a", 0.5), ("X", "b", 0.5),
+     ("Y", "a", 0.5), ("Y", "c", 0.5)],
+)
+
+
+def null_sample(terminals):
+    return DataSample(tuple(TerminalInstance(f"i{k}", t, None) for k, t in enumerate(terminals)))
+
+
+def test_the_goal_fill_skips_a_dead_cell_and_keeps_a_viable_one():
+    assert GOAL_HAND.compiled.requiring == {"b": ("H",)}
+    x = null_sample("aab")  # H over a0 a1 leaves b2 out: dead; H over a0 b2 or a1 b2: viable
+    goal, skipped = goal_fill(GOAL_HAND, x)
+    full = build_table(GOAL_HAND, x)
+    assert list(full.scores[2]["H"]) == [(None, 0b011), (None, 0b101), (None, 0b110)]
+    # the dead cell is skipped once per child pair that derives it, X X and X X swapped
+    assert list(goal.scores[2]["H"]) == [(None, 0b101), (None, 0b110)] and skipped == 2
+    assert goal.scores[1] == full.scores[1] and goal.scores[3] == full.scores[3]
+    assert goal.stats.per_size_entries == [0, 6, 2, 1]
+    assert compare_with_full_chart(GOAL_HAND, x, "viterbi")
+    assert parse(GOAL_HAND, x).stats.per_size_entries == [0, 6, 3, 1]
+    # both seeds of H miss the other b, so they are dead too, but seeds are never checked
+    x = null_sample("abb")
+    goal, skipped = goal_fill(GOAL_HAND, x)
+    assert list(goal.scores[1]["H"]) == [(None, 0b010), (None, 0b100)] and skipped == 4
+    assert goal.scores[1] == build_table(GOAL_HAND, x).scores[1]
+    assert list(goal.scores[2]["H"]) == [(None, 0b110)]
+    for mode in ("viterbi", "marginal"):
+        assert compare_with_full_chart(GOAL_HAND, x, mode)
+
+
+def test_a_goal_fill_that_skips_nothing_keeps_its_own_stats(monkeypatch):
+    x = null_sample("ab")  # every cell holds the one b
+    assert goal_fill(GOAL_HAND, x)[1] == 0
+    expected = stats_fields(build_table(GOAL_HAND, x).stats)
+    filled = []
+    fill_chart = parsing.fill_chart
+
+    def recording(*args):
+        filled.append(args)
+        return fill_chart(*args)
+
+    monkeypatch.setattr(parsing, "fill_chart", recording)
+    result = parse(GOAL_HAND, x)
+    assert stats_fields(result.stats) == expected
+    assert [args[-1] for args in filled] == [True]  # no full fill for the stats
+
+
+def test_a_goal_directed_parse_equals_the_full_chart():
+    skipping = 0
+    for kind, trial in itertools.product(["string", "grid", "null", "interval"], range(60)):
+        g = random_aog(random.Random(7000 + trial), allow_or_chains=trial % 2 == 1, kind=kind)
+        gcnf, node_map = to_gcnf(g)
+        for seed in range(3):
+            x = aog.sample(g, seed=seed)[1]
+            if len(x) > 9:
+                continue
+            for y in (x, DataSample(x.instances[:-1]))[: len(x)]:
+                for mode in ("viterbi", "marginal"):
+                    skipping += compare_with_full_chart(
+                        gcnf, y, mode, lambda tree: project_parse(tree, node_map, g))
+    assert skipping >= 20
+
+
+def test_the_goal_fill_stores_few_cells_of_the_sat_bench_formulas():
+    stored = full = skipping = 0
+    for seed in range(44000, 44020):
+        g, x = sat_formula(seed)
+        gcnf = to_gcnf(g)[0]
+        stored += goal_fill(gcnf, x)[0].stats.table_entries
+        full += build_table(gcnf, x).stats.table_entries
+        skipping += compare_with_full_chart(gcnf, x, "viterbi")
+    assert full == 241_403 and stored <= 2_000
+    assert skipping >= 10
 
 
 def clock_calls(monkeypatch, expired):
@@ -1233,8 +1356,8 @@ def test_a_pair_that_only_counts_walks_no_left_cell(monkeypatch):
     assert walked == 11
     calls = clock_calls(monkeypatch, lambda call: False)
     stats = build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0)).stats
-    # per build_table line: the start, seeding, the end, once per stratum, once per left cell
-    checks = collections.Counter(call for call in calls if call[0] == "build_table")
+    # per fill_chart line: the start, seeding, the end, once per stratum, once per left cell
+    checks = collections.Counter(call for call in calls if call[0] == "fill_chart")
     assert sorted(checks.values()) == [1, 1, 1, n - 1, walked]
     assert stats.per_size_compositions == [0, 4, 3, 2, 1]
     assert stats.per_size_entries == [0, 4, 2, 0, 1]
@@ -1380,7 +1503,7 @@ def test_deadline_is_checked_once_per_stratum(monkeypatch):
     build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
     counts = collections.Counter(calls)
     [check] = [call for call, count in counts.items() if count == len(x) - 1]
-    assert check[0] == "build_table"
+    assert check[0] == "fill_chart"
     calls = clock_calls(monkeypatch, lambda call: call == check)
     with pytest.raises(BudgetExceeded, match=r"^parse exceeded 1\.0 seconds at size 2$"):
         build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
@@ -1395,7 +1518,7 @@ def test_each_seconds_check_of_the_fill_names_its_size(monkeypatch):
     x = string_sample(["a"] * 5)
     calls = clock_calls(monkeypatch, lambda call: False)
     build_table(gcnf, x, budget=ParserBudget(max_seconds=1.0))
-    assert {call[0] for call in calls} == {"build_table"}
+    assert {call[0] for call in calls} == {"fill_chart"}
     _, seeding, stratum, per_cell, _ = sorted(set(calls), key=lambda call: call[1])
     sizes = collections.Counter()
     for k, call in enumerate(calls):
@@ -1411,18 +1534,18 @@ def test_each_seconds_check_of_the_fill_names_its_size(monkeypatch):
 
 
 def test_max_seconds_bounds_backtrack(monkeypatch, tmp_path, capsys):
-    # the limit passes right after build_table returns, so only backtrack sees it
+    # the limit passes right after parse's fill_chart returns, so only backtrack sees it
     g = scfg_to_aog(parse_scfg("S -> S A [0.5]\nS -> a [0.5]\nA -> a [1.0]"))
     gcnf, _ = to_gcnf(g)
     x = string_sample(["a"] * 20)
     built = []
-    real_build_table = parsing.build_table
+    real_fill_chart = parsing.fill_chart
 
     def build_then_expire(*args):
-        built.append(real_build_table(*args))
+        built.append(real_fill_chart(*args))
         return built[-1]
 
-    monkeypatch.setattr(parsing, "build_table", build_then_expire)
+    monkeypatch.setattr(parsing, "fill_chart", build_then_expire)
     calls = clock_calls(monkeypatch, lambda call: bool(built))
     assert parse(gcnf, x).tree is not None
     assert "backtrack" not in dict(calls)  # no limit, no check
