@@ -47,24 +47,25 @@ caches it on the grammar, so a grammar parsed many times resolves each
 callable once.  Seeding writes size-1 cells directly, folding in the
 score of a second Or-rule over the same head and terminal.
 
-Combine step.  For a split of size i into j + (i - j), the step takes only
-the pairs whose left child has cells of size j and whose right child has
-cells of size i - j, in the order of the pairs' first use in and_rules.
-A keyed pair pairs each left cell with the right cells of the same key,
-each key computed once per cell and pair, as lower strata are final: the
-right cells go into a bucket per key per (right size, pair), the left
-cells' keys into a list per (left size, pair).  A keyless pair tries
-every right cell.  A key never drops a pair its relation accepts, and
-the relation is called on each candidate unless the domain marks it as
-decided (domains): by the pair's join (adjacent, meets, equals, offset),
-or by no join (true); its compiled record then holds None.  Buckets and
-key lists keep the chart's insertion order, so each cell receives its
-derivations in the same order as when every left x right pair is tried,
-and the log_add sums of marginal cells stay bit-identical.
-stats.pair_tests counts the candidates examined, and per_size_entries each
-size's cells as they are made; a node's dict is made with its first cell.
-A rule whose head keeps no cell at a size is skipped, and a pair with no
-other rules there only adds its candidates to pair_tests.
+Combine step.  For a split of size i into j + (i - j), the step takes only the
+pairs whose left child has cells of size j and whose right child has cells of
+size i - j, in the order of the pairs' first use in and_rules.  A keyed pair
+pairs each left cell with the right cells of the same key, each key computed
+once per cell and pair, as lower strata are final: the right cells go into a
+bucket per key per (right size, pair), the left cells' keys into a list per
+(left size, pair).  A left cell whose key has no bucket is passed over.  A
+keyless pair tries every right cell.  A key never drops a pair its relation
+accepts, and the relation is called on each candidate unless the domain marks
+it as decided (domains): by the pair's join (adjacent, meets, equals, offset),
+or by no join (true); its compiled record then holds None.  Buckets and key
+lists keep the chart's insertion order, so each cell receives its derivations
+in the same order as when every left x right pair is tried, and the log_add
+sums of marginal cells stay bit-identical.  A viterbi cell is rewritten only
+when a derivation scores strictly higher, so a tie or a NaN keeps the stored
+score, as max does.  stats.pair_tests counts the candidates examined, and
+per_size_entries each size's cells as they are made; a node's dict is made
+with its first cell.  A rule whose head keeps no cell at a size is skipped,
+and a pair with no other rules there only adds its candidates to pair_tests.
 
 Goal-directed fill.  parse fills the chart goal-directed, a bottom-up
 deductive parser with top-down filtering (Shieber, Schabes & Pereira 1995)
@@ -491,7 +492,8 @@ def fill_chart(
     n = len(x)
     scores: list[dict[str, dict[tuple, float]]] = [{} for _ in range(n + 1)]
     max_entries = budget.max_entries
-    fold = max if mode == "viterbi" else log_add
+    marginal = mode == "marginal"
+    fold = log_add if marginal else max
 
     requiring = compiled.requiring if goal else {}
     need: dict[str, int] = {}  # checked head -> the instances each of its cells must hold
@@ -530,6 +532,7 @@ def fill_chart(
             with_left.append(positions_of(compiled.by_left, scores[i - 1]))
             with_right.append(positions_of(compiled.by_right, scores[i - 1]))
         stratum, top, stored = scores[i], i == n, entry_count
+        get = stratum.get
         for j in range(1, i):
             live = with_left[j] & with_right[i - j]
             if not live:
@@ -558,7 +561,9 @@ def fill_chart(
                     if deadline is not None and time.monotonic() >= deadline:
                         raise BudgetExceeded(
                             f"parse exceeded {budget.max_seconds} seconds at size {i}")
-                    candidates = rights.items() if join is None else bucket.get(next_key(), ())
+                    candidates = rights.items() if join is None else bucket.get(next_key())
+                    if candidates is None:  # no right cell has its key
+                        continue
                     pair_tests += len(candidates)
                     for (rparam, rmask), rscore in candidates:
                         if lmask & rmask:
@@ -570,10 +575,14 @@ def fill_chart(
                             ikey = (fn(lparam, rparam), umask)  # shared by the heads it feeds
                             for logp, head in heads:
                                 # the one place a cell above size 1 is written, as in seeding
-                                cells = stratum.get(head)
+                                score = logp + pair_score
+                                cells = get(head)
                                 cur = cells and cells.get(ikey)
                                 if cur is not None:
-                                    cells[ikey] = fold(cur, logp + pair_score)
+                                    if marginal:
+                                        cells[ikey] = fold(cur, score)
+                                    elif score > cur:  # as max(cur, score): a tie or NaN keeps cur
+                                        cells[ikey] = score
                                     continue
                                 req = need.get(head, 0)
                                 if umask & req != req:  # dead: no complete parse can use it
@@ -584,9 +593,9 @@ def fill_chart(
                                     raise BudgetExceeded(
                                         f"chart exceeded {max_entries} entries at size {i}")
                                 if cells:
-                                    cells[ikey] = logp + pair_score
+                                    cells[ikey] = score
                                 else:
-                                    stratum[head] = {ikey: logp + pair_score}
+                                    stratum[head] = {ikey: score}
         per_size_entries.append(entry_count - stored)
 
     finished = time.monotonic()

@@ -325,6 +325,19 @@ def test_all_spans_pair_tests_match_cyk(n):
         assert parse(gcnf, string_sample(["a"] * n), mode).stats.pair_tests == math.comb(n + 1, 3)
 
 
+@pytest.mark.parametrize("n", [2, 5, 16, 40])
+def test_left_branching_chart_stats_in_closed_form(n):
+    # S cells are the spans, A cells the tokens; size i has one split, (i - 1, 1),
+    # where n - i + 1 of the n - i + 2 S spans have a token after them, and the
+    # last S span finds no A cell with its join key
+    gcnf, _ = to_gcnf(scfg_to_aog(LEFT_BRANCHING))
+    x = string_sample(["a"] * n)
+    for mode in ("viterbi", "marginal"):
+        for stats in (parse(gcnf, x, mode).stats, build_table(gcnf, x, mode).stats):
+            assert stats.pair_tests == n * (n - 1) // 2
+            assert stats.per_size_entries == [0, 2 * n, *range(n - 1, 0, -1)]
+
+
 def test_compiled_form_resolves_each_factory_once():
     calls = collections.Counter()
 
@@ -1642,6 +1655,11 @@ CHART_FINGERPRINTS = {
         "viterbi": "524f6dc767812bcaed1f352e4862bb0e3ebd9630c9c3fbcada95f74cc2038603",
         "marginal": "848c99968acd7fa3a0348cc1868a8748c3b0f55573974c83429c8b87ccd22475",
     },
+    # one join pair, with a left cell at each size that no right cell joins
+    "left a12": {
+        "viterbi": "98db20f3e362d89274182ed144d2a3e86bdd9a04b0b96834649b7489f4e75140",
+        "marginal": "f95bff6112f5bf1d53ed75240b91087b353ab8dc5294901cd5bfb7437e7e6675",
+    },
     # charts where one mask carries several params, so a derivation is told
     # apart from others of the same masks and score by its function's value
     # (wide abab only in its packed chart: its folded one has a span per mask)
@@ -1693,6 +1711,8 @@ def fingerprinted_input(name, wide_string_grammar):
         return pinned_input(name)
     if name == "all-spans a8":
         return to_gcnf(scfg_to_aog(AMBIGUOUS))[0], string_sample(["a"] * 8)
+    if name == "left a12":
+        return to_gcnf(scfg_to_aog(LEFT_BRANCHING))[0], string_sample(["a"] * 12)
     g, x = original_input(name, wide_string_grammar)
     return to_gcnf(g)[0], x
 
