@@ -49,7 +49,9 @@ score of a second Or-rule over the same head and terminal.
 
 Combine step.  For a split of size i into j + (i - j), the step takes only the
 pairs whose left child has cells of size j and whose right child has cells of
-size i - j, in the order of the pairs' first use in and_rules.  A keyed pair
+size i - j: the AND of the two strata's int masks of pairs (CompiledGrammar),
+walked lowest bit first, which is the order of the pairs' first use in
+and_rules; bit_positions caches the walk of a mask.  A keyed pair
 pairs each left cell with the right cells of the same key, each key computed
 once per cell and pair, as lower strata are final: the right cells go into a
 bucket per key per (right size, pair), the left cells' keys into a list per
@@ -202,10 +204,10 @@ class CompiledGrammar:
     head), ...) of the head's or_by_child[top] rules), and counted[top] the
     relations of its count-only rules, whose head has Or-rules but keeps no
     cell; a relation is None where the domain decides it (module docstring).
-    by_left and by_right map a node to the positions in pairs of the
-    pairs with that left or right child, and seeds[right] a terminal to the
-    sorted positions of the pairs whose left (right) child heads an
-    or_by_child[0] rule over it.
+    by_left and by_right map a node to an int mask of positions in pairs,
+    bit p set when pairs[p] has that left or right child, and seeds[right]
+    a terminal to the mask of the pairs whose left (right) child heads an
+    or_by_child[0] rule over it; a stratum's mask is the OR of its nodes'.
     feeding maps an Or-node to the And-rules under its Or-rules, in and_rules
     order, each (And-rule index, left child, right child, relation, function,
     ((Or-rule index, log prob), ...) of its Or-rules over the And-node).
@@ -216,16 +218,29 @@ class CompiledGrammar:
 
     or_by_child: tuple[dict[str, list[tuple[int, float, str]]], ...]
     pairs: list[tuple[str, str, Any, tuple]]
-    by_left: dict[str, list[int]]
-    by_right: dict[str, list[int]]
-    seeds: tuple[dict[str, tuple[int, ...]], ...]
+    by_left: dict[str, int]
+    by_right: dict[str, int]
+    seeds: tuple[dict[str, int], ...]
     feeding: dict[str, list[tuple]]
     requiring: dict[str, tuple[str, ...]]
 
 
-def positions_of(by_node: dict[str, list[int]], nodes) -> set[int]:
-    """The positions in pairs of the pairs with a child in nodes, by_node[node] listing them."""
-    return set(itertools.chain.from_iterable(map(by_node.get, nodes, itertools.repeat(()))))
+def positions_of(by_node: dict[str, int], nodes) -> int:
+    """The mask of the pairs with a child in nodes, by_node[node] being its mask."""
+    mask = 0
+    for node in nodes:
+        mask |= by_node.get(node, 0)
+    return mask
+
+
+@functools.lru_cache(maxsize=1024)
+def bit_positions(mask: int) -> tuple[int, ...]:
+    """mask's set bits, lowest first; cached, as a grammar's parses meet the same masks."""
+    positions = []
+    while mask:
+        positions.append((mask & -mask).bit_length() - 1)  # the lowest set bit
+        mask &= mask - 1
+    return tuple(positions)
 
 
 def compile_grammar(g: Grammar) -> CompiledGrammar:
@@ -258,14 +273,14 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
             feeding.setdefault(head, []).append((idx, *rule.children, rel, fn, tuple(or_rules)))
         by_pair.setdefault(rule.children, []).append((rule, rel, fn))
     pairs = []
-    by_left: dict[str, list[int]] = {}
-    by_right: dict[str, list[int]] = {}
+    by_left: dict[str, int] = {}
+    by_right: dict[str, int] = {}
     for (left, right), rules in by_pair.items():
         relation = rules[0][0].relation
         shared = all(rule.relation == relation for rule, _, _ in rules)
         join = g.domain.join(relation) if shared else None
-        by_left.setdefault(left, []).append(len(pairs))
-        by_right.setdefault(right, []).append(len(pairs))
+        by_left[left] = by_left.get(left, 0) | 1 << len(pairs)
+        by_right[right] = by_right.get(right, 0) | 1 << len(pairs)
         kept, counted = ([], []), ([], [])
         for rule, rel, fn in rules:
             if g.domain.decided(rule.relation, join is not None):
@@ -278,7 +293,7 @@ def compile_grammar(g: Grammar) -> CompiledGrammar:
                     counted[top].append(rel)
         pairs.append((left, right, join, kept, counted))
     seeds = tuple(
-        {t: tuple(sorted(positions_of(by, [h for *_, h in below.get(t, ())]))) for t in g.terminals}
+        {t: positions_of(by, [h for *_, h in below.get(t, ())]) for t in g.terminals}
         for by in (by_left, by_right)
     )
     requiring = requirements(g, read, feeding)
@@ -518,9 +533,9 @@ def fill_chart(
     pair_tests = skipped = 0
     per_size_entries = [0, entry_count]  # stored cells, counted as they are made
     pairs = compiled.pairs
-    # size -> positions of the child pairs whose left (right) child has
-    # cells of that size, listed once the stratum is final (size 1: compiled)
-    with_left, with_right = ([set(), set().union(*map(s.get, terminals))] for s in compiled.seeds)
+    # size -> the mask of the child pairs whose left (right) child has cells
+    # of that size, taken once its stratum is final (size 1: compiled)
+    with_left, with_right = ([0, positions_of(s, terminals)] for s in compiled.seeds)
     # (size, pair position) -> key -> the right cells of that key, and the
     # join keys of the left cells in chart order
     buckets: dict[tuple[int, int], dict[Any, list]] = {}
@@ -528,9 +543,6 @@ def fill_chart(
     for i in range(2, n + 1):
         if deadline is not None and time.monotonic() >= deadline:  # once per stratum
             raise BudgetExceeded(f"parse exceeded {budget.max_seconds} seconds at size {i}")
-        if i > 2:
-            with_left.append(positions_of(compiled.by_left, scores[i - 1]))
-            with_right.append(positions_of(compiled.by_right, scores[i - 1]))
         stratum, top, stored = scores[i], i == n, entry_count
         get = stratum.get
         for j in range(1, i):
@@ -538,7 +550,7 @@ def fill_chart(
             if not live:
                 continue
             left_nodes, right_nodes = scores[j], scores[i - j]
-            for pos in sorted(live):
+            for pos in bit_positions(live):  # the pairs in order of first use
                 left_child, right_child, join, by_size, _ = pairs[pos]
                 lefts, rights = left_nodes[left_child], right_nodes[right_child]
                 rules = by_size[top]
@@ -597,6 +609,8 @@ def fill_chart(
                                 else:
                                     stratum[head] = {ikey: score}
         per_size_entries.append(entry_count - stored)
+        with_left.append(positions_of(compiled.by_left, stratum))
+        with_right.append(positions_of(compiled.by_right, stratum))
 
     finished = time.monotonic()
     seconds_left = None if deadline is None else deadline - finished  # the count re-arms it

@@ -58,7 +58,7 @@ from aog import (
 )
 from aog import parsing
 from aog.cli import main
-from aog.parsing import log_add, positions_of, tie_key
+from aog.parsing import log_add, tie_key
 from helpers import (
     NEG_INF,
     calling_every_relation,
@@ -336,6 +336,52 @@ def test_left_branching_chart_stats_in_closed_form(n):
         for stats in (parse(gcnf, x, mode).stats, build_table(gcnf, x, mode).stats):
             assert stats.pair_tests == n * (n - 1) // 2
             assert stats.per_size_entries == [0, 2 * n, *range(n - 1, 0, -1)]
+
+
+def test_the_fill_walks_a_splits_live_pairs_in_pair_order():
+    # L_m -> t_m, R -> every t_m, S -> X_m | W with X_m = L_m R and W = S R,
+    # the X_m rules in shuffled order: at size 2 the one split (1, 1) has a
+    # live pair (L_m, R) for every m, 70 of them, so pair positions pass bit
+    # 63; a call's left span (m, m + 1) names its pair, a longer one (S, R)
+    k = 70
+    adjacent, concat = RelationRef("adjacent"), FunctionRef("concat")
+    order = list(range(k))
+    random.Random(4100).shuffle(order)
+    and_rules = [AndRule(f"X{m}", (f"L{m}", "R"), adjacent, concat) for m in order]
+    and_rules.append(AndRule("W", ("S", "R"), adjacent, concat))
+    or_rules = [OrRule(f"L{m}", f"t{m}", 1.0) for m in range(k)]
+    or_rules += [OrRule("R", f"t{m}", 1 / k) for m in range(k)]
+    or_rules += [OrRule("S", head, 1 / (k + 1)) for head in [f"X{m}" for m in order] + ["W"]]
+    terminals = [f"t{m}" for m in range(k)]
+    gcnf = Grammar.from_rules(string_span_domain(), terminals, "S", and_rules, or_rules)
+    assert validate_grammar(gcnf).ok
+    calls = []
+    g = calling_every_relation(gcnf, calls)
+    x = string_sample(terminals)
+    build_table(g, x)
+    position = {left: p for p, (left, *_) in enumerate(g.compiled.pairs)}
+    assert len(position) == k + 1 and position["S"] == k
+    walked = []  # ((size, left size), pair position) of each call, in call order
+    for (lstart, lend), (rstart, rend) in calls:
+        pair = position[f"L{lstart}"] if lend - lstart == 1 else position["S"]
+        walked.append(((rend - lstart, lend - lstart), pair))
+    assert walked == sorted(walked)
+    first = [pair for split, pair in walked if split == (2, 1)]
+    assert first == sorted(position[f"L{m}"] for m in range(k - 1))  # L69 has no right cell
+    assert max(first) > 63
+
+
+@pytest.mark.parametrize("mode", ["viterbi", "marginal"])
+def test_a_left_cell_with_no_partner_passes_over_only_itself(mode):
+    # on a a b the pair (A, B) has left cells (0, 1) and (1, 2), in that
+    # order: the first has no B cell with its join key, the second has (2, 3)
+    scfg = parse_scfg("S -> A S [0.5]\nS -> A B [0.5]\nA -> a [1.0]\nB -> b [1.0]")
+    gcnf, x = to_gcnf(scfg_to_aog(scfg))[0], string_sample(list("aab"))
+    for goal in (False, True):
+        table = parsing.fill_chart(gcnf, x, mode, ParserBudget(), None, goal)[0]
+        [(root, entry)] = table.root_entries()
+        assert (root.mask, entry.score) == (0b111, math.log(0.25))
+    assert parse(gcnf, x, mode).score == math.log(0.25)
 
 
 def test_compiled_form_resolves_each_factory_once():
@@ -1884,7 +1930,7 @@ def test_budget_entries_fire_on_the_cell_that_would_open_a_node(mode):
 @pytest.mark.parametrize("kind", ["string", "grid", "null", "interval"])
 def test_per_size_entries_are_the_cells_stored_at_each_size(kind, chains):
     # the fill counts cells as it makes them, and makes a node's dict with its
-    # first cell: positions_of lists a node's pairs as soon as its dict exists
+    # first cell: the stratum's pair masks take a node's pairs as soon as its dict exists
     checked = 0
     for trial in range(40):
         g = random_aog(random.Random(7300 + trial), allow_or_chains=chains, kind=kind)
@@ -1916,7 +1962,24 @@ def test_compiled_seed_positions_match_the_seeded_chart(kind):
             seeded = build_table(gcnf, x).scores[1]
             terminals = {inst.terminal for inst in x.instances}
             for by_node, seeds in zip((compiled.by_left, compiled.by_right), compiled.seeds):
-                assert all(list(seeds[t]) == sorted(set(seeds[t])) for t in gcnf.terminals)
-                assert set().union(*(seeds[t] for t in terminals)) == positions_of(by_node, seeded)
+                for t in gcnf.terminals:  # the pairs of the heads of t's Or-rules
+                    heads = [head for *_, head in compiled.or_by_child[0].get(t, ())]
+                    assert seeds[t] == or_masks(by_node.get(head, 0) for head in heads)
+                # the pairs of the seeded chart's nodes
+                assert or_masks(seeds[t] for t in terminals) == or_masks(
+                    by_node.get(node, 0) for node in seeded
+                )
+            for p, (left, right, *_) in enumerate(compiled.pairs):
+                for by_node, child in ((compiled.by_left, left), (compiled.by_right, right)):
+                    assert {node for node, mask in by_node.items() if mask >> p & 1} == {child}
+            assert all(mask >> len(compiled.pairs) == 0 for mask in compiled.by_left.values())
+            assert all(mask >> len(compiled.pairs) == 0 for mask in compiled.by_right.values())
             checked += 1
     assert checked >= 10
+
+
+def or_masks(masks) -> int:
+    out = 0
+    for mask in masks:
+        out |= mask
+    return out
